@@ -43,6 +43,7 @@ from .intsets import (
     replay_certificate,
     syndetic_certificate,
     thick_certificate,
+    window,
 )
 from .recurrence import (
     FSetModel,

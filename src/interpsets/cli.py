@@ -272,10 +272,10 @@ def cmd_count(args):
     ms = _parse_m_values(args)
     if args.oracle:
         for m in ms:
-            if args.k ** m > counting.ORACLE_LIMIT:
-                raise UsageError(
-                    f"--oracle refused: k^m = {args.k ** m} exceeds "
-                    f"{counting.ORACLE_LIMIT}")
+            try:
+                counting.check_oracle_work(m, args.k)
+            except ValueError as exc:
+                raise UsageError(f"--oracle refused at m = {m}: {exc}") from exc
     profile = counting.growth_rate_profile(delta, args.k, ms)
     lines = ["m,count,log_rate,analytic_limit,inf_so_far"]
     verdicts = []
@@ -441,11 +441,8 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (UsageError, intsets.SpecGrammarError, construct.DomainError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (intsets.EmptyWindowError, ValueError) as exc:
+    except (UsageError, FileNotFoundError, ValueError) as exc:
+        # ValueError covers spec, domain, empty-window and JSON errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

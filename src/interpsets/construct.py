@@ -19,18 +19,21 @@ and deterministic: identical inputs give bit-identical traces.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .intsets import (
     IntegerSetModel,
+    _free_runs,
     free_runs,
     gap_syndeticity_table,
     max_window_count,
     syndetic_certificate,
+    window,
 )
 from .words import (
     SymbolWord,
@@ -250,25 +253,23 @@ def _concat(words) -> list:
     return out
 
 
-def _first_free_run(elems, lo: int, hi: int, need: int):
+def _first_free_run(arr, lo: int, hi: int, need: int):
     """First [u, v] inside positions [lo, hi] with v-u+1 >= need and no
-    element of the ascending list elems."""
-    i = bisect.bisect_left(elems, lo)
-    prev = lo - 1
-    while i < len(elems) and elems[i] <= hi:
-        e = elems[i]
-        if e - prev - 1 >= need:
-            return prev + 1, e - 1
-        prev = e
-        i += 1
-    if hi - prev >= need:
-        return prev + 1, hi
-    return None
+    element of the ascending array arr."""
+    inside = arr[arr.searchsorted(lo):arr.searchsorted(hi, "right")]
+    starts, ends = _free_runs(inside, lo, hi)
+    fits = ends - starts + 1 >= need
+    if not fits.any():
+        return None
+    i = fits.argmax()
+    return int(starts[i]), int(ends[i])
 
 
-def _block_meets(elems, lo: int, hi: int) -> bool:
-    i = bisect.bisect_left(elems, lo)
-    return i < len(elems) and elems[i] <= hi
+def _blocks_meeting(arr, size: int, count: int) -> list:
+    """Indices b < count of the blocks [b*size+1, (b+1)*size] that meet arr."""
+    blocks = (arr - 1) // size
+    first = np.diff(blocks, prepend=-1) != 0   # arr ascends, so blocks do too
+    return blocks[first & (blocks < count)].tolist()
 
 
 # .. totally minimal ..........................................................
@@ -300,7 +301,7 @@ def totally_minimal_construct(problem: InterpolationProblem, levels: int = 3,
     fillings = [[None] * n]
     for s, v in problem.f.items():
         fillings[0][s - 1] = v
-    elems = model.elements(n)
+    elems = window(model, n)
 
     for j in range(levels):
         cur = level_data[j]
@@ -353,10 +354,8 @@ def totally_minimal_construct(problem: InterpolationProblem, levels: int = 3,
 
         fill = list(fillings[j])
         j_len = m * len(u_block)
-        for b in range(n // m_next):
+        for b in _blocks_meeting(elems, m_next, n // m_next):
             lo, hi = b * m_next + 1, (b + 1) * m_next
-            if not _block_meets(elems, lo, hi):
-                continue
             run = _first_free_run(elems, lo, hi, gap_needed)
             if run is None:
                 raise LevelWindowError(
@@ -531,7 +530,7 @@ def strictly_ergodic_construct(problem: InterpolationProblem, levels: int = 3,
     fillings = [[None] * n]
     for s, v in problem.f.items():
         fillings[0][s - 1] = v
-    elems = model.elements(n)
+    elems = window(model, n)
 
     for j in range(levels):
         cur = level_data[j]
@@ -568,10 +567,8 @@ def strictly_ergodic_construct(problem: InterpolationProblem, levels: int = 3,
 
         fill = list(fillings[j])
         overwrite = big_r - big_r // (j + 1)
-        for b in range(n // m_next):
+        for b in _blocks_meeting(elems, m_next, n // m_next):
             lo, hi = b * m_next + 1, (b + 1) * m_next
-            if not _block_meets(elems, lo, hi):
-                continue
             stars = []
             for c in range(lo - 1, hi, m):
                 seg = fill[c:c + m]
@@ -730,13 +727,11 @@ def density_coloring_witness(model: IntegerSetModel, intervals, k: int,
         if lo < 1 or hi <= lo or lo < prev_hi:
             raise ValueError("intervals must be disjoint, ascending, nonempty")
         prev_hi = hi
-    coloring = {s: 0 for s in model.elements(n)}
+    arr = window(model, n)
+    colors = np.zeros(arr.size, dtype=np.int64)
     for idx, (lo, hi) in enumerate(ivs, start=1):
-        color = idx % k
-        for s in coloring:
-            if lo <= s < hi:
-                coloring[s] = color
-    return DensityColoring(k, tuple(ivs), coloring)
+        colors[arr.searchsorted(lo):arr.searchsorted(hi)] = idx % k
+    return DensityColoring(k, tuple(ivs), dict(zip(arr.tolist(), colors.tolist())))
 
 
 # -- verification -------------------------------------------------------------

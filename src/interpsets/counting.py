@@ -120,6 +120,17 @@ def _split_count(m, d: Fraction, k) -> int:
     return total
 
 
+def check_oracle_work(m: int, k: int) -> None:
+    """Refuse an oracle run whose enumeration work, k^ceil(m/2) words per
+    half, would exceed ORACLE_LIMIT.  The direct product scan only runs
+    below NAIVE_LIMIT, which is smaller, so this is the oracle's one limit."""
+    work = k ** ((m + 1) // 2)
+    if work > ORACLE_LIMIT:
+        raise ValueError(
+            f"enumeration work k^ceil(m/2) = {work} exceeds the "
+            f"{ORACLE_LIMIT} cap")
+
+
 def brute_force_count(m: int, delta, k: int) -> int:
     """Independent enumeration oracle for count_low_weight.
 
@@ -129,14 +140,10 @@ def brute_force_count(m: int, delta, k: int) -> int:
     enumeration work, k^ceil(m/2) words, would exceed 10^8.
     """
     d = _check_args(m, delta, k)
+    check_oracle_work(m, k)
     if k ** m <= NAIVE_LIMIT:
         return _naive_count(m, d, k)
-    work = k ** ((m + 1) // 2)
-    if work <= ORACLE_LIMIT:
-        return _split_count(m, d, k)
-    raise ValueError(
-        f"enumeration work k^ceil(m/2) = {work} exceeds the "
-        f"{ORACLE_LIMIT} cap")
+    return _split_count(m, d, k)
 
 
 def sandwich_bounds(m: int, delta, k: int):

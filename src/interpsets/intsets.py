@@ -11,12 +11,12 @@ answer is tagged with the scale it was computed at.
 
 from __future__ import annotations
 
-import bisect
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+
+import numpy as np
 
 HOLDS = "holds-at-scale"
 FAILS = "fails-at-scale"
@@ -34,8 +34,6 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-KINDS = ("explicit", "ap", "powers", "sturmian", "union", "shift", "sums")
 
 
 class EmptyWindowError(ValueError):
@@ -78,6 +76,9 @@ class IntegerSetModel:
     inner: "IntegerSetModel | None" = None
     t: int = 0
     gens: tuple = ()
+    # (n, array): the largest window built so far; see window()
+    _window: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -137,18 +138,12 @@ class IntegerSetModel:
         return continued_fraction_value(self.cf)
 
     def elements(self, n: int) -> list:
-        """Sorted members of S in [1, n]."""
-        return list(_elements(self, int(n)))
+        """Sorted members of S in [1, n], as a list view of window()."""
+        return window(self, n).tolist()
 
     def contains(self, x: int) -> bool:
         if x < 1:
             return False
-        if self.kind == "explicit":
-            if self.window_bound is not None and x > self.window_bound:
-                raise ValueError(
-                    f"membership of {x} unknown beyond window_bound {self.window_bound}"
-                )
-            return x in set(self.members)
         if self.kind == "ap":
             return x % self.a == self.b
         if self.kind == "powers":
@@ -166,9 +161,10 @@ class IntegerSetModel:
             return any(p.contains(x) for p in self.parts)
         if self.kind == "shift":
             return self.inner.contains(x - self.t)
-        if self.kind == "sums":
-            return x in set(_elements(self, x))
-        raise ValueError(f"unknown kind {self.kind!r}")
+        if self.kind not in ("explicit", "sums"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        arr = window(self, x)   # refuses x beyond an explicit window_bound
+        return arr.size > 0 and int(arr[-1]) == x
 
     def exact_density(self):
         """Exact upper Banach density where the generator has a closed form."""
@@ -200,59 +196,70 @@ class IntegerSetModel:
         raise ValueError(self.kind)
 
 
-@lru_cache(maxsize=128)
-def _elements(model: IntegerSetModel, n: int) -> tuple:
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+def window(model: IntegerSetModel, n: int) -> np.ndarray:
+    """S intersect [1, n] as a sorted, read-only int64 array.
+
+    Each model keeps the largest window it has built; a window at a
+    smaller n is a prefix view of that array, so S intersect [1, N] is
+    materialized once per (model, N).
+    """
+    n = int(n)
     if n < 1:
-        return ()
+        return _EMPTY
+    if model.kind == "explicit" and model.window_bound is not None \
+            and n > model.window_bound:
+        raise ValueError(
+            f"window {n} exceeds explicit window_bound {model.window_bound}")
+    if not model._window or model._window[0] < n:
+        arr = np.asarray(_materialize(model, n), dtype=np.int64)
+        arr.flags.writeable = False
+        model._window[:] = [n, arr]
+    arr = model._window[1]
+    if arr.size and n < int(arr[-1]):
+        arr = arr[:int(arr.searchsorted(n, "right"))]
+    return arr
+
+
+def _materialize(model: IntegerSetModel, n: int):
     if model.kind == "explicit":
-        if model.window_bound is not None and n > model.window_bound:
-            raise ValueError(
-                f"window {n} exceeds explicit window_bound {model.window_bound}"
-            )
-        return tuple(x for x in model.members if x <= n)
+        return model.members
     if model.kind == "ap":
-        start = model.b if model.b >= 1 else model.a
-        return tuple(range(start, n + 1, model.a))
+        return np.arange(model.b if model.b >= 1 else model.a, n + 1, model.a)
     if model.kind == "powers":
         out = []
         v = model.base
         while v <= n:
             out.append(v)
             v *= model.base
-        return tuple(out)
+        return out
     if model.kind == "sturmian":
+        # x_m = floor(m / delta); q/p >= 1, so the x_m strictly increase.
+        # Python ints: m*q may exceed int64 for long continued fractions.
         d = model.delta()
         p, q = d.numerator, d.denominator
-        out = []
-        m = 1
-        while True:
-            x = (m * q) // p
-            if x > n:
-                break
-            if x >= 1 and (not out or out[-1] != x):
-                out.append(x)
-            m += 1
-        return tuple(out)
+        return [(m * q) // p for m in range(1, ((n + 1) * p - 1) // q + 1)]
     if model.kind == "union":
-        acc = set()
-        for part in model.parts:
-            acc.update(_elements(part, n))
-        return tuple(sorted(acc))
+        return np.unique(np.concatenate([window(part, n) for part in model.parts]))
     if model.kind == "shift":
-        sub = _elements(model.inner, n - model.t) if n - model.t >= 1 else ()
-        return tuple(x + model.t for x in sub if x + model.t >= 1)
+        sub = window(model.inner, n - model.t) + model.t
+        return sub[sub >= 1]
     if model.kind == "sums":
-        out = set()
-
-        def rec(i, acc):
-            for j in range(i, len(model.gens)):
-                v = acc + model.gens[j]
-                if v <= n:
-                    out.add(v)
-                    rec(j + 1, v)
-
-        rec(0, 0)
-        return tuple(sorted(out))
+        # exact subset-sum DP on a Python-int bitset: bit s set iff s is a sum
+        top = min(n, sum(model.gens))
+        mask = (1 << (top + 1)) - 1
+        reach = 1
+        for g in model.gens:
+            if g > top:   # gens are sorted; a larger shift only clears bits
+                break
+            reach |= (reach << g) & mask
+        bits = np.unpackbits(
+            np.frombuffer(reach.to_bytes(top // 8 + 1, "little"), dtype=np.uint8),
+            bitorder="little")
+        return np.flatnonzero(bits)[1:]
     raise ValueError(f"unknown kind {model.kind!r}")
 
 
@@ -286,57 +293,61 @@ class Certificate:
                    dict(data["witness"]))
 
 
+def _nonempty_window(model: IntegerSetModel, n: int) -> np.ndarray:
+    arr = window(model, n)
+    if not arr.size:
+        raise EmptyWindowError(f"{model.spec_string()} is empty on [1, {n}]")
+    return arr
+
+
 def gap_sequence(model: IntegerSetModel, n: int) -> list:
     """Differences between consecutive members of S in [1, n]."""
-    elems = model.elements(n)
-    if not elems:
-        raise EmptyWindowError(f"{model.spec_string()} is empty on [1, {n}]")
-    return [y - x for x, y in zip(elems, elems[1:])]
+    return np.diff(_nonempty_window(model, n)).tolist()
+
+
+def _free_runs(arr: np.ndarray, lo: int, hi: int):
+    """(starts, ends) of the maximal S-free runs inside [lo, hi], where arr
+    holds the members of S in [lo, hi]."""
+    prev = np.concatenate(([lo - 1], arr))
+    nxt = np.concatenate((arr, [hi + 1]))
+    keep = nxt - prev >= 2
+    return prev[keep] + 1, nxt[keep] - 1
 
 
 def free_runs(model: IntegerSetModel, n: int) -> list:
     """Maximal intervals [u, v] inside [1, n] disjoint from S."""
-    elems = model.elements(n)
-    runs = []
-    prev = 0
-    for e in elems:
-        if e - prev >= 2:
-            runs.append((prev + 1, e - 1))
-        prev = e
-    if prev < n:
-        runs.append((prev + 1, n))
-    return runs
+    starts, ends = _free_runs(window(model, n), 1, n)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def syndetic_certificate(model: IntegerSetModel, n: int, g: int) -> Certificate:
     """Does every length-g subwindow of [1, n] meet S?
 
     Equivalent to all gaps (counting a virtual element at 0) being <= g
-    and the pending tail gap being < g.  The fails witness is the largest
-    completed gap exceeding g, or the pending tail if only it violates.
+    and the pending tail gap being < g.  The fails witness is the first
+    largest completed gap when it exceeds g, else the pending tail if it
+    violates.
     """
     if g < 1:
         raise ValueError("gap bound g must be >= 1")
     if n < g:
         raise ValueError("window must satisfy N >= g")
-    elems = model.elements(n)
-    if not elems:
-        raise EmptyWindowError(f"{model.spec_string()} is empty on [1, {n}]")
+    arr = _nonempty_window(model, n)
     scale = {"N": n, "g": g}
-    pairs = [(0, elems[0])] + list(zip(elems, elems[1:]))
-    worst = max(pairs, key=lambda p: (p[1] - p[0], -p[0]))
-    bad = [p for p in pairs if p[1] - p[0] > g]
-    pending = n - elems[-1]
-    if bad:
-        wa, wb = max(bad, key=lambda p: (p[1] - p[0], -p[0]))
-        witness = {"gap": [wa, wb], "length": wb - wa, "kind": "completed"}
+    gaps = np.diff(arr, prepend=0)
+    i = int(gaps.argmax())
+    hi = int(arr[i])
+    lo = hi - int(gaps[i])
+    last = int(arr[-1])
+    pending = n - last
+    if hi - lo > g:
+        witness = {"gap": [lo, hi], "length": hi - lo, "kind": "completed"}
         return Certificate("syndetic", scale, FAILS, witness)
     if pending >= g:
-        witness = {"gap": [elems[-1], n + 1], "length": pending + 1,
+        witness = {"gap": [last, n + 1], "length": pending + 1,
                    "kind": "pending-tail"}
         return Certificate("syndetic", scale, FAILS, witness)
-    witness = {"max_gap": [worst[0], worst[1]], "length": worst[1] - worst[0],
-               "pending_tail": pending}
+    witness = {"max_gap": [lo, hi], "length": hi - lo, "pending_tail": pending}
     return Certificate("syndetic", scale, HOLDS, witness)
 
 
@@ -344,28 +355,20 @@ def thick_certificate(model: IntegerSetModel, n: int, run_len: int) -> Certifica
     """Does [1, n] contain run_len consecutive members of S?"""
     if run_len < 1:
         raise ValueError("run length must be >= 1")
-    elems = model.elements(n)
-    if not elems:
-        raise EmptyWindowError(f"{model.spec_string()} is empty on [1, {n}]")
+    arr = _nonempty_window(model, n)
     scale = {"N": n, "L": run_len}
-    best_start, best_len = elems[0], 1
-    start, length = elems[0], 1
-    hit = None
-    for x, y in zip(elems, elems[1:]):
-        if y == x + 1:
-            length += 1
-        else:
-            start, length = y, 1
-        if length > best_len:
-            best_start, best_len = start, length
-        if length >= run_len and hit is None:
-            hit = start
-    if run_len == 1:
-        hit = elems[0]
-    if hit is not None:
-        return Certificate("thick", scale, HOLDS, {"run_start": hit, "length": run_len})
+    # maximal runs of consecutive members, as index ranges into arr
+    first = np.flatnonzero(np.diff(arr, prepend=arr[0] - 2) != 1)
+    lengths = np.diff(first, append=arr.size)
+    long_enough = lengths >= run_len
+    if long_enough.any():
+        start = int(arr[first[long_enough.argmax()]])
+        return Certificate("thick", scale, HOLDS,
+                           {"run_start": start, "length": run_len})
+    best = int(lengths.argmax())
     return Certificate("thick", scale, FAILS,
-                       {"longest_run_start": best_start, "longest_run": best_len})
+                       {"longest_run_start": int(arr[first[best]]),
+                        "longest_run": int(lengths[best])})
 
 
 def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certificate:
@@ -377,25 +380,20 @@ def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certi
     """
     if gap_len < 1:
         raise ValueError("gap length must be >= 1")
-    elems = model.elements(n)
-    if not elems:
-        raise EmptyWindowError(f"{model.spec_string()} is empty on [1, {n}]")
+    starts, ends = _free_runs(_nonempty_window(model, n), 1, n)
     scale = {"N": n, "n": gap_len}
-    runs = [(u, v) for (u, v) in free_runs(model, n) if v - u + 1 >= gap_len]
-    if not runs:
-        longest = max((v - u + 1 for (u, v) in free_runs(model, n)), default=0)
+    keep = ends - starts + 1 >= gap_len
+    if not keep.any():
+        longest = int((ends - starts).max()) + 1 if starts.size else 0
         witness = {"stretch": [1, n], "longest_free_run": longest}
         return Certificate("gap-syndetic", scale, FAILS, witness)
-    # start positions of gap_len-gaps within run (u, v) are u .. v-gap_len+1
-    d = runs[0][0] + gap_len - 1
-    count = 0
-    for (u1, v1), (u2, _v2) in zip(runs, runs[1:]):
-        d = max(d, u2 - (v1 - gap_len + 1) + gap_len - 1)
-    for (u, v) in runs:
-        count += v - gap_len + 1 - u + 1
-    d = max(d, n - (runs[-1][1] - gap_len + 1) + 1)
-    witness = {"spacing_bound": d, "first_gap_start": runs[0][0],
-               "gap_start_count": count}
+    # start positions of gap_len-gaps within run [u, v] are u .. v-gap_len+1
+    u = starts[keep]
+    last = ends[keep] - gap_len + 1
+    d = max(int(u[0]) + gap_len - 1, n - int(last[-1]) + 1,
+            int((u[1:] - last[:-1]).max(initial=0)) + gap_len - 1)
+    witness = {"spacing_bound": d, "first_gap_start": int(u[0]),
+               "gap_start_count": int((last - u + 1).sum())}
     return Certificate("gap-syndetic", scale, HOLDS, witness)
 
 
@@ -410,27 +408,24 @@ def piecewise_syndetic_certificate(model: IntegerSetModel, n: int, g: int,
         raise ValueError("need run length L >= g >= 1")
     if run_len > n:
         raise ValueError("window must satisfy N >= L")
-    elems = model.elements(n)
-    if not elems:
-        raise EmptyWindowError(f"{model.spec_string()} is empty on [1, {n}]")
+    starts, ends = _free_runs(_nonempty_window(model, n), 1, n)
     scale = {"N": n, "g": g, "L": run_len}
     # violation positions x: [x, x+g-1] misses S; they form intervals
-    viol = [(u, v - g + 1) for (u, v) in free_runs(model, n) if v - u + 1 >= g]
-    x_hi = n - g + 1
+    keep = ends - starts + 1 >= g
+    viol_lo = np.append(starts[keep], n - g + 2)
+    # good positions between violations: [cur, viol_lo - 1]
+    cur = np.concatenate(([1], ends[keep] - g + 2))
+    stretch = viol_lo - cur
     need = run_len - g + 1
-    best_len, best_start = 0, None
-    cur = 1
-    for (u, v) in viol + [(x_hi + 1, x_hi + 1)]:
-        if u - 1 >= cur:
-            stretch = u - 1 - cur + 1
-            if stretch > best_len:
-                best_len, best_start = stretch, cur
-            if stretch >= need:
-                a = cur
-                witness = {"interval": [a, a + run_len - 1]}
-                return Certificate("piecewise-syndetic", scale, HOLDS, witness)
-        cur = max(cur, v + 1)
-    witness = {"best_stretch": best_len, "best_start": best_start, "needed": need}
+    hit = stretch >= need
+    if hit.any():
+        a = int(cur[hit.argmax()])
+        return Certificate("piecewise-syndetic", scale, HOLDS,
+                           {"interval": [a, a + run_len - 1]})
+    i = int(stretch.argmax())
+    best = int(stretch[i])
+    witness = {"best_stretch": best,
+               "best_start": int(cur[i]) if best > 0 else None, "needed": need}
     return Certificate("piecewise-syndetic", scale, FAILS, witness)
 
 
@@ -456,21 +451,19 @@ class DensityProfile:
 
 
 def max_window_count(model: IntegerSetModel, n: int, length: int):
-    """(count, start) maximizing |S intersect [m, m+length)| over [1, n]."""
-    elems = model.elements(n)
-    if not elems:
+    """(count, start) maximizing |S intersect [m, m+length)| over [1, n].
+
+    Candidate starts are the members of S clamped to [1, n-length+1]; the
+    first maximizing one is returned, (0, 1) when S misses [1, n].
+    """
+    arr = window(model, n)
+    if not arr.size:
         return 0, 1
-    best, best_start = 0, 1
-    hi_start = n - length + 1
-    for i, e in enumerate(elems):
-        m = min(e, hi_start)
-        if m < 1:
-            m = 1
-        j = bisect.bisect_right(elems, m + length - 1)
-        i0 = bisect.bisect_left(elems, m)
-        if j - i0 > best:
-            best, best_start = j - i0, m
-    return best, best_start
+    ms = np.maximum(np.minimum(arr, n - length + 1), 1)
+    counts = (arr.searchsorted(ms + (length - 1), "right")
+              - arr.searchsorted(ms, "left"))
+    i = int(counts.argmax())
+    return int(counts[i]), int(ms[i])
 
 
 def banach_density_profile(model: IntegerSetModel, n: int, n_max: int = None,

@@ -45,6 +45,15 @@ def test_analyze_banach_powers(capsys):
     assert rep["results"]["gap_histogram"]["2"] == 1
 
 
+def test_analyze_sums_at_scale(capsys):
+    gens = ",".join(str(g) for g in range(1, 41))
+    code, out = run(capsys, "analyze", "--set", f"kind=sums gens={gens}",
+                    "--n", "2000", "--syndetic", "3")
+    assert code == 1    # S = [1, 820], so the tail (820, 2000] fails
+    assert json.loads(out)["verdicts"][0]["certificate"]["witness"] == {
+        "gap": [820, 2001], "length": 1181, "kind": "pending-tail"}
+
+
 def test_malformed_spec_exit_2(capsys):
     code, _ = run(capsys, "analyze", "--set", "kind=wat", "--n", "10")
     assert code == 2
@@ -65,9 +74,19 @@ def test_count_csv_and_oracle(tmp_path, capsys):
 
 
 def test_count_oracle_refusal(capsys):
-    code, _ = run(capsys, "count", "--delta", "1/2", "--k", "4",
-                  "--m", "16", "--oracle")
+    # the oracle's own bound: 4^ceil(28/2) = 4^14 > 10^8 words per half
+    code = main(["count", "--delta", "1/2", "--k", "4", "--m", "28", "--oracle"])
     assert code == 2
+    assert "100000000" in capsys.readouterr().err
+
+
+def test_count_oracle_runs_to_its_own_bound(capsys):
+    # k^m = 2^27 > 10^8, but the oracle enumerates only 2^14 words per half
+    code, out = run(capsys, "count", "--delta", "1/3", "--k", "2",
+                    "--m-list", "27", "--oracle")
+    assert code == 0
+    assert [v["name"] for v in json.loads(out[out.index("{"):])["verdicts"]] \
+        == ["oracle-m27"]
 
 
 def test_count_bad_delta(capsys):

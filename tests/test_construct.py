@@ -1,9 +1,11 @@
 """Zero extension, Sturmian interpolation, mixing extension, witnesses."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interpsets import construct as K
 from interpsets import counting as C
@@ -191,6 +193,29 @@ def test_coloring_three_blocks():
     for idx, (lo, hi) in enumerate(intervals, start=1):
         vals = {col.coloring[s] for s in range(lo, hi) if s % 3 == 0}
         assert vals == {idx % 3}
+
+
+def loop_coloring(members, intervals, k):
+    """The interval-by-interval scan over all of S, as a reference."""
+    coloring = {s: 0 for s in members}
+    for idx, (lo, hi) in enumerate(intervals, start=1):
+        for s in coloring:
+            if lo <= s < hi:
+                coloring[s] = idx % k
+    return coloring
+
+
+@given(st.sets(st.integers(1, 100), max_size=40),
+       st.lists(st.integers(1, 12), min_size=2, max_size=12),
+       st.integers(1, 4), st.integers(1, 120))
+@settings(max_examples=60, deadline=None)
+def test_coloring_matches_loop(members, cuts, k, n):
+    # consecutive cut points give disjoint ascending intervals with holes
+    ends = list(itertools.accumulate(cuts))
+    intervals = [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
+    model = EXPL(sorted(members))
+    col = K.density_coloring_witness(model, intervals, k, n)
+    assert col.coloring == loop_coloring(model.elements(n), intervals, k)
 
 
 def test_coloring_rejects_overlap():

@@ -4,6 +4,9 @@ Derived expected values were computed with the brute-force oracles below
 (direct window scans over materialized membership) and then frozen.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 from fractions import Fraction
 
@@ -56,6 +59,39 @@ def brute_spacing(members, n, gap_len):
     return None
 
 
+def brute_window_count(members, n, length):
+    """Largest |S intersect [m, m+length)| over every start m, and the first
+    member position, clamped to [1, n-length+1], whose window attains it."""
+    mem = sorted(x for x in members if x <= n)
+    if not mem:
+        return 0, 1
+
+    def count(m):
+        return sum(1 for x in mem if m <= x < m + length)
+
+    hi = n - length + 1
+    best = max(count(m) for m in range(1, max(hi, 1) + 1))
+    starts = (max(min(e, hi), 1) for e in mem)
+    return best, next(m for m in starts if count(m) == best)
+
+
+def brute_runs(members, n):
+    """Maximal runs of consecutive members inside [1, n], as (start, length)."""
+    mem = set(members)
+    return [(a, next(b for b in itertools.count(a) if b + 1 not in mem or b == n)
+             - a + 1)
+            for a in range(1, n + 1) if a in mem and a - 1 not in mem]
+
+
+def brute_first_largest_gap(members, n):
+    """The first (lo, hi) of largest hi - lo among consecutive members of
+    S in [1, n], with a virtual member at 0."""
+    mem = [0] + sorted(x for x in members if x <= n)
+    pairs = list(zip(mem, mem[1:]))
+    widest = max(b - a for a, b in pairs)
+    return next([a, b] for a, b in pairs if b - a == widest)
+
+
 small_sets = st.sets(st.integers(1, 120), min_size=1, max_size=40)
 
 
@@ -106,6 +142,13 @@ def test_syndetic_union_holds():
     assert S.syndetic_certificate(model, 60, 3).holds
 
 
+def test_syndetic_witness_is_first_of_tied_gaps():
+    cert = S.syndetic_certificate(EXPL([3, 6, 9]), 9, 2)
+    assert cert.witness["gap"] == [0, 3]
+    cert = S.syndetic_certificate(EXPL([3, 6, 9]), 10, 3)
+    assert cert.holds and cert.witness["max_gap"] == [0, 3]
+
+
 def test_syndetic_pending_tail_fails():
     # knowledge stops at 3 but the window reaches 100
     cert = S.syndetic_certificate(EXPL([1, 2, 3]), 100, 5)
@@ -123,6 +166,23 @@ def test_thick_complement_of_tens():
 
 def test_thick_even_fails():
     assert not S.thick_certificate(AP(2, 0), 100, 2).holds
+
+
+@given(small_sets, st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_thick_matches_brute(members, run_len):
+    n = 120
+    cert = S.thick_certificate(EXPL(sorted(members)), n, run_len)
+    assert cert.holds == brute_thick(members, n, run_len)
+    runs = brute_runs(members, n)
+    if cert.holds:
+        assert cert.witness["run_start"] == next(a for a, ln in runs
+                                                 if ln >= run_len)
+    else:
+        longest = max(ln for _, ln in runs)
+        assert cert.witness["longest_run"] == longest
+        assert cert.witness["longest_run_start"] == next(
+            a for a, ln in runs if ln == longest)
 
 
 def test_thick_square_intervals_witness():
@@ -148,6 +208,24 @@ def test_gap_table_brute_agreement():
     model = POW(2)
     cert = S.gap_syndeticity_table(model, 300, 5)
     assert cert.witness["spacing_bound"] == brute_spacing(model.elements(300), 300, 5)
+
+
+@given(st.sets(st.integers(1, 60), min_size=1, max_size=25), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_gap_table_matches_brute(members, gap_len):
+    n = 60
+    cert = S.gap_syndeticity_table(EXPL(sorted(members)), n, gap_len)
+    starts = [p for p in range(1, n - gap_len + 2)
+              if not any(x in members for x in range(p, p + gap_len))]
+    assert cert.holds == bool(starts)
+    if cert.holds:
+        assert cert.witness["spacing_bound"] == brute_spacing(members, n, gap_len)
+        assert cert.witness["first_gap_start"] == starts[0]
+        assert cert.witness["gap_start_count"] == len(starts)
+    else:
+        free = [x for x in range(1, n + 1) if x not in members]
+        assert cert.witness["longest_free_run"] == max(
+            (ln for _, ln in brute_runs(free, n)), default=0)
 
 
 def test_gap_table_even_no_2gap():
@@ -201,6 +279,26 @@ def test_syndetic_matches_brute(members, g):
     assert cert.holds == brute_syndetic(members, 120, g)
 
 
+# gaps drawn from a few values, so equal largest gaps are common
+tied_gap_sets = st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=30).map(
+    lambda gaps: list(itertools.accumulate(gaps)))
+
+
+@given(tied_gap_sets, st.integers(1, 6), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_syndetic_witness_matches_brute(members, g, tail):
+    n = max(members[-1] + tail, g)
+    cert = S.syndetic_certificate(EXPL(members), n, g)
+    widest = brute_first_largest_gap(members, n)
+    if cert.holds:
+        assert cert.witness["max_gap"] == widest
+    elif cert.witness["kind"] == "completed":
+        assert cert.witness["gap"] == widest and widest[1] - widest[0] > g
+    else:
+        assert widest[1] - widest[0] <= g
+        assert cert.witness["gap"] == [members[-1], n + 1]
+
+
 # -- banach density ------------------------------------------------------------
 
 
@@ -227,6 +325,23 @@ def test_banach_powers_sparse():
 def test_banach_rejects_deep_windows():
     with pytest.raises(ValueError):
         S.banach_density_profile(AP(2, 0), 100, n_max=51)
+
+
+def test_banach_start_tie_break():
+    # [2, 3] and [5, 6] both hold 2 members; the first member position wins,
+    # and a member past N-L+1 = 7 starts its window at 7
+    model = EXPL([2, 3, 5, 6, 9])
+    assert S.max_window_count(model, 9, 2) == (2, 2)
+    assert S.max_window_count(EXPL([9]), 9, 3) == (1, 7)
+    assert S.max_window_count(EXPL([20]), 9, 3) == (0, 1)
+
+
+@given(small_sets, st.integers(1, 130), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_max_window_count_matches_brute(members, n, length):
+    length = min(length, n)
+    got = S.max_window_count(EXPL(sorted(members)), n, length)
+    assert got == brute_window_count(members, n, length)
 
 
 @given(small_sets, st.integers(1, 12), st.integers(1, 12))
@@ -304,9 +419,82 @@ def test_contains_matches_elements():
         assert all(model.contains(x) == (x in elems) for x in range(1, 201))
 
 
+def brute_subset_sums(gens):
+    return {sum(c) for r in range(1, len(gens) + 1)
+            for c in itertools.combinations(gens, r)}
+
+
+models_of_every_kind = st.one_of(
+    st.builds(AP, st.integers(1, 9), st.integers(0, 20)),
+    st.builds(POW, st.integers(2, 5)),
+    st.lists(st.integers(1, 4), min_size=1, max_size=6).map(
+        lambda tail: S.IntegerSetModel.sturmian_floor([0] + tail)),
+    st.sets(st.integers(1, 40), min_size=1, max_size=7).map(
+        S.IntegerSetModel.finite_sums),
+    st.builds(lambda m, t: S.IntegerSetModel.shifted(m, t),
+              st.builds(AP, st.integers(1, 9), st.integers(0, 8)),
+              st.integers(-10, 10)),
+    st.sets(st.integers(1, 150), max_size=20).map(EXPL),
+)
+
+
+@given(st.lists(models_of_every_kind, min_size=1, max_size=3), st.integers(1, 150))
+@settings(max_examples=120, deadline=None)
+def test_contains_matches_elements_every_kind(models, n):
+    model = models[0] if len(models) == 1 else S.IntegerSetModel.union_of(models)
+    elems = model.elements(n)
+    assert elems == [x for x in range(1, n + 1) if model.contains(x)]
+    if model.kind == "sums":
+        assert elems == sorted(x for x in brute_subset_sums(model.gens) if x <= n)
+    if model.kind == "sturmian":
+        d = model.delta()
+        assert elems == sorted({int(m / d) for m in range(1, n + 1)} - {0}
+                               & set(range(1, n + 1)))
+
+
+def test_sturmian_window_exact_past_int64():
+    # q ~ 10^16, so m * q leaves int64 well inside the window
+    model = S.IntegerSetModel.sturmian_floor([0] + [2] * 42)
+    assert model.delta().denominator > 10 ** 16
+    elems = model.elements(5000)
+    assert elems == [x for x in range(1, 5001) if model.contains(x)]
+
+
 def test_finite_sums_closure():
     model = S.IntegerSetModel.finite_sums([1, 2, 4])
     assert model.elements(100) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_finite_sums_at_scale():
+    gens = list(range(1, 41))
+    reach = {0}
+    for g in gens:
+        reach |= {r + g for r in reach}
+    model = S.IntegerSetModel.finite_sums(gens)
+    assert model.elements(2000) == sorted(x for x in reach if 1 <= x <= 2000)
+
+
+def test_finite_sums_huge_generators_stay_small():
+    # the window is built up to the query, never up to sum(gens)
+    model = S.IntegerSetModel.finite_sums([1, 2 ** 40])
+    assert model.contains(3) is False and model.contains(1)
+    model = S.IntegerSetModel.finite_sums([1, 2, 2 ** 40])
+    assert model.contains(3) and not model.contains(4)
+    powers = S.IntegerSetModel.finite_sums([2 ** i for i in range(41)])
+    assert powers.contains(3) and powers.elements(20) == list(range(1, 21))
+    cert = S.syndetic_certificate(powers, 100, 1)
+    assert cert.verdict == S.HOLDS and S.replay_certificate(powers, cert)
+
+
+def test_window_is_one_read_only_array():
+    model = POW(3)
+    big = S.window(model, 10 ** 6)
+    small = S.window(model, 100)
+    assert big.dtype == np.int64 and not big.flags.writeable
+    assert small.tolist() == [3, 9, 27, 81] == model.elements(100)
+    assert np.shares_memory(big, small)
+    with pytest.raises(ValueError):
+        big[0] = 1
 
 
 def test_spec_roundtrip():
@@ -346,3 +534,13 @@ def test_explicit_window_bound_enforced():
     with pytest.raises(ValueError):
         model.contains(11)
     assert model.contains(4) and not model.contains(3)
+
+
+def test_explicit_window_bound_edge():
+    model = EXPL([2, 10], 10)
+    assert model.elements(10) == [2, 10]
+    assert model.contains(10) and not model.contains(9)
+    with pytest.raises(ValueError):
+        model.elements(11)
+    with pytest.raises(ValueError):
+        model.contains(11)
