@@ -1,8 +1,10 @@
 """Command-line surface: analyze, construct, count, verify-f, word-stats.
 
 Exit codes: 0 when every emitted verdict holds, 1 when a verification
-fails, 2 for usage errors.  All output files are written atomically and
-are byte-identical across reruns with the same parameters and seeds;
+fails, 2 for usage errors, 3 for an internal fault (a broken invariant or
+any other unexpected exception), reported as one JSON line on stderr with
+its type, message and traceback.  All output files are written atomically
+and are byte-identical across reruns with the same parameters and seeds;
 timing appears only on stdout, never inside files.
 """
 
@@ -14,6 +16,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import construct, counting, intsets, recurrence, words
@@ -445,6 +448,13 @@ def main(argv=None):
         # ValueError covers spec, domain, empty-window and JSON errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program is not a verdict, so never exit 1 or 2
+        print(json.dumps({"error": "internal", "type": type(exc).__name__,
+                          "message": str(exc),
+                          "traceback": traceback.format_exc()}),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

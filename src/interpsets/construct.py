@@ -11,10 +11,12 @@ a set S inside a window [1, N]:
   * strictly_ergodic_construct  - leveled block construction with
                                   forced anchor frequencies
 
-The leveled constructions return a ConstructionTrace holding every
-intermediate partial filling (unfilled cells are None) so the structural
-claims can be re-verified from the outside.  All choices are first-fit
-and deterministic: identical inputs give bit-identical traces.
+The two leveled constructions share one block skeleton and differ only
+in their level plan and in how they fill the free sub-blocks.  They return
+a ConstructionTrace holding every intermediate partial filling as an int64
+array (-1 = unfilled) so the structural claims can be re-verified from the
+outside.  All choices are first-fit and deterministic: identical inputs
+give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .words import (
 )
 
 SequencePrefix = SymbolWord
+
+UNFILLED = -1        # a cell of a partial filling that holds no symbol yet
+ANCHOR_CAP = 64      # the level-0 anchor families keep at most this many words
 
 
 class DomainError(ValueError):
@@ -95,6 +100,15 @@ class InterpolationProblem:
             if not 0 <= v < self.k:
                 raise DomainError(f"f({s}) = {v} outside alphabet")
 
+    def base_word(self, fill: int) -> np.ndarray:
+        """Length-N int64 word holding f on S intersect [1, N] and `fill`
+        everywhere else; index = position-1."""
+        out = np.full(self.n, fill, dtype=np.int64)
+        size = len(self.f)
+        out[np.fromiter(self.f, np.int64, size) - 1] = np.fromiter(
+            self.f.values(), np.int64, size)
+        return out
+
 
 def random_problem(model: IntegerSetModel, k: int, n: int,
                    seed: int) -> InterpolationProblem:
@@ -115,10 +129,7 @@ def constant_problem(model: IntegerSetModel, k: int, n: int,
 
 def extend_zero(problem: InterpolationProblem, profile_max: int = None):
     """Extend f by zero off S.  Returns (word, complexity profile)."""
-    sym = [0] * problem.n
-    for s, v in problem.f.items():
-        sym[s - 1] = v
-    w = SymbolWord(problem.k, tuple(sym))
+    w = SymbolWord(problem.k, tuple(problem.base_word(0).tolist()))
     if profile_max is None:
         profile_max = min(64, problem.n // 2)
     return w, complexity_profile(w, profile_max)
@@ -144,10 +155,7 @@ def sturmian_interpolate(delta, f: dict, k: int, n: int) -> SymbolWord:
     if not 0 < d <= Fraction(1, 2):
         raise ValueError("delta must lie in (0, 1/2]")
     problem = InterpolationProblem(model, k, n, f)
-    sym = [0] * n
-    for s, v in problem.f.items():
-        sym[s - 1] = v
-    return SymbolWord(k, tuple(sym))
+    return SymbolWord(k, tuple(problem.base_word(0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -178,9 +186,7 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
             f"S is syndetic at scale with gap bound {max_run + 1}",
             cert, l_target, max_run)
     y = universal_word(problem.k, l_target)
-    sym = [0] * problem.n
-    for s, v in problem.f.items():
-        sym[s - 1] = v
+    sym = problem.base_word(0)
     placements = []
     record = 0
     for (u, v) in runs:
@@ -192,7 +198,7 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
             placements.append((u, take))
             if record >= len(y):
                 break
-    w = SymbolWord(problem.k, tuple(sym))
+    w = SymbolWord(problem.k, tuple(sym.tolist()))
     l_cover = 0
     for m in range(1, l_target + 1):
         if factor_count(w, m) == problem.k ** m:
@@ -229,7 +235,7 @@ class ConstructionTrace:
     window: int
     set_spec: str
     levels: list
-    fillings: list               # per level: list of (None | int), index = position-1
+    fillings: list               # per level: int64 array, -1 = unfilled, index = position-1
     result: SymbolWord
     closing_blocks: tuple
     _member_memo: dict = field(default_factory=dict, repr=False)
@@ -272,12 +278,85 @@ def _blocks_meeting(arr, size: int, count: int) -> list:
     return blocks[first & (blocks < count)].tolist()
 
 
+# .. the shared skeleton ......................................................
+
+
+def _leveled(kind: str, problem: InterpolationProblem, levels: int,
+             next_level) -> ConstructionTrace:
+    """The leveled block scheme both constructions share.
+
+    Level 0 holds f on S and -1 elsewhere.  For each j,
+    next_level(problem, j, cur, elems) plans level j+1 from cur, the
+    LevelData of level j, and elems, the window S intersect [1, N]; it
+    returns the LevelData of level j+1 and a block filler.  The filling of
+    level j+1 starts as a copy of level j; each aligned block of length
+    m_{j+1} that meets S splits into aligned sub-blocks of length m_j, every
+    one fully free or full, and the filler writes the free ones.
+    """
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    if problem.k < 2:
+        raise ValueError("leveled constructions need alphabet size >= 2")
+    k, n = problem.k, problem.n
+    w0 = SymbolWord(k, (0,))
+    t0 = tuple(SymbolWord(k, (s,)) for s in range(min(k, ANCHOR_CAP)))
+    if kind == "totally-minimal":
+        tp0 = tuple([SymbolWord(k, (a, b)) for a in range(k)
+                     for b in range(k)][:ANCHOR_CAP])
+        capped = k > ANCHOR_CAP or k * k > ANCHOR_CAP
+        lvl0 = LevelData(0, 1, w0, t0, tp0, len(t0), len(tp0), tp0[0], None,
+                         capped, None, None, None)
+    else:
+        lvl0 = LevelData(0, 1, w0, t0, None, len(t0), 0, None, None,
+                         k > ANCHOR_CAP, None, None, None)
+    level_data = [lvl0]
+    fillings = [problem.base_word(UNFILLED)]
+    elems = window(problem.model, n)
+
+    for j in range(levels):
+        m = level_data[j].m
+        nxt, fill_block = next_level(problem, j, level_data[j], elems)
+        level_data.append(nxt)
+        m_next = nxt.m
+        fill = fillings[j].copy()
+        for b in _blocks_meeting(elems, m_next, n // m_next):
+            subs = fill[b * m_next:(b + 1) * m_next].reshape(-1, m)   # a view
+            unfilled = subs == UNFILLED
+            free = unfilled.all(axis=1)
+            if (unfilled.any(axis=1) != free).any():
+                raise AssertionError("partially filled sub-block")
+            fill_block(b * m_next + 1, (b + 1) * m_next, subs, free)
+        fillings.append(fill)
+
+    return _finish_trace(kind, problem, level_data, fillings)
+
+
+def _finish_trace(kind, problem, level_data, fillings) -> ConstructionTrace:
+    """Close all-unfilled final blocks with the top anchor word and cut the
+    longest fully-filled prefix as the result."""
+    m_k = level_data[-1].m
+    count = problem.n // m_k
+    final = fillings[-1]
+    blocks = final[:count * m_k].reshape(count, m_k)
+    unfilled = blocks == UNFILLED
+    empty = unfilled.all(axis=1)
+    blocks[empty] = level_data[-1].w.symbols
+    holes = unfilled.any(axis=1) & ~empty
+    stop = int(holes.argmax() if holes.any() else count) * m_k
+    if stop == 0:
+        raise LevelWindowError(len(level_data) - 1,
+                               "no fully filled block inside the window")
+    result = SymbolWord(problem.k, tuple(final[:stop].tolist()))
+    return ConstructionTrace(kind, problem.k, problem.n,
+                             problem.model.spec_string(), level_data, fillings,
+                             result, tuple(np.flatnonzero(empty).tolist()))
+
+
 # .. totally minimal ..........................................................
 
 
-def totally_minimal_construct(problem: InterpolationProblem, levels: int = 3,
-                              variants: int = 1,
-                              anchor_cap: int = 64) -> ConstructionTrace:
+def totally_minimal_construct(problem: InterpolationProblem,
+                              levels: int = 3) -> ConstructionTrace:
     """Leveled construction for non-piecewise-syndetic S.
 
     Per level: m_{j+1} is a multiple of m_j (j+1)! large enough that every
@@ -287,125 +366,80 @@ def totally_minimal_construct(problem: InterpolationProblem, levels: int = 3,
     then all T'_j elements, then the primed anchor v_j) m_j times, which
     shifts through every residue class mod j!.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if problem.k < 2:
-        raise ValueError("leveled constructions need alphabet size >= 2")
-    k, n, model = problem.k, problem.n, problem.model
-    capped = k > anchor_cap or k * k > anchor_cap
-    t0 = [SymbolWord(k, (s,)) for s in range(min(k, anchor_cap))]
-    tp0 = [SymbolWord(k, (a, b)) for a in range(k) for b in range(k)][:anchor_cap]
-    lvl0 = LevelData(0, 1, SymbolWord(k, (0,)), tuple(t0), tuple(tp0),
-                     len(t0), len(tp0), tp0[0], None, capped, None, None, None)
-    level_data = [lvl0]
-    fillings = [[None] * n]
-    for s, v in problem.f.items():
-        fillings[0][s - 1] = v
-    elems = window(model, n)
+    return _leveled("totally-minimal", problem, levels, _minimal_level)
 
-    for j in range(levels):
-        cur = level_data[j]
-        m = cur.m
-        t_enum = _pad_enum(list(cur.t_sample), math.factorial(j))
-        tp_enum = _pad_enum(list(cur.t_prime_sample), math.factorial(j))
-        gap_needed = 4 * m * m * (len(t_enum) + len(tp_enum))
-        cert = gap_syndeticity_table(model, n, gap_needed)
-        if not cert.holds:
+
+def _minimal_level(problem, j, cur, elems):
+    """Level j+1 of the totally minimal construction.  Its filler puts the
+    repeated coverage block, aligned to m_j, into the first S-free run of
+    length G_j of the block and w_j into every other free sub-block."""
+    k, n, model, m = problem.k, problem.n, problem.model, cur.m
+    rho = math.factorial(j)
+    t_enum = _pad_enum(list(cur.t_sample), rho)
+    tp_enum = _pad_enum(list(cur.t_prime_sample), rho)
+    gap_needed = 4 * m * m * (len(t_enum) + len(tp_enum))
+    cert = gap_syndeticity_table(model, n, gap_needed)
+    if not cert.holds:
+        raise LevelWindowError(
+            j + 1, f"no S-free run of length {gap_needed} in [1, {n}]",
+            gap_needed, cert)
+    spacing = cert.witness["spacing_bound"]
+    step = m * math.factorial(j + 1)
+    m_next = ((spacing + step - 1) // step) * step
+    if m_next > n:
+        raise LevelWindowError(
+            j + 1, f"m_{j + 1} = {m_next} exceeds the window {n}",
+            gap_needed, cert)
+    u_sym = _concat(t_enum) + _concat(tp_enum) + list(cur.v_anchor.symbols)
+    u_block = SymbolWord(k, tuple(u_sym))
+    if len(u_block) % rho != 1 % rho:
+        raise AssertionError("U block length residue broken")
+    reps = m_next - m * len(u_block)
+    if reps <= 0 or reps % m:
+        raise AssertionError("anchor word does not fit the level length")
+    r = reps // m
+    u_repeated = list(u_block.symbols) * m
+
+    def make_anchor(fill_word):
+        return SymbolWord(k, tuple(list(fill_word.symbols) * r + u_repeated))
+
+    def make_primed(fill_word):
+        sym = list(cur.v_anchor.symbols)
+        sym += list(fill_word.symbols) * (r - 1)
+        sym += u_repeated
+        return SymbolWord(k, tuple(sym))
+
+    # T_{j+1} holds w_{j+1} and one variant, built on the first anchor of
+    # T_j after w_j; T'_{j+1} holds their primed forms
+    w_next = make_anchor(cur.w)
+    t_next = (w_next, make_anchor(cur.t_sample[1]))
+    tp_next = (make_primed(cur.w), make_primed(cur.t_sample[1]))
+    cur.u_block = u_block
+    nxt = LevelData(j + 1, m_next, w_next, t_next, tp_next, len(t_next),
+                    len(tp_next), tp_next[0], None, False, gap_needed, spacing,
+                    None)
+    cover = np.array(u_repeated, dtype=np.int64).reshape(-1, m)
+    w_sub = np.array(cur.w.symbols, dtype=np.int64)
+
+    def fill_block(lo, hi, subs, free):
+        run = _first_free_run(elems, lo, hi, gap_needed)
+        if run is None:
             raise LevelWindowError(
-                j + 1, f"no S-free run of length {gap_needed} in [1, {n}]",
+                j + 1, f"block [{lo}, {hi}] has no free run of {gap_needed}",
                 gap_needed, cert)
-        spacing = cert.witness["spacing_bound"]
-        step = m * math.factorial(j + 1)
-        m_next = ((spacing + step - 1) // step) * step
-        if m_next > n:
-            raise LevelWindowError(
-                j + 1, f"m_{j + 1} = {m_next} exceeds the window {n}",
-                gap_needed, cert)
-        u_sym = _concat(t_enum) + _concat(tp_enum) + list(cur.v_anchor.symbols)
-        u_block = SymbolWord(k, tuple(u_sym))
-        fact_j = math.factorial(j)
-        if len(u_block) % fact_j != 1 % fact_j:
-            raise AssertionError("U block length residue broken")
-        reps = m_next - m * len(u_block)
-        if reps <= 0 or reps % m:
-            raise AssertionError("anchor word does not fit the level length")
-        r = reps // m
-        u_repeated = list(u_block.symbols) * m
+        ru, rv = run
+        a_idx = ((ru - 1 + m - 1) // m) * m
+        if a_idx + len(u_repeated) > rv:
+            raise AssertionError("aligned coverage block does not fit the run")
+        first = (a_idx - (lo - 1)) // m
+        span = slice(first, first + len(cover))
+        if not free[span].all():
+            raise AssertionError("coverage block would overwrite filled cells")
+        subs[span] = cover
+        free[span] = False
+        subs[free] = w_sub
 
-        def make_anchor(fill_word):
-            return SymbolWord(k, tuple(list(fill_word.symbols) * r + u_repeated))
-
-        def make_primed(fill_word):
-            sym = list(cur.v_anchor.symbols)
-            sym += list(fill_word.symbols) * (r - 1)
-            sym += u_repeated
-            return SymbolWord(k, tuple(sym))
-
-        w_next = make_anchor(cur.w)
-        n_var = min(variants, len(cur.t_sample) - 1)
-        t_next = [w_next] + [make_anchor(cur.t_sample[i + 1]) for i in range(n_var)]
-        tp_next = [make_primed(cur.w)] + [make_primed(cur.t_sample[i + 1])
-                                          for i in range(n_var)]
-        cur.u_block = u_block
-        level_data.append(LevelData(
-            j + 1, m_next, w_next, tuple(t_next), tuple(tp_next),
-            len(t_next), len(tp_next), tp_next[0], None, False,
-            gap_needed, spacing, None))
-
-        fill = list(fillings[j])
-        j_len = m * len(u_block)
-        for b in _blocks_meeting(elems, m_next, n // m_next):
-            lo, hi = b * m_next + 1, (b + 1) * m_next
-            run = _first_free_run(elems, lo, hi, gap_needed)
-            if run is None:
-                raise LevelWindowError(
-                    j + 1, f"block [{lo}, {hi}] has no free run of {gap_needed}",
-                    gap_needed, cert)
-            ru, rv = run
-            a_idx = ((ru - 1 + m - 1) // m) * m
-            if a_idx + j_len > rv:
-                raise AssertionError("aligned coverage block does not fit the run")
-            if any(v is not None for v in fill[a_idx:a_idx + j_len]):
-                raise AssertionError("coverage block would overwrite filled cells")
-            fill[a_idx:a_idx + j_len] = u_repeated
-            for c in range(lo - 1, hi, m):
-                if a_idx <= c < a_idx + j_len:
-                    continue
-                seg = fill[c:c + m]
-                if all(v is None for v in seg):
-                    fill[c:c + m] = cur.w.symbols
-                elif any(v is None for v in seg):
-                    raise AssertionError("partially filled sub-block")
-        fillings.append(fill)
-
-    return _finish_trace("totally-minimal", problem, level_data, fillings)
-
-
-def _finish_trace(kind, problem, level_data, fillings) -> ConstructionTrace:
-    """Close all-unfilled final blocks with the top anchor word and cut the
-    longest fully-filled prefix as the result."""
-    m_k = level_data[-1].m
-    w_k = level_data[-1].w
-    final = list(fillings[-1])
-    closing = []
-    for b in range(problem.n // m_k):
-        seg = final[b * m_k:(b + 1) * m_k]
-        if all(v is None for v in seg):
-            final[b * m_k:(b + 1) * m_k] = w_k.symbols
-            closing.append(b)
-    fillings[-1] = final
-    stop = 0
-    for b in range(problem.n // m_k):
-        if any(v is None for v in final[b * m_k:(b + 1) * m_k]):
-            break
-        stop = (b + 1) * m_k
-    if stop == 0:
-        raise LevelWindowError(len(level_data) - 1,
-                               "no fully filled block inside the window")
-    result = SymbolWord(problem.k, tuple(final[:stop]))
-    return ConstructionTrace(kind, problem.k, problem.n,
-                             problem.model.spec_string(), level_data, fillings,
-                             result, tuple(closing))
+    return nxt, fill_block
 
 
 # .. membership (totally minimal levels) ......................................
@@ -506,9 +540,8 @@ def is_member_level(w: SymbolWord, level: int, trace: ConstructionTrace) -> bool
 # .. strictly ergodic .........................................................
 
 
-def strictly_ergodic_construct(problem: InterpolationProblem, levels: int = 3,
-                               variants: int = 1,
-                               anchor_cap: int = 64) -> ConstructionTrace:
+def strictly_ergodic_construct(problem: InterpolationProblem,
+                               levels: int = 3) -> ConstructionTrace:
     """Leveled construction for zero-density S.
 
     Per level: m_{j+1} is a multiple of (2j+2) m_j exceeding
@@ -517,79 +550,53 @@ def strictly_ergodic_construct(problem: InterpolationProblem, levels: int = 3,
     inherited content; a forced majority of the free sub-blocks becomes
     w_j and the remainder cycles through the anchor sample T_j.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if problem.k < 2:
-        raise ValueError("leveled constructions need alphabet size >= 2")
-    k, n, model = problem.k, problem.n, problem.model
-    capped = k > anchor_cap
-    t0 = [SymbolWord(k, (s,)) for s in range(min(k, anchor_cap))]
-    lvl0 = LevelData(0, 1, SymbolWord(k, (0,)), tuple(t0), None,
-                     len(t0), 0, None, None, capped, None, None, None)
-    level_data = [lvl0]
-    fillings = [[None] * n]
-    for s, v in problem.f.items():
-        fillings[0][s - 1] = v
-    elems = window(model, n)
+    return _leveled("strictly-ergodic", problem, levels, _ergodic_level)
 
-    for j in range(levels):
-        cur = level_data[j]
-        m = cur.m
-        t_list = list(cur.t_sample)
-        step = (2 * j + 2) * m
-        t_mult = len(t_list) + 1
-        m_next = None
-        density = None
-        while True:
-            cand = step * t_mult
-            if cand > n:
-                raise LevelWindowError(
-                    j + 1,
-                    f"window {n} cannot satisfy the density bound "
-                    f"1/{step} at level length {cand}")
-            count, _ = max_window_count(model, n, cand)
-            if count * step < cand:
-                m_next = cand
-                density = Fraction(count, cand)
-                break
-            t_mult += 1
-        big_r = m_next // m
-        fill_reps = big_r - 1 - len(t_list)
-        w_sym = list(cur.w.symbols) + _concat(t_list) + list(cur.w.symbols) * fill_reps
-        w_next = SymbolWord(k, tuple(w_sym))
-        t_next = [w_next]
-        if variants >= 1:
-            var_sym = list(cur.w.symbols) * (big_r - len(t_list)) + _concat(t_list)
-            t_next.append(SymbolWord(k, tuple(var_sym)))
-        level_data.append(LevelData(
-            j + 1, m_next, w_next, tuple(t_next), None, len(t_next), 0,
-            None, None, False, None, None, density))
 
-        fill = list(fillings[j])
-        overwrite = big_r - big_r // (j + 1)
-        for b in _blocks_meeting(elems, m_next, n // m_next):
-            lo, hi = b * m_next + 1, (b + 1) * m_next
-            stars = []
-            for c in range(lo - 1, hi, m):
-                seg = fill[c:c + m]
-                if all(v is None for v in seg):
-                    stars.append(c)
-                elif any(v is None for v in seg):
-                    raise AssertionError("partially filled sub-block")
-            if len(stars) < overwrite + len(t_list):
-                raise LevelWindowError(
-                    j + 1, f"block [{lo}, {hi}] too crowded: {len(stars)} free "
-                    f"sub-blocks, need {overwrite + len(t_list)}")
-            for idx, c in enumerate(stars):
-                if idx < overwrite:
-                    fill[c:c + m] = cur.w.symbols
-                elif idx - overwrite < len(t_list):
-                    fill[c:c + m] = t_list[idx - overwrite].symbols
-                else:
-                    fill[c:c + m] = cur.w.symbols
-        fillings.append(fill)
+def _ergodic_level(problem, j, cur, elems):
+    """Level j+1 of the strictly ergodic construction.  Its filler gives
+    the first `overwrite` free sub-blocks of a block w_j, the next |T_j|
+    the anchors of T_j in order, and the rest w_j."""
+    k, n, model, m = problem.k, problem.n, problem.model, cur.m
+    t_list = list(cur.t_sample)
+    step = (2 * j + 2) * m
+    t_mult = len(t_list) + 1
+    while True:
+        cand = step * t_mult
+        if cand > n:
+            raise LevelWindowError(
+                j + 1,
+                f"window {n} cannot satisfy the density bound "
+                f"1/{step} at level length {cand}")
+        count, _ = max_window_count(model, n, cand)
+        if count * step < cand:
+            m_next = cand
+            density = Fraction(count, cand)
+            break
+        t_mult += 1
+    big_r = m_next // m
+    fill_reps = big_r - 1 - len(t_list)
+    w_sym = list(cur.w.symbols) + _concat(t_list) + list(cur.w.symbols) * fill_reps
+    w_next = SymbolWord(k, tuple(w_sym))
+    var_sym = list(cur.w.symbols) * (big_r - len(t_list)) + _concat(t_list)
+    t_next = (w_next, SymbolWord(k, tuple(var_sym)))
+    nxt = LevelData(j + 1, m_next, w_next, t_next, None, len(t_next), 0,
+                    None, None, False, None, None, density)
+    overwrite = big_r - big_r // (j + 1)
+    need = overwrite + len(t_list)
+    w_sub = np.array(cur.w.symbols, dtype=np.int64)
+    anchors = np.array([t.symbols for t in t_list], dtype=np.int64)
 
-    return _finish_trace("strictly-ergodic", problem, level_data, fillings)
+    def fill_block(lo, hi, subs, free):
+        stars = np.flatnonzero(free)
+        if len(stars) < need:
+            raise LevelWindowError(
+                j + 1, f"block [{lo}, {hi}] too crowded: {len(stars)} free "
+                f"sub-blocks, need {need}")
+        subs[stars] = w_sub
+        subs[stars[overwrite:need]] = anchors
+
+    return nxt, fill_block
 
 
 def ergodic_block_report(trace: ConstructionTrace, level: int) -> list:
@@ -601,22 +608,17 @@ def ergodic_block_report(trace: ConstructionTrace, level: int) -> list:
         raise ValueError(f"no level {level} in this trace")
     lvl = trace.levels[level]
     prev = trace.levels[level - 1]
-    fill = trace.fillings[level]
     m, m_prev = lvl.m, prev.m
     big_r = m // m_prev
-    anchors = {w.symbols for w in prev.t_sample}
-    w_prev = prev.w.symbols
-    out = []
-    for b in range(trace.window // m):
-        seg = fill[b * m:(b + 1) * m]
-        if any(v is None for v in seg):
-            continue
-        blocks = [tuple(seg[c:c + m_prev]) for c in range(0, m, m_prev)]
-        non_anchor = sum(1 for bl in blocks if bl != w_prev)
-        frac_ok = non_anchor * level <= big_r
-        cover_ok = anchors.issubset(set(blocks))
-        out.append((b, frac_ok, cover_ok, non_anchor))
-    return out
+    count = trace.window // m
+    blocks = trace.fillings[level][:count * m].reshape(count, big_r, m_prev)
+    done = (blocks != UNFILLED).all(axis=(1, 2))
+    non_anchor = (blocks != prev.w.symbols).any(axis=2).sum(axis=1)
+    covered = np.ones(count, dtype=bool)
+    for t in prev.t_sample:
+        covered &= (blocks == t.symbols).all(axis=2).any(axis=1)
+    return [(b, int(non_anchor[b]) * level <= big_r, bool(covered[b]),
+             int(non_anchor[b])) for b in np.flatnonzero(done).tolist()]
 
 
 def _ergodic_member(trace: ConstructionTrace, level: int, syms: tuple,
@@ -761,28 +763,23 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
     if trace.kind == "totally-minimal":
         ok = all(lvl.m % math.factorial(lvl.level) == 0 for lvl in lv)
         out.append(CheckResult("factorial-divisibility", ok, "j! divides m_j"))
-    ok = True
-    for j in range(len(trace.fillings) - 1):
-        a, b = trace.fillings[j], trace.fillings[j + 1]
-        if any(x is not None and x != y for x, y in zip(a, b)):
-            ok = False
-            break
+    fl = trace.fillings
+    ok = not any(((a != UNFILLED) & (a != b)).any() for a, b in zip(fl, fl[1:]))
     out.append(CheckResult("monotone-filling", ok,
                            "filled positions never change"))
-    final = trace.fillings[-1]
+    final = fl[-1]
     res = trace.result
+    # result symbols lie in the alphabet, so equality also rules out -1
     ok = (len(res) % trace.final_m == 0 and len(res) >= trace.final_m
-          and tuple(final[:len(res)]) == res.symbols
-          and all(v is not None for v in final[:len(res)]))
+          and np.array_equal(final[:len(res)], res.symbols))
     out.append(CheckResult("result-complete", ok,
                            f"result covers [1, {len(res)}] with no unfilled cell"))
-    bad = 0
-    for s, v in problem.f.items():
-        got = final[s - 1]
-        if s <= len(res) and got is None:
-            bad += 1
-        elif got is not None and got != v:
-            bad += 1
+    size = len(problem.f)
+    pos = np.fromiter(problem.f, np.int64, size)
+    got = final[pos - 1]
+    filled = got != UNFILLED
+    wrong = filled & (got != np.fromiter(problem.f.values(), np.int64, size))
+    bad = int((wrong | (~filled & (pos <= len(res)))).sum())
     out.append(CheckResult("restriction-identity", bad == 0,
                            f"{bad} mismatches of x|_S against f"))
     if deep and trace.kind == "totally-minimal":

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-NAIVE_LIMIT = 2_000_000
 ORACLE_LIMIT = 10 ** 8
 
 
@@ -81,15 +80,6 @@ def _zeros_needed(m, d: Fraction) -> int:
     return -((-need.numerator) // need.denominator)
 
 
-def _naive_count(m, d: Fraction, k) -> int:
-    need = _zeros_needed(m, d)
-    count = 0
-    for w in itertools.product(range(k), repeat=m):
-        if m - sum(1 for s in w if s) >= need:
-            count += 1
-    return count
-
-
 @lru_cache(maxsize=256)
 def _zero_histogram(k: int, m: int) -> tuple:
     """hist[z] = number of words in {0..k-1}^m with exactly z zeros,
@@ -122,8 +112,7 @@ def _split_count(m, d: Fraction, k) -> int:
 
 def check_oracle_work(m: int, k: int) -> None:
     """Refuse an oracle run whose enumeration work, k^ceil(m/2) words per
-    half, would exceed ORACLE_LIMIT.  The direct product scan only runs
-    below NAIVE_LIMIT, which is smaller, so this is the oracle's one limit."""
+    half, would exceed ORACLE_LIMIT."""
     work = k ** ((m + 1) // 2)
     if work > ORACLE_LIMIT:
         raise ValueError(
@@ -134,15 +123,13 @@ def check_oracle_work(m: int, k: int) -> None:
 def brute_force_count(m: int, delta, k: int) -> int:
     """Independent enumeration oracle for count_low_weight.
 
-    Uses a direct product scan when k^m is small and an exhaustive
-    half-word enumeration (zero-count histograms of both halves, paired
-    over the full k^m word space) above that.  Refuses once the actual
-    enumeration work, k^ceil(m/2) words, would exceed 10^8.
+    Enumerates both half-words exhaustively and pairs their zero-count
+    histograms, which covers the full k^m word space without the closed
+    form.  Refuses once the enumeration work, k^ceil(m/2) words, would
+    exceed 10^8.
     """
     d = _check_args(m, delta, k)
     check_oracle_work(m, k)
-    if k ** m <= NAIVE_LIMIT:
-        return _naive_count(m, d, k)
     return _split_count(m, d, k)
 
 

@@ -48,20 +48,20 @@ def word(alphabet_size, symbols) -> SymbolWord:
     return SymbolWord(alphabet_size, tuple(symbols))
 
 
+def _factor_set(data: bytes, n: int) -> set:
+    """Distinct length-n factors of a packed word."""
+    if not 1 <= n <= len(data):
+        raise ValueError(f"factor length {n} out of range for |w| = {len(data)}")
+    return {data[i:i + n] for i in range(len(data) - n + 1)}
+
+
 def factors(w: SymbolWord, n: int) -> list:
     """Distinct length-n factors of w, lexicographically sorted tuples."""
-    if not 1 <= n <= len(w):
-        raise ValueError(f"factor length {n} out of range for |w| = {len(w)}")
-    data = w.packed()
-    seen = {data[i:i + n] for i in range(len(data) - n + 1)}
-    return [tuple(b) for b in sorted(seen)]
+    return [tuple(b) for b in sorted(_factor_set(w.packed(), n))]
 
 
 def factor_count(w: SymbolWord, n: int) -> int:
-    if not 1 <= n <= len(w):
-        raise ValueError(f"factor length {n} out of range for |w| = {len(w)}")
-    data = w.packed()
-    return len({data[i:i + n] for i in range(len(data) - n + 1)})
+    return len(_factor_set(w.packed(), n))
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def complexity_profile(w: SymbolWord, n_max: int = None,
     p = {}
     h = {}
     for n in range(1, n_max + 1):
-        cnt = len({data[i:i + n] for i in range(len(data) - n + 1)})
+        cnt = len(_factor_set(data, n))
         p[n] = cnt
         h[n] = math.log(cnt) / n
     return ComplexityProfile(w.alphabet_size, len(w), p, h)

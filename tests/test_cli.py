@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from interpsets import construct
 from interpsets.cli import main
 
 
@@ -170,6 +171,24 @@ def test_construct_level_window_failure(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["verdicts"][0]["name"] == "level-window"
     assert rep["verdicts"][0]["level"] == 2
+
+
+def test_construct_internal_fault_exit_3(tmp_path, capsys, monkeypatch):
+    def broken(problem, levels):
+        raise AssertionError("partially filled sub-block")
+
+    monkeypatch.setattr(construct, "totally_minimal_construct", broken)
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, 4096, seed=5)
+    code = main(["construct", "--kind", "minimal", "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o"), "--levels", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    fault = json.loads(err)
+    assert fault["error"] == "internal"
+    assert fault["type"] == "AssertionError"
+    assert fault["message"] == "partially filled sub-block"
 
 
 def test_verify_f(tmp_path, capsys):

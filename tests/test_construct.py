@@ -1,9 +1,11 @@
 """Zero extension, Sturmian interpolation, mixing extension, witnesses."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -233,7 +235,81 @@ def test_problem_domain_validation():
         K.InterpolationProblem(POW(2), 2, 100, {2: 5, 4: 0, 8: 0, 16: 0, 32: 0, 64: 0})
 
 
+def test_base_word_puts_f_on_fill():
+    f = {2: 1, 4: 2, 8: 0, 16: 1}
+    problem = K.InterpolationProblem(POW(2), 3, 20, f)
+    assert problem.base_word(-1).tolist() == [f.get(p, -1) for p in range(1, 21)]
+
+
 def test_random_problem_deterministic():
     a = K.random_problem(POW(2), 3, 1000, seed=42)
     b = K.random_problem(POW(2), 3, 1000, seed=42)
     assert a.f == b.f
+
+
+# -- shallow checks of leveled traces ------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["minimal", "ergodic"])
+def leveled(request):
+    if request.param == "minimal":
+        problem = K.random_problem(POW(2), 2, 4096, seed=5)
+        return problem, K.totally_minimal_construct(problem, levels=1)
+    cubes = EXPL([n ** 3 for n in range(1, 13)])
+    problem = K.random_problem(cubes, 2, 2000, seed=3)
+    return problem, K.strictly_ergodic_construct(problem, levels=2)
+
+
+def _failing_checks(trace, problem):
+    return {c.name for c in K.verify_trace(trace, problem, deep=False)
+            if not c.ok}
+
+
+def _copy(trace):
+    return dataclasses.replace(trace,
+                               fillings=[f.copy() for f in trace.fillings])
+
+
+def test_shallow_checks_hold(leveled):
+    problem, trace = leveled
+    assert _failing_checks(trace, problem) == set()
+
+
+def test_changed_filled_cell_fails_monotone_filling(leveled):
+    problem, trace = leveled
+    bad = _copy(trace)
+    s = min(problem.f)
+    bad.fillings[0][s - 1] = 1 - problem.f[s]
+    assert _failing_checks(bad, problem) == {"monotone-filling"}
+
+
+def test_changed_result_on_s_fails_restriction_identity(leveled):
+    problem, trace = leveled
+    bad = _copy(trace)
+    s = min(problem.f)
+    flipped = 1 - problem.f[s]
+    for fill in bad.fillings:
+        fill[s - 1] = flipped
+    sym = list(trace.result.symbols)
+    sym[s - 1] = flipped
+    bad.result = W.SymbolWord(2, tuple(sym))
+    assert _failing_checks(bad, problem) == {"restriction-identity"}
+
+
+def test_unfilled_result_cell_fails_result_complete(leveled):
+    problem, trace = leveled
+    bad = _copy(trace)
+    # a cell the last level fills first, so no earlier filling holds it
+    p = np.flatnonzero(trace.fillings[-2][:len(trace.result)] == K.UNFILLED)[0]
+    bad.fillings[-1][p] = K.UNFILLED
+    assert _failing_checks(bad, problem) == {"result-complete"}
+
+
+def test_unfilled_s_cell_fails_restriction_identity(leveled):
+    problem, trace = leveled
+    bad = _copy(trace)
+    s = min(problem.f)
+    for fill in bad.fillings:
+        fill[s - 1] = K.UNFILLED
+    assert _failing_checks(bad, problem) == {"result-complete",
+                                             "restriction-identity"}

@@ -1,5 +1,8 @@
 """Strictly ergodic leveled construction at fast scales."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from interpsets import construct as K
@@ -92,4 +95,37 @@ def test_deterministic():
     problem = K.random_problem(CUBES, 2, 2000, seed=3)
     t1 = K.strictly_ergodic_construct(problem, levels=2)
     t2 = K.strictly_ergodic_construct(problem, levels=2)
-    assert t1.result == t2.result and t1.fillings == t2.fillings
+    assert t1.result == t2.result
+    assert len(t1.fillings) == len(t2.fillings)
+    assert all(np.array_equal(a, b) for a, b in zip(t1.fillings, t2.fillings))
+
+
+def _loop_block_report(trace, level):
+    # the per-block scan over Python tuples, kept as the reference
+    m, m_prev = trace.levels[level].m, trace.levels[level - 1].m
+    fill = trace.fillings[level].tolist()
+    anchors = {t.symbols for t in trace.levels[level - 1].t_sample}
+    w_prev = trace.levels[level - 1].w.symbols
+    out = []
+    for b in range(trace.window // m):
+        seg = fill[b * m:(b + 1) * m]
+        if -1 in seg:
+            continue
+        blocks = [tuple(seg[c:c + m_prev]) for c in range(0, m, m_prev)]
+        non_anchor = sum(1 for bl in blocks if bl != w_prev)
+        out.append((b, non_anchor * level <= m // m_prev,
+                    anchors.issubset(blocks), non_anchor))
+    return out
+
+
+def test_block_report_matches_loop(two_level):
+    _, trace = two_level
+    for level in (1, 2):
+        assert K.ergodic_block_report(trace, level) == _loop_block_report(trace, level)
+    # break the anchor cover and the frequency bound of the first block
+    bad = dataclasses.replace(trace, fillings=[f.copy() for f in trace.fillings])
+    m = trace.levels[2].m
+    bad.fillings[2][:m] = 1
+    report = K.ergodic_block_report(bad, 2)
+    assert report == _loop_block_report(bad, 2)
+    assert report[0][:3] == (0, False, False)

@@ -7,6 +7,7 @@ is NOT submultiplicative across concatenation (|S(2,1/2,2)| = 3 exceeds
 is not an infimum of the finite rates.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -66,11 +67,17 @@ def test_oracle_grid_small():
                 assert C.brute_force_count(m, d, k) == C.count_low_weight(m, d, k).count
 
 
+def _product_count(m, d, k):
+    # every word of {0..k-1}^m, one at a time
+    return sum(1 for w in itertools.product(range(k), repeat=m)
+               if w.count(0) >= (1 - d) * m)
+
+
 def test_split_matches_naive_directly():
-    # the two enumeration strategies agree where both run
+    # the half-word split agrees with a direct scan of the word space
     for k, m in ((2, 12), (3, 8), (4, 6)):
         for d in DELTAS:
-            assert C._split_count(m, d, k) == C._naive_count(m, d, k)
+            assert C._split_count(m, d, k) == _product_count(m, d, k)
 
 
 def test_oracle_work_cap():
