@@ -16,7 +16,6 @@ from .construct import (
     InterpolationProblem,
     LevelWindowError,
     MixingExtension,
-    SequencePrefix,
     density_coloring_witness,
     extend_zero,
     is_ergodic_member,
@@ -60,7 +59,7 @@ from .words import (
     SymbolWord,
     complexity_profile,
     entropy_estimate,
-    factors,
+    factor_counts,
     mechanical_word,
     universal_word,
 )

@@ -1,11 +1,11 @@
 """Command-line surface: analyze, construct, count, verify-f, word-stats.
 
 Exit codes: 0 when every emitted verdict holds, 1 when a verification
-fails, 2 for usage errors, 3 for an internal fault (a broken invariant or
-any other unexpected exception), reported as one JSON line on stderr with
-its type, message and traceback.  All output files are written atomically
-and are byte-identical across reruns with the same parameters and seeds;
-timing appears only on stdout, never inside files.
+fails, 2 for usage and file errors, 3 for an internal fault (a broken
+invariant or any other unexpected exception), reported as one JSON line on
+stderr with its type, message and traceback.  All output files are written
+atomically and are byte-identical across reruns with the same parameters
+and seeds; timing appears only on stdout, never inside files.
 """
 
 from __future__ import annotations
@@ -204,11 +204,10 @@ def cmd_construct(args):
         ok = all(w.at(s) == v for s, v in problem.f.items())
         verdicts.append({"name": "restriction-identity", "ok": ok})
         delta = problem.model.delta()
-        bound_ok = True
-        for m in range(1, min(20, len(w) // 2) + 1):
-            cap = (m + 1) * problem.k ** math.ceil(m * delta)
-            if words.factor_count(w, m) > cap:
-                bound_ok = False
+        m_max = min(20, len(w) // 2)
+        counts = words.factor_counts(w, m_max) if m_max else []
+        bound_ok = all(count <= (m + 1) * problem.k ** math.ceil(m * delta)
+                       for m, count in enumerate(counts, 1))
         verdicts.append({"name": "sturmian-factor-bound", "ok": bound_ok})
     elif args.kind == "mixing":
         try:
@@ -444,7 +443,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         # ValueError covers spec, domain, empty-window and JSON errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,11 +40,9 @@ from .intsets import (
 from .words import (
     SymbolWord,
     complexity_profile,
-    factor_count,
+    factor_counts,
     universal_word,
 )
-
-SequencePrefix = SymbolWord
 
 UNFILLED = -1        # a cell of a partial filling that holds no symbol yet
 ANCHOR_CAP = 64      # the level-0 anchor families keep at most this many words
@@ -199,12 +197,9 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
             if record >= len(y):
                 break
     w = SymbolWord(problem.k, tuple(sym.tolist()))
-    l_cover = 0
-    for m in range(1, l_target + 1):
-        if factor_count(w, m) == problem.k ** m:
-            l_cover = m
-        else:
-            break
+    full = [count == problem.k ** m
+            for m, count in enumerate(factor_counts(w, l_target), 1)]
+    l_cover = (full + [False]).index(False)
     return MixingExtension(w, l_target, l_cover, tuple(placements), y)
 
 

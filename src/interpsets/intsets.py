@@ -506,31 +506,39 @@ def replay_certificate(model: IntegerSetModel, cert: Certificate) -> bool:
     return _witness_consistent(model, cert)
 
 
+def _members_in(model: IntegerSetModel, n: int, lo: int, hi: int) -> np.ndarray:
+    """Members of S in [lo, hi], read from the window at max(n, hi)."""
+    arr = window(model, max(n, hi))
+    return arr[arr.searchsorted(lo):arr.searchsorted(hi, "right")]
+
+
 def _witness_consistent(model: IntegerSetModel, cert: Certificate) -> bool:
     s, w = cert.scale, cert.witness
     n = s["N"]
+
+    def member(x):
+        return _members_in(model, n, x, x).size == 1
+
     if cert.predicate == "syndetic" and cert.verdict == FAILS:
+        lo, hi = w["gap"]
         if w["kind"] == "completed":
-            lo, hi = w["gap"]
             if hi - lo <= s["g"]:
                 return False
-            interior = any(model.contains(x) for x in range(max(lo, 1) + 1, hi))
-            return not interior and (lo == 0 or model.contains(lo)) and model.contains(hi)
-        lo = w["gap"][0]
-        return model.contains(lo) and not any(
-            model.contains(x) for x in range(lo + 1, n + 1))
+            return ((lo == 0 or member(lo)) and member(hi)
+                    and not _members_in(model, n, lo + 1, hi - 1).size)
+        return member(lo) and not _members_in(model, n, lo + 1, n).size
     if cert.predicate == "thick" and cert.verdict == HOLDS:
-        a = w["run_start"]
-        return all(model.contains(a + i) for i in range(w["length"]))
+        a, length = w["run_start"], w["length"]
+        return _members_in(model, n, a, a + length - 1).size == max(length, 0)
     if cert.predicate == "piecewise-syndetic" and cert.verdict == HOLDS:
+        # every g-window of [a, b] meets S iff no two consecutive members
+        # (with a - 1 and b + 1 as ends) are more than g apart
         a, b = w["interval"]
-        g = s["g"]
-        return all(
-            any(model.contains(y) for y in range(x, x + g))
-            for x in range(a, b - g + 2))
+        ends = np.concatenate(([a - 1], _members_in(model, n, a, b), [b + 1]))
+        return int(np.diff(ends).max()) <= s["g"]
     if cert.predicate == "gap-syndetic" and cert.verdict == HOLDS:
         u = w["first_gap_start"]
-        return not any(model.contains(x) for x in range(u, u + s["n"]))
+        return not _members_in(model, n, u, u + s["n"] - 1).size
     return True
 
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .intsets import atomic_write_text, continued_fraction_value
 
 
@@ -44,24 +46,24 @@ class SymbolWord:
         return bytes(self.symbols)
 
 
-def word(alphabet_size, symbols) -> SymbolWord:
-    return SymbolWord(alphabet_size, tuple(symbols))
+def factor_counts(w: SymbolWord, n_max: int) -> list:
+    """[p(1), ..., p(n_max)]: the number of distinct length-n factors of w.
 
-
-def _factor_set(data: bytes, n: int) -> set:
-    """Distinct length-n factors of a packed word."""
-    if not 1 <= n <= len(data):
-        raise ValueError(f"factor length {n} out of range for |w| = {len(data)}")
-    return {data[i:i + n] for i in range(len(data) - n + 1)}
-
-
-def factors(w: SymbolWord, n: int) -> list:
-    """Distinct length-n factors of w, lexicographically sorted tuples."""
-    return [tuple(b) for b in sorted(_factor_set(w.packed(), n))]
-
-
-def factor_count(w: SymbolWord, n: int) -> int:
-    return len(_factor_set(w.packed(), n))
+    One refinement pass: each position holds the id of the length-n factor
+    starting there, and the ids at n + 1 are the pairs (id at n, next
+    symbol), renumbered densely by np.unique.
+    """
+    sym = np.frombuffer(w.packed(), np.uint8)
+    if not 1 <= n_max <= sym.size:
+        raise ValueError(f"factor length {n_max} out of range for |w| = {sym.size}")
+    counts = []
+    ids = sym
+    for n in range(1, n_max + 1):
+        uniq, ids = np.unique(ids, return_inverse=True)
+        counts.append(len(uniq))
+        if n < n_max:
+            ids = ids[:-1] * w.alphabet_size + sym[n:]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -96,30 +98,19 @@ class ComplexityProfile:
         return out
 
 
-def complexity_profile(w: SymbolWord, n_max: int = None,
-                       allow_deep: bool = False) -> ComplexityProfile:
-    """Factor counts for n = 1..n_max.
+def complexity_profile(w: SymbolWord, n_max: int) -> ComplexityProfile:
+    """Factor counts for n = 1..n_max, with n_max at most |w|/2.
 
-    n_max defaults to |w|/2 and is capped there unless allow_deep is set:
-    beyond half the length the profile measures the prefix artifact, not
-    the sequence it approximates.
+    Beyond half the length the profile measures the prefix artifact, not
+    the sequence it approximates; factor_counts gives the deeper counts.
     """
     if len(w) < 2:
         raise ValueError("word too short for a profile")
     cap = len(w) // 2
-    if n_max is None:
-        n_max = cap
-    if n_max > cap and not allow_deep:
-        raise ValueError(f"n_max {n_max} beyond |w|/2 = {cap}; pass allow_deep=True")
-    if n_max > len(w):
-        raise ValueError("n_max exceeds word length")
-    data = w.packed()
-    p = {}
-    h = {}
-    for n in range(1, n_max + 1):
-        cnt = len(_factor_set(data, n))
-        p[n] = cnt
-        h[n] = math.log(cnt) / n
+    if n_max > cap:
+        raise ValueError(f"n_max {n_max} beyond |w|/2 = {cap}")
+    p = dict(enumerate(factor_counts(w, n_max), 1))
+    h = {n: math.log(cnt) / n for n, cnt in p.items()}
     return ComplexityProfile(w.alphabet_size, len(w), p, h)
 
 
@@ -203,13 +194,16 @@ def universal_word(k: int, max_len: int) -> SymbolWord:
     return SymbolWord(k, tuple(sym))
 
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def write_word_file(path, w: SymbolWord) -> None:
     """Header 'k=<alphabet>', then symbols; digits for k <= 10.
 
     Written atomically (temp file + rename)."""
     lines = [f"k={w.alphabet_size}"]
     if w.alphabet_size <= 10:
-        text = "".join(str(s) for s in w.symbols)
+        text = bytes(w.symbols).translate(_DIGITS).decode("ascii")
         lines.extend(text[i:i + 120] for i in range(0, len(text), 120))
     else:
         lines.extend(

@@ -146,6 +146,27 @@ def test_construct_sturmian_requires_matching_spec(tmp_path, capsys):
     assert code == 2
 
 
+def test_construct_sturmian_tiny_window(tmp_path, capsys):
+    # |w| // 2 == 0 leaves no factor length to bound, so the bound holds
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=sturmian cf=0,2,2", 2, 1, seed=5)
+    code, out = run(capsys, "construct", "--kind", "sturmian",
+                    "--problem", str(prob), "--out-dir", str(tmp_path / "o"))
+    assert code == 0
+    assert json.loads(out)["verdicts"][1] == {
+        "name": "sturmian-factor-bound", "ok": True}
+
+
+def test_construct_out_dir_under_a_file_exit_2(tmp_path, capsys):
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, 64, seed=5)
+    code = main(["construct", "--kind", "zero", "--problem", str(prob),
+                 "--out-dir", str(prob / "sub")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_construct_minimal_trace_files(tmp_path, capsys):
     prob = tmp_path / "p.json"
     _write_problem(prob, "kind=powers base=2", 2, 4096, seed=5)

@@ -56,7 +56,7 @@ def test_extend_zero_entropy_control_bridge():
     w, _ = K.extend_zero(problem, 16)
     profile = S.banach_density_profile(model, n, lengths=[16])
     eta = profile.value(16)
-    assert W.factor_count(w, 16) <= C.count_low_weight(16, eta, 3).count
+    assert W.factor_counts(w, 16)[-1] <= C.count_low_weight(16, eta, 3).count
 
 
 # -- sturmian ------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_sturmian_constant_two():
     f = {s: 2 for s in model.elements(12)}
     w = K.sturmian_interpolate(Fraction(1, 2), f, 3, 12)
     assert w.symbols == (0, 2) * 6
-    assert W.factor_count(w, 2) == 2
+    assert W.factor_counts(w, 2) == [2, 2]
 
 
 def test_sturmian_restriction_identity():
@@ -84,8 +84,9 @@ def test_sturmian_factor_bound():
     delta = model.delta()
     problem = K.random_problem(model, 2, 10 ** 4, seed=5)
     w = K.sturmian_interpolate(CF_SQRT2M1, problem.f, 2, 10 ** 4)
+    counts = W.factor_counts(w, 20)
     for m in (6, 12, 20):
-        assert W.factor_count(w, m) <= (m + 1) * 2 ** math.ceil(m * delta)
+        assert counts[m - 1] <= (m + 1) * 2 ** math.ceil(m * delta)
 
 
 def test_sturmian_domain_error():
@@ -114,8 +115,18 @@ def test_mixing_powers_cover_all_4_words():
     problem = K.random_problem(POW(2), 2, 2 ** 12, seed=11)
     ext = K.mixing_extend(problem, 4)
     assert ext.l_cover == 4
-    assert W.factor_count(ext.word, 4) == 16
+    assert W.factor_counts(ext.word, 4) == [2, 4, 8, 16]
     assert all(ext.word.at(s) == v for s, v in problem.f.items())
+
+
+def test_mixing_l_cover_counts_full_lengths():
+    # short windows truncate the universal prefix, so l_cover < l_target
+    for n, expected in ((40, 3), (64, 4), (200, 5)):
+        ext = K.mixing_extend(K.random_problem(POW(2), 2, n, seed=1), 6)
+        sym = ext.word.symbols
+        full = [len({sym[i:i + m] for i in range(n - m + 1)}) == 2 ** m
+                for m in range(1, 7)]
+        assert ext.l_cover == full.index(False) == expected
 
 
 def test_mixing_restriction_alternating():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from interpsets import intsets as S
 
@@ -394,6 +394,100 @@ def test_replay_reproduces(members, g):
     assert S.replay_certificate(model, cert)
     cert2 = S.thick_certificate(model, 130, g)
     assert S.replay_certificate(model, cert2)
+
+
+def loop_witness_consistent(model, cert):
+    """Oracle: the witness checks, one contains() call per position."""
+    s, w = cert.scale, cert.witness
+    n = s["N"]
+    if cert.predicate == "syndetic" and cert.verdict == S.FAILS:
+        lo, hi = w["gap"]
+        if w["kind"] == "completed":
+            if hi - lo <= s["g"]:
+                return False
+            interior = any(model.contains(x) for x in range(lo + 1, hi))
+            return (not interior and (lo == 0 or model.contains(lo))
+                    and model.contains(hi))
+        return model.contains(lo) and not any(
+            model.contains(x) for x in range(lo + 1, n + 1))
+    if cert.predicate == "thick" and cert.verdict == S.HOLDS:
+        a = w["run_start"]
+        return all(model.contains(a + i) for i in range(w["length"]))
+    if cert.predicate == "piecewise-syndetic" and cert.verdict == S.HOLDS:
+        a, b = w["interval"]
+        g = s["g"]
+        return all(any(model.contains(y) for y in range(x, x + g))
+                   for x in range(a, b - g + 2))
+    if cert.predicate == "gap-syndetic" and cert.verdict == S.HOLDS:
+        u = w["first_gap_start"]
+        return not any(model.contains(x) for x in range(u, u + s["n"]))
+    return True
+
+
+def _shifted_witness(witness, shifts):
+    """The witness with every integer moved by the next shift."""
+    shifts = iter(shifts)
+    out = {}
+    for key, value in witness.items():
+        if isinstance(value, list):
+            out[key] = [v + next(shifts) for v in value]
+        elif isinstance(value, int):
+            out[key] = value + next(shifts)
+        else:
+            out[key] = value
+    return out
+
+
+@given(small_sets, st.integers(1, 130), st.integers(1, 8), st.integers(0, 8),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_witness_replay_matches_loop(members, n, g, extra, shifts):
+    assume(min(members) <= n)
+    model = EXPL(sorted(members))
+    certs = [S.syndetic_certificate(model, n, g) if n >= g else None,
+             S.thick_certificate(model, n, g),
+             S.gap_syndeticity_table(model, n, g),
+             S.piecewise_syndetic_certificate(model, n, g, g + extra)
+             if g + extra <= n else None]
+    for cert in filter(None, certs):
+        assert S._witness_consistent(model, cert)
+        assert loop_witness_consistent(model, cert)
+        bent = S.Certificate(cert.predicate, cert.scale, cert.verdict,
+                             _shifted_witness(cert.witness, shifts))
+        assert (S._witness_consistent(model, bent)
+                == loop_witness_consistent(model, bent))
+
+
+def test_witness_edges_are_checked():
+    # each witness is one position off the true one, at an edge of its span
+    cases = [
+        (EXPL([1, 20]), "syndetic", {"N": 30, "g": 5}, S.FAILS,
+         {"gap": [0, 20], "length": 20, "kind": "completed"}),
+        (EXPL([3, 4]), "syndetic", {"N": 20, "g": 5}, S.FAILS,
+         {"gap": [3, 21], "length": 18, "kind": "pending-tail"}),
+        (EXPL([3, 6]), "gap-syndetic", {"N": 20, "n": 2}, S.HOLDS,
+         {"spacing_bound": 4, "first_gap_start": 2, "gap_start_count": 16}),
+        (EXPL([3, 4, 5]), "thick", {"N": 10, "L": 3}, S.HOLDS,
+         {"run_start": 4, "length": 3}),
+    ]
+    for model, predicate, scale, verdict, witness in cases:
+        cert = S.Certificate(predicate, scale, verdict, witness)
+        assert not S._witness_consistent(model, cert), predicate
+        assert not loop_witness_consistent(model, cert), predicate
+
+
+def test_witness_replay_reads_the_window(monkeypatch):
+    powers = POW(2)
+    syndetic = S.syndetic_certificate(powers, 2 ** 20, 10)
+    pw = S.piecewise_syndetic_certificate(AP(3, 0), 10 ** 5, 3, 10 ** 5)
+    assert not syndetic.holds and pw.holds
+
+    def refuse(self, x):
+        raise AssertionError("replay called contains()")
+
+    monkeypatch.setattr(S.IntegerSetModel, "contains", refuse)
+    assert S.replay_certificate(powers, syndetic)
+    assert S.replay_certificate(AP(3, 0), pw)
 
 
 def test_certificate_json_roundtrip():

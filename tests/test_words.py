@@ -17,33 +17,58 @@ def wd(symbols, k=2):
     return W.SymbolWord(k, tuple(symbols))
 
 
+def slice_factors(w, n):
+    """Oracle: the distinct length-n factors of w, one slice per position."""
+    data = w.packed()
+    if not 1 <= n <= len(data):
+        raise ValueError(f"factor length {n} out of range for |w| = {len(data)}")
+    return {tuple(data[i:i + n]) for i in range(len(data) - n + 1)}
+
+
 # -- factors -------------------------------------------------------------------
 
 
 def test_factors_periodic():
     w = wd([0, 1] * 10)
-    assert W.factors(w, 3) == [(0, 1, 0), (1, 0, 1)]
+    assert sorted(slice_factors(w, 3)) == [(0, 1, 0), (1, 0, 1)]
+    assert W.factor_counts(w, 3) == [2, 2, 2]
 
 
 def test_factors_all_three_blocks():
     sym = [s for block in itertools.product((0, 1), repeat=3) for s in block]
     w = wd(sym)
-    got = W.factors(w, 3)
-    assert len(got) == 8 == W.factor_count(w, 3)
-    assert set(got) == set(itertools.product((0, 1), repeat=3))
+    got = slice_factors(w, 3)
+    assert len(got) == 8 == W.factor_counts(w, 3)[-1]
+    assert got == set(itertools.product((0, 1), repeat=3))
 
 
 def test_factors_constant():
     w = wd([0] * 12)
-    for m in range(1, 13):
-        assert W.factor_count(w, m) == 1
+    assert W.factor_counts(w, 12) == [1] * 12
 
 
 def test_factors_out_of_range():
     with pytest.raises(ValueError):
-        W.factors(wd([0, 1]), 3)
+        W.factor_counts(wd([0, 1]), 3)
     with pytest.raises(ValueError):
-        W.factors(wd([0, 1]), 0)
+        W.factor_counts(wd([0, 1]), 0)
+    with pytest.raises(ValueError):
+        W.factor_counts(W.SymbolWord(257, (256,)), 1)   # packed() needs k <= 256
+    assert W.factor_counts(W.SymbolWord(256, (255, 0, 255, 0)), 4) == [2, 2, 2, 1]
+
+
+@given(st.sampled_from([1, 2, 3, 5]).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1),
+                                             min_size=1, max_size=80))))
+@settings(max_examples=150, deadline=None)
+def test_factor_counts_match_slice_sets(case):
+    k, sym = case
+    w = W.SymbolWord(k, tuple(sym))
+    assert W.factor_counts(w, len(sym)) == [
+        len(slice_factors(w, n)) for n in range(1, len(sym) + 1)]
+    for bad in (0, len(sym) + 1):
+        with pytest.raises(ValueError):
+            W.factor_counts(w, bad)
 
 
 @given(st.lists(st.integers(0, 2), min_size=4, max_size=40),
@@ -53,10 +78,10 @@ def test_factor_of_factor_is_factor(sym, n, m):
     if m > n or n > len(sym):
         return
     w = W.SymbolWord(3, tuple(sym))
-    subs = set(W.factors(w, m))
-    for fac in W.factors(w, n):
+    subs = slice_factors(w, m)
+    for fac in slice_factors(w, n):
         inner = W.SymbolWord(3, fac)
-        assert set(W.factors(inner, m)) <= subs
+        assert slice_factors(inner, m) <= subs
 
 
 # -- complexity profiles -------------------------------------------------------
@@ -87,8 +112,10 @@ def test_profile_cap_is_a_flag():
     w = wd([0, 1] * 8)
     with pytest.raises(ValueError):
         W.complexity_profile(w, 12)
-    profile = W.complexity_profile(w, 12, allow_deep=True)
-    assert profile.p[12] == 2
+    with pytest.raises(ValueError):
+        W.complexity_profile(w, 9)
+    assert W.complexity_profile(w, 8).p[8] == 2
+    assert W.factor_counts(w, 12)[-1] == 2
 
 
 @given(st.lists(st.integers(0, 1), min_size=8, max_size=60))
@@ -159,8 +186,8 @@ def test_universal_exhaustive_grid():
         for max_len in range(1, 7):
             w = W.universal_word(k, max_len)
             assert len(w) <= k ** max_len * max_len + k
-            for n in range(1, max_len + 1):
-                assert W.factor_count(w, n) == k ** n
+            assert W.factor_counts(w, max_len) == [
+                k ** n for n in range(1, max_len + 1)]
 
 
 def test_universal_single_letter_alphabet():
@@ -200,6 +227,10 @@ def test_word_file_roundtrip(tmp_path):
     W.write_word_file(path, w)
     assert W.read_word_file(path) == w
     assert path.read_text().startswith("k=2\n")
+    digits = W.SymbolWord(10, tuple(range(10)) * 13)
+    W.write_word_file(path, digits)
+    assert path.read_text() == "k=10\n" + "0123456789" * 12 + "\n0123456789\n"
+    assert W.read_word_file(path) == digits
 
 
 def test_word_file_large_alphabet(tmp_path):
