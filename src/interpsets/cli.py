@@ -20,6 +20,7 @@ import traceback
 from fractions import Fraction
 
 from . import construct, counting, intsets, recurrence, words
+from .intsets import Certificate
 from .intsets import atomic_write_text as _atomic_write
 
 SCHEMA = 1
@@ -40,26 +41,35 @@ def _parse_fraction(text) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _report(command, parameters, outputs, verdicts, seed=None, started=None,
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _cert_verdict(cert):
+    """The one serialized form of a verdict."""
+    return {"name": cert.predicate, "ok": cert.holds, "certificate": cert.to_json()}
+
+
+def _report(command, parameters, outputs, certs, seed=None, started=None,
             results=None):
+    """Print the stdout report of one command; exit 0 iff every verdict holds."""
     rep = {
         "schema": SCHEMA,
         "command": command,
         "parameters": parameters,
         "seed": seed,
         "outputs": outputs,
-        "verdicts": verdicts,
+        "verdicts": [_cert_verdict(c) for c in certs],
     }
     if results:
         rep["results"] = results
     if started is not None:
         rep["timing_s"] = round(time.monotonic() - started, 3)
     print(_dump(rep), end="")
-    return 0 if all(v.get("ok", False) for v in verdicts) else 1
-
-
-def _cert_verdict(cert):
-    return {"name": cert.predicate, "ok": cert.holds, "certificate": cert.to_json()}
+    return 0 if all(c.holds for c in certs) else 1
 
 
 # -- analyze -------------------------------------------------------------------
@@ -69,26 +79,22 @@ def cmd_analyze(args):
     started = time.monotonic()
     model = intsets.parse_set_spec(args.set)
     n = args.n
-    verdicts = []
+    certs = []
     extra = {}
     if args.gaps:
         gaps = intsets.gap_sequence(model, n)
         extra["gap_histogram"] = {str(g): gaps.count(g) for g in sorted(set(gaps))}
     if args.syndetic is not None:
-        verdicts.append(_cert_verdict(
-            intsets.syndetic_certificate(model, n, args.syndetic)))
+        certs.append(intsets.syndetic_certificate(model, n, args.syndetic))
     if args.thick is not None:
-        verdicts.append(_cert_verdict(
-            intsets.thick_certificate(model, n, args.thick)))
+        certs.append(intsets.thick_certificate(model, n, args.thick))
     if args.pw_syndetic is not None:
         g, run_len = args.pw_syndetic
-        verdicts.append(_cert_verdict(
-            intsets.piecewise_syndetic_certificate(model, n, g, run_len)))
+        certs.append(intsets.piecewise_syndetic_certificate(model, n, g, run_len))
     if args.gap_table is not None:
-        verdicts.append(_cert_verdict(
-            intsets.gap_syndeticity_table(model, n, args.gap_table)))
+        certs.append(intsets.gap_syndeticity_table(model, n, args.gap_table))
     if args.banach is not None:
-        n_max = args.banach if args.banach > 0 else min(64, n // 2)
+        n_max = args.banach or min(64, n // 2)   # 0 is the bare flag
         profile = intsets.banach_density_profile(model, n, n_max=n_max)
         extra["banach"] = {
             "exact": str(profile.exact) if profile.exact is not None else None,
@@ -101,10 +107,10 @@ def cmd_analyze(args):
     outputs = []
     if args.out:
         payload = {"schema": SCHEMA, "set": args.set, "N": n,
-                   "verdicts": verdicts, **extra}
+                   "verdicts": [_cert_verdict(c) for c in certs], **extra}
         _atomic_write(args.out, _dump(payload))
         outputs.append(args.out)
-    return _report("analyze", {"set": args.set, "N": n}, outputs, verdicts,
+    return _report("analyze", {"set": args.set, "N": n}, outputs, certs,
                    started=started, results=extra)
 
 
@@ -178,76 +184,68 @@ def cmd_construct(args):
     started = time.monotonic()
     problem, data, seed = _load_problem(args.problem)
     os.makedirs(args.out_dir, exist_ok=True)
-    verdicts = []
+    scale = {"N": problem.n}
+    certs = []
     outputs = []
 
-    def emit_word(w, name="x.word"):
-        path = os.path.join(args.out_dir, name)
+    def emit_word(w):
+        """Write x.word and certify that it agrees with f on S."""
+        path = os.path.join(args.out_dir, "x.word")
         words.write_word_file(path, w)
         outputs.append(path)
-        return path
+        certs.append(construct.restriction_identity(problem, w.symbols, len(w),
+                                                    scale))
 
     if args.kind == "zero":
         w, profile = construct.extend_zero(problem, args.profile_max)
         emit_word(w)
-        ok = all(w.at(s) == v for s, v in problem.f.items())
-        verdicts.append({"name": "restriction-identity", "ok": ok})
         est = words.entropy_estimate(profile)
-        verdicts.append({"name": "entropy-estimate", "ok": True,
-                         "h_at_max": est.at_n_max, "n_max": est.n_max})
+        certs.append(Certificate.from_bool(
+            "entropy-estimate", True, {**scale, "n_max": est.n_max},
+            {"h_at_max": est.at_n_max}))
     elif args.kind == "sturmian":
         if problem.model.kind != "sturmian":
             raise UsageError("sturmian construction needs a sturmian set_spec")
         w = construct.sturmian_interpolate(list(problem.model.cf), problem.f,
                                            problem.k, problem.n)
         emit_word(w)
-        ok = all(w.at(s) == v for s, v in problem.f.items())
-        verdicts.append({"name": "restriction-identity", "ok": ok})
         delta = problem.model.delta()
         m_max = min(20, len(w) // 2)
         counts = words.factor_counts(w, m_max) if m_max else []
         bound_ok = all(count <= (m + 1) * problem.k ** math.ceil(m * delta)
                        for m, count in enumerate(counts, 1))
-        verdicts.append({"name": "sturmian-factor-bound", "ok": bound_ok})
+        certs.append(Certificate.from_bool(
+            "sturmian-factor-bound", bound_ok, {**scale, "m_max": m_max},
+            {"p": counts}))
     elif args.kind == "mixing":
         try:
             ext = construct.mixing_extend(problem, args.l_target)
         except construct.ConstructionRefused as exc:
-            verdicts.append({
-                "name": "mixing-precondition", "ok": False,
-                "required_run": exc.required, "available_run": exc.available,
-                "certificate": exc.certificate.to_json(),
-            })
-            return _report("construct", {"kind": args.kind,
-                                         "problem": args.problem},
-                           outputs, verdicts, seed=seed, started=started)
-        emit_word(ext.word)
-        ok = all(ext.word.at(s) == v for s, v in problem.f.items())
-        verdicts.append({"name": "restriction-identity", "ok": ok})
-        verdicts.append({"name": "factor-coverage",
-                         "ok": ext.l_cover == ext.l_target,
-                         "l_cover": ext.l_cover, "l_target": ext.l_target})
-    elif args.kind in ("minimal", "ergodic"):
+            certs.append(Certificate.from_bool(
+                "mixing-precondition", False, {**scale, "l_target": args.l_target},
+                {"required_run": exc.required, "available_run": exc.available,
+                 "certificate": exc.certificate.to_json()}))
+        else:
+            emit_word(ext.word)
+            certs.append(Certificate.from_bool(
+                "factor-coverage", ext.l_cover == ext.l_target,
+                {**scale, "l_target": ext.l_target}, {"l_cover": ext.l_cover}))
+    else:
         builder = (construct.totally_minimal_construct if args.kind == "minimal"
                    else construct.strictly_ergodic_construct)
         try:
             trace = builder(problem, levels=args.levels)
         except construct.LevelWindowError as exc:
-            verdicts.append({
-                "name": "level-window", "ok": False, "level": exc.level,
-                "required_gap": exc.required_gap, "reason": str(exc),
-            })
-            return _report("construct", {"kind": args.kind,
-                                         "problem": args.problem},
-                           outputs, verdicts, seed=seed, started=started)
-        outputs.extend(_write_trace(args.out_dir, trace))
-        for check in construct.verify_trace(trace, problem):
-            verdicts.append(check.to_json())
-    else:
-        raise UsageError(f"unknown construction kind {args.kind!r}")
+            certs.append(Certificate.from_bool(
+                "level-window", False, {**scale, "levels": args.levels},
+                {"level": exc.level, "required_gap": exc.required_gap,
+                 "reason": str(exc)}))
+        else:
+            outputs.extend(_write_trace(args.out_dir, trace))
+            certs.extend(construct.verify_trace(trace, problem))
     params = {"kind": args.kind, "problem": args.problem,
               "problem_spec": data.get("set_spec")}
-    return _report("construct", params, outputs, verdicts, seed=seed,
+    return _report("construct", params, outputs, certs, seed=seed,
                    started=started)
 
 
@@ -280,14 +278,16 @@ def cmd_count(args):
                 raise UsageError(f"--oracle refused at m = {m}: {exc}") from exc
     profile = counting.growth_rate_profile(delta, args.k, ms)
     lines = ["m,count,log_rate,analytic_limit,inf_so_far"]
-    verdicts = []
+    params = {"delta": str(delta), "k": args.k, "m": ms}
+    certs = []
     for row, inf in zip(profile.rows, profile.running_inf):
         lines.append(f"{row.m},{row.count},{row.log_rate:.12f},"
                      f"{row.analytic_limit:.12f},{inf:.12f}")
         if args.oracle:
             oracle = counting.brute_force_count(row.m, delta, args.k)
-            verdicts.append({"name": f"oracle-m{row.m}",
-                             "ok": oracle == row.count})
+            certs.append(Certificate.from_bool(
+                f"oracle-m{row.m}", oracle == row.count, {**params, "m": row.m},
+                {"count": row.count, "oracle": oracle}))
     csv_text = "\n".join(lines) + "\n"
     outputs = []
     if args.csv:
@@ -295,10 +295,9 @@ def cmd_count(args):
         outputs.append(args.csv)
     else:
         print(csv_text, end="")
-    if not verdicts:
-        verdicts = [{"name": "count", "ok": True}]
-    return _report("count", {"delta": str(delta), "k": args.k, "m": ms},
-                   outputs, verdicts, started=started)
+    if not certs:
+        certs = [Certificate.from_bool("count", True, params, {})]
+    return _report("count", params, outputs, certs, started=started)
 
 
 # -- verify-f ------------------------------------------------------------------
@@ -308,45 +307,35 @@ def cmd_verify_f(args):
     started = time.monotonic()
     bound = args.n
     model = recurrence.build_F(bound)
-    verdicts = []
-
-    def cert_verdict(name, ok, scale, witness):
-        # recurrence verdicts reuse the set-certificate schema
-        return {"name": name, "ok": ok, "certificate": {
-            "predicate": name, "scale": scale,
-            "verdict": "holds-at-scale" if ok else "fails-at-scale",
-            "witness": witness}}
-
     sf = recurrence.verify_sum_free(model.elements, bound)
-    verdicts.append(cert_verdict(
+    certs = [Certificate.from_bool(
         "sum-free", sf.ok, {"N": bound},
         {"pairs_checked": sf.pairs_checked,
-         "counterexample": list(sf.counterexample) if sf.counterexample else None}))
+         "counterexample": list(sf.counterexample) if sf.counterexample else None})]
     lo, hi = args.shifts
     for n in range(lo, hi + 1):
         rep = recurrence.verify_shift_ip(model, n, args.depth)
-        verdicts.append(cert_verdict(
-            f"shift-ip-{n}", rep.ok,
-            {"N": bound, "n": n, "depth": args.depth},
+        certs.append(Certificate.from_bool(
+            f"shift-ip-{n}", rep.ok, {"N": bound, "n": n, "depth": args.depth},
             {"required": len(rep.required), "missing": list(rep.missing)}))
     if args.dual_oracle:
         from_digits = recurrence.digit_enumerate(bound)
-        ok = from_digits == list(model.elements)
-        verdicts.append(cert_verdict(
-            "dual-oracle-agreement", ok, {"N": bound},
-            {"members": len(model.elements)}))
+        certs.append(Certificate.from_bool(
+            "dual-oracle-agreement", from_digits == list(model.elements),
+            {"N": bound}, {"members": len(model.elements)}))
     outputs = []
     if args.out_set:
         intsets.write_set_file(args.out_set, model.as_intset(), bound)
         outputs.append(args.out_set)
     if args.out:
         payload = {"schema": SCHEMA, "N": bound, "index_family":
-                   "I_n = {2^(n-1)(2i-1)}", "verdicts": verdicts}
+                   "I_n = {2^(n-1)(2i-1)}",
+                   "verdicts": [_cert_verdict(c) for c in certs]}
         _atomic_write(args.out, _dump(payload))
         outputs.append(args.out)
     return _report("verify-f",
                    {"N": bound, "depth": args.depth, "shifts": list(args.shifts)},
-                   outputs, verdicts, started=started)
+                   outputs, certs, started=started)
 
 
 # -- word-stats ----------------------------------------------------------------
@@ -355,7 +344,7 @@ def cmd_verify_f(args):
 def cmd_word_stats(args):
     started = time.monotonic()
     w = words.read_word_file(args.word)
-    n_max = args.n_max or min(64, len(w) // 2)
+    n_max = args.n_max or min(64, len(w) // 2)   # the type rules out 0
     profile = words.complexity_profile(w, n_max)
     est = words.entropy_estimate(profile)
     lines = ["n,p,h_est"]
@@ -368,10 +357,12 @@ def cmd_word_stats(args):
         outputs.append(args.csv)
     else:
         print(csv_text, end="")
-    verdicts = [{"name": "profile-invariants", "ok": not profile.violations(),
-                 "h_at_max": est.at_n_max, "h_inf": est.infimum}]
+    violations = profile.violations()
+    cert = Certificate.from_bool(
+        "profile-invariants", not violations, {"length": len(w), "n_max": n_max},
+        {"h_at_max": est.at_n_max, "h_inf": est.infimum, "violations": violations})
     return _report("word-stats", {"word": args.word, "n_max": n_max},
-                   outputs, verdicts, started=started)
+                   outputs, [cert], started=started)
 
 
 # -- parser --------------------------------------------------------------------
@@ -391,7 +382,8 @@ def build_parser():
     p.add_argument("--thick", type=int, metavar="L")
     p.add_argument("--pw-syndetic", type=int, nargs=2, metavar=("G", "L"))
     p.add_argument("--gap-table", type=int, metavar="LEN")
-    p.add_argument("--banach", type=int, nargs="?", const=0, metavar="NMAX",
+    p.add_argument("--banach", type=_positive_int, nargs="?", const=0,
+                   metavar="NMAX",
                    help="density profile; bare flag picks min(64, N/2)")
     p.add_argument("--out", help="write a JSON report file")
     p.set_defaults(func=cmd_analyze)
@@ -429,7 +421,7 @@ def build_parser():
 
     p = sub.add_parser("word-stats", help="complexity profile of a word file")
     p.add_argument("--word", required=True)
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-max", type=_positive_int)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_word_stats)
     return ap

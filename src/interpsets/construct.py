@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intsets import (
+    Certificate,
     IntegerSetModel,
     _free_runs,
     free_runs,
@@ -734,53 +735,55 @@ def density_coloring_witness(model: IntegerSetModel, intervals, k: int,
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-
-    def to_json(self):
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+def restriction_identity(problem: InterpolationProblem, cells, covered: int,
+                         scale: dict) -> Certificate:
+    """Does x|_S = f?  cells holds x (index = position-1, -1 = unfilled);
+    every s of S inside the window must hold f(s), or be unfilled and lie
+    beyond `covered`."""
+    size = len(problem.f)
+    pos = np.fromiter(problem.f, np.int64, size)
+    got = np.asarray(cells, dtype=np.int64)[pos - 1]
+    filled = got != UNFILLED
+    wrong = filled & (got != np.fromiter(problem.f.values(), np.int64, size))
+    bad = int((wrong | (~filled & (pos <= covered))).sum())
+    return Certificate.from_bool("restriction-identity", bad == 0, scale,
+                                 {"mismatches": bad})
 
 
 def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
                  deep: bool = True) -> list:
     """Structural checks shared by both leveled constructions, plus the
-    membership checks specific to each kind."""
-    out = []
+    membership checks specific to each kind: one Certificate per check, at
+    the scale of the window and the number of levels."""
+    scale = {"N": trace.window, "levels": len(trace.levels) - 1}
+
+    def check(name, ok, detail):
+        return Certificate.from_bool(name, ok, scale, {"detail": detail})
+
     lv = trace.levels
     ok = all(lv[j + 1].w.symbols[:lv[j].m] == lv[j].w.symbols
              for j in range(len(lv) - 1))
-    out.append(CheckResult("prefix-chain", ok, "w_j is a prefix of w_{j+1}"))
+    out = [check("prefix-chain", ok, "w_j is a prefix of w_{j+1}")]
     ok = all(lv[j + 1].m % lv[j].m == 0 for j in range(len(lv) - 1))
-    out.append(CheckResult("m-divisibility", ok, "m_j divides m_{j+1}"))
+    out.append(check("m-divisibility", ok, "m_j divides m_{j+1}"))
     if trace.kind == "totally-minimal":
         ok = all(lvl.m % math.factorial(lvl.level) == 0 for lvl in lv)
-        out.append(CheckResult("factorial-divisibility", ok, "j! divides m_j"))
+        out.append(check("factorial-divisibility", ok, "j! divides m_j"))
     fl = trace.fillings
     ok = not any(((a != UNFILLED) & (a != b)).any() for a, b in zip(fl, fl[1:]))
-    out.append(CheckResult("monotone-filling", ok,
-                           "filled positions never change"))
+    out.append(check("monotone-filling", ok, "filled positions never change"))
     final = fl[-1]
     res = trace.result
     # result symbols lie in the alphabet, so equality also rules out -1
     ok = (len(res) % trace.final_m == 0 and len(res) >= trace.final_m
           and np.array_equal(final[:len(res)], res.symbols))
-    out.append(CheckResult("result-complete", ok,
-                           f"result covers [1, {len(res)}] with no unfilled cell"))
-    size = len(problem.f)
-    pos = np.fromiter(problem.f, np.int64, size)
-    got = final[pos - 1]
-    filled = got != UNFILLED
-    wrong = filled & (got != np.fromiter(problem.f.values(), np.int64, size))
-    bad = int((wrong | (~filled & (pos <= len(res)))).sum())
-    out.append(CheckResult("restriction-identity", bad == 0,
-                           f"{bad} mismatches of x|_S against f"))
+    out.append(check("result-complete", ok,
+                     f"result covers [1, {len(res)}] with no unfilled cell"))
+    out.append(restriction_identity(problem, final, len(res), scale))
     if deep and trace.kind == "totally-minimal":
         ok = all(is_member_level(lv[j].w, j, trace) for j in range(1, len(lv)))
-        out.append(CheckResult("anchor-membership", ok,
-                               "w_j passes is_member_level at every level"))
+        out.append(check("anchor-membership", ok,
+                         "w_j passes is_member_level at every level"))
         m_k = trace.final_m
         blocks_ok = True
         for b in range(len(res) // m_k):
@@ -789,17 +792,16 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
             if not is_member_level(blk, len(lv) - 1, trace):
                 blocks_ok = False
                 break
-        out.append(CheckResult("block-membership", blocks_ok,
-                               "every aligned result block is a level member"))
+        out.append(check("block-membership", blocks_ok,
+                         "every aligned result block is a level member"))
     if deep and trace.kind == "strictly-ergodic":
         ok = all(is_ergodic_member(lv[j].w, j, trace) for j in range(1, len(lv)))
-        out.append(CheckResult("anchor-membership", ok,
-                               "w_j satisfies the frequency conditions"))
+        out.append(check("anchor-membership", ok,
+                         "w_j satisfies the frequency conditions"))
         top = len(lv) - 1
         report = ergodic_block_report(trace, top)
         ok = all(f and c for (_b, f, c, _n) in report)
-        out.append(CheckResult(
-            "block-frequencies", ok,
-            f"{len(report)} blocks: non-anchor fraction <= 1/{top}, "
-            "anchor sample covered"))
+        out.append(check("block-frequencies", ok,
+                         f"{len(report)} blocks: non-anchor fraction <= 1/{top}, "
+                         "anchor sample covered"))
     return out

@@ -268,7 +268,8 @@ def _materialize(model: IntegerSetModel, n: int):
 
 @dataclass(frozen=True)
 class Certificate:
-    """A replayable, scale-tagged witness for a set predicate."""
+    """A scale-tagged verdict with its witness; every verdict the CLI emits
+    is one.  The four set-predicate certificates can be replayed."""
 
     predicate: str
     scale: dict
@@ -286,6 +287,11 @@ class Certificate:
             "verdict": self.verdict,
             "witness": dict(self.witness),
         }
+
+    @classmethod
+    def from_bool(cls, predicate, ok, scale, witness) -> "Certificate":
+        """The certificate of a check that came out `ok` at `scale`."""
+        return cls(predicate, dict(scale), HOLDS if ok else FAILS, dict(witness))
 
     @classmethod
     def from_json(cls, data) -> "Certificate":

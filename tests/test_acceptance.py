@@ -144,7 +144,7 @@ def minimal_trace():
 def test_criterion_06_totally_minimal(minimal_trace):
     t0 = time.monotonic()
     problem, trace = minimal_trace
-    checks = {c.name: c.ok for c in K.verify_trace(trace, problem)}
+    checks = {c.predicate: c.holds for c in K.verify_trace(trace, problem)}
     for name in ("prefix-chain", "m-divisibility", "factorial-divisibility",
                  "monotone-filling", "result-complete", "restriction-identity",
                  "anchor-membership", "block-membership"):
@@ -180,7 +180,7 @@ def test_criterion_07_strictly_ergodic():
     cubes = S.IntegerSetModel.explicit_window([i ** 3 for i in range(1, 47)])
     problem = K.random_problem(cubes, 2, 10 ** 5, seed=9)
     trace = K.strictly_ergodic_construct(problem, levels=2)
-    checks = {c.name: c.ok for c in K.verify_trace(trace, problem)}
+    checks = {c.predicate: c.holds for c in K.verify_trace(trace, problem)}
     assert all(checks.values()), checks
     assert all(trace.result.at(s) == v for s, v in problem.f.items()
                if s <= len(trace.result))
@@ -312,15 +312,21 @@ def test_criterion_11_reproducibility(tmp_path, capsys):
            f"{len(first)} files")
 
 
-# SHA-256 of every file the five `construct` jobs above write, recorded
-# before the leveled constructions shared one skeleton.  Criterion 11 only
-# compares a rerun with itself; these digests catch a consistent change.
-CONSTRUCT_DIGESTS = {
+# SHA-256 of every file the jobs above write.  The construct digests were
+# recorded before the leveled constructions shared one skeleton, the
+# analyze, count and verify-f digests before every verdict became a
+# Certificate.  Criterion 11 only compares a rerun with itself; these
+# digests catch a consistent change.
+OUTPUT_DIGESTS = {
+    "analyze.json": "7bc0c5da6d464e042830feaed5d12646a43fee47e28fb0dcf5b164081c34fb91",
+    "count.csv": "b7bd5987b7b85eb549664d895b0934e80245446c488ea8c49020d42fd065bd65",
     "erg/trace.json": "52c3b1ab20fd3468a516ac2af2dc910dbe408c4fe7d0dd150d46d4fa2e72dc83",
     "erg/w0.word": "01757dbd139493162bd0926d50afcb74a1222f460189956f7b0caba210244ab4",
     "erg/w1.word": "f2f825dcd2ff46a51b91a71c415813df4809ebb86be7b3366421fb3917449fd6",
     "erg/w2.word": "ecc59d1cd1be98e4c440dd502d15448c82e6fac65ac052c522c74322c87f988e",
     "erg/xu.word": "1311d7a57a15273896644e59302db3ed943568763e731d55e5e65225767dc1bd",
+    "f.json": "a93f7ae9d7850ca2b525738dd4c0ae636b4f434bbe32c34ec78f11d3544b35df",
+    "f.txt": "722c7987a88d0f328d05781ee3ec8f8e4bc0898380771bb74bcd595429dcfb07",
     "min/trace.json": "cfba512f4077d1ff2761b8eb30b031d8124f4d3bbf7169f49531e8cb78962578",
     "min/w0.word": "01757dbd139493162bd0926d50afcb74a1222f460189956f7b0caba210244ab4",
     "min/w1.word": "02b17cc3c93d617cd8f1bdea77706bea1c459969a440deb2bced8b769ddb78b4",
@@ -335,6 +341,5 @@ def test_construct_bytes_pinned(tmp_path, capsys):
     snapshot = _run_all_commands(tmp_path)
     capsys.readouterr()
     got = {name: hashlib.sha256(data).hexdigest()
-           for name, data in snapshot.items()
-           if name.split("/")[0] in ("zero", "st", "mix", "min", "erg")}
-    assert got == CONSTRUCT_DIGESTS
+           for name, data in snapshot.items()}
+    assert got == OUTPUT_DIGESTS

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, file outputs, reproducibility."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -135,7 +136,29 @@ def test_construct_mixing_refusal_exit_1(tmp_path, capsys):
     rep = json.loads(out)
     verdict = rep["verdicts"][0]
     assert verdict["name"] == "mixing-precondition"
-    assert verdict["certificate"]["verdict"] == "holds-at-scale"
+    assert verdict["certificate"]["witness"]["certificate"]["verdict"] \
+        == "holds-at-scale"
+
+
+def test_construct_word_off_f_exit_1(tmp_path, capsys, monkeypatch):
+    from interpsets import words as W
+    real = construct.extend_zero
+
+    def flipped(problem, profile_max):
+        w, profile = real(problem, profile_max)
+        sym = list(w.symbols)
+        sym[min(problem.f) - 1] ^= 1
+        return W.SymbolWord(w.alphabet_size, tuple(sym)), profile
+
+    monkeypatch.setattr(construct, "extend_zero", flipped)
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, 4096, seed=7)
+    code, out = run(capsys, "construct", "--kind", "zero",
+                    "--problem", str(prob), "--out-dir", str(tmp_path / "o"))
+    assert code == 1
+    verdict = json.loads(out)["verdicts"][0]
+    assert (verdict["name"], verdict["ok"]) == ("restriction-identity", False)
+    assert verdict["certificate"]["witness"] == {"mismatches": 1}
 
 
 def test_construct_sturmian_requires_matching_spec(tmp_path, capsys):
@@ -153,8 +176,8 @@ def test_construct_sturmian_tiny_window(tmp_path, capsys):
     code, out = run(capsys, "construct", "--kind", "sturmian",
                     "--problem", str(prob), "--out-dir", str(tmp_path / "o"))
     assert code == 0
-    assert json.loads(out)["verdicts"][1] == {
-        "name": "sturmian-factor-bound", "ok": True}
+    verdict = json.loads(out)["verdicts"][1]
+    assert (verdict["name"], verdict["ok"]) == ("sturmian-factor-bound", True)
 
 
 def test_construct_out_dir_under_a_file_exit_2(tmp_path, capsys):
@@ -191,7 +214,7 @@ def test_construct_level_window_failure(tmp_path, capsys):
     assert code == 1
     rep = json.loads(out)
     assert rep["verdicts"][0]["name"] == "level-window"
-    assert rep["verdicts"][0]["level"] == 2
+    assert rep["verdicts"][0]["certificate"]["witness"]["level"] == 2
 
 
 def test_construct_internal_fault_exit_3(tmp_path, capsys, monkeypatch):
@@ -245,3 +268,72 @@ def test_reproducibility_bytes(tmp_path, capsys):
         snaps.append({p.name: p.read_bytes()
                       for p in sorted(out_dir.iterdir())})
     assert snaps[0] == snaps[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--set", "kind=ap a=3 b=0", "--n", "40", "--banach", "0"],
+    ["analyze", "--set", "kind=ap a=3 b=0", "--n", "40", "--banach", "-3"],
+    ["word-stats", "--word", "w.word", "--n-max", "0"],
+    ["word-stats", "--word", "w.word", "--n-max", "-1"],
+])
+def test_non_positive_counts_exit_2(tmp_path, capsys, monkeypatch, argv):
+    from interpsets import words as W
+    monkeypatch.chdir(tmp_path)
+    W.write_word_file("w.word", W.SymbolWord(2, (0, 1) * 20))
+    assert main(argv) == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_bare_banach_picks_half_the_window(capsys):
+    code, out = run(capsys, "analyze", "--set", "kind=ap a=3 b=0",
+                    "--n", "40", "--banach")
+    assert code == 0
+    assert len(json.loads(out)["results"]["banach"]["rows"]) == 20
+
+
+def test_every_verdict_is_a_certificate(tmp_path, capsys):
+    from interpsets import words as W
+    from interpsets.intsets import Certificate
+    _write_problem(tmp_path / "pow.json", "kind=powers base=2", 2, 4096, seed=5)
+    _write_problem(tmp_path / "small.json", "kind=powers base=2", 2, 100, seed=5)
+    _write_problem(tmp_path / "evens.json", "kind=ap a=2 b=0", 2, 100, seed=1)
+    _write_problem(tmp_path / "st.json", "kind=sturmian cf=0,2,2,2", 3, 2000,
+                   seed=4)
+    _write_problem(tmp_path / "cubes.json", "kind=explicit elements=" +
+                   ",".join(str(i ** 3) for i in range(1, 13)), 2, 2000, seed=3)
+    W.write_word_file(tmp_path / "w.word", W.mechanical_word(Fraction(2, 5), 400))
+
+    def build(kind, problem, *extra):
+        return ["construct", "--kind", kind, "--problem", str(tmp_path / problem),
+                "--out-dir", str(tmp_path / kind), *extra]
+
+    jobs = [
+        (0, ["analyze", "--set", "kind=ap a=3 b=0", "--n", "300", "--syndetic",
+             "3", "--thick", "1", "--pw-syndetic", "3", "10", "--gap-table", "2"]),
+        (1, ["analyze", "--set", "kind=powers base=2", "--n", "100",
+             "--syndetic", "10"]),
+        (0, ["count", "--delta", "1/3", "--k", "2", "--m-range", "3:9:3"]),
+        (0, ["count", "--delta", "1/3", "--k", "2", "--m-range", "3:9:3",
+             "--oracle"]),
+        (0, build("zero", "pow.json")),
+        (0, build("sturmian", "st.json")),
+        (0, build("mixing", "pow.json")),
+        (1, build("mixing", "evens.json")),
+        (0, build("minimal", "pow.json", "--levels", "1")),
+        (1, build("minimal", "small.json", "--levels", "2")),
+        (0, build("ergodic", "cubes.json", "--levels", "2")),
+        (0, ["verify-f", "--n", "100000", "--shifts", "1", "2",
+             "--dual-oracle"]),
+        (0, ["word-stats", "--word", str(tmp_path / "w.word"), "--n-max", "10"]),
+    ]
+    for expected, argv in jobs:
+        code, out = run(capsys, *argv)
+        assert code == expected, argv
+        verdicts = json.loads(out[out.index("{"):])["verdicts"]
+        assert verdicts, argv
+        for v in verdicts:
+            cert = v["certificate"]
+            assert v["name"] == cert["predicate"], argv
+            assert v["ok"] == (cert["verdict"] == "holds-at-scale"), argv
+            assert Certificate.from_json(cert).to_json() == cert, argv
+        assert code == (0 if all(v["ok"] for v in verdicts) else 1), argv

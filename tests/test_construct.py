@@ -272,8 +272,8 @@ def leveled(request):
 
 
 def _failing_checks(trace, problem):
-    return {c.name for c in K.verify_trace(trace, problem, deep=False)
-            if not c.ok}
+    return {c.predicate for c in K.verify_trace(trace, problem, deep=False)
+            if not c.holds}
 
 
 def _copy(trace):
@@ -324,3 +324,25 @@ def test_unfilled_s_cell_fails_restriction_identity(leveled):
         fill[s - 1] = K.UNFILLED
     assert _failing_checks(bad, problem) == {"result-complete",
                                              "restriction-identity"}
+
+
+def test_leveled_refuses_a_partially_filled_sub_block():
+    # S = {13} in [1, 16]; level j+1 has length 2^(j+1).  The level-2
+    # filler writes only the first half of each free sub-block, so the
+    # block [13, 16] is left part filled and level 3 must refuse to split it.
+    problem = K.InterpolationProblem(EXPL([13], 16), 2, 16, {13: 1})
+
+    def stub_level(problem, j, cur, elems):
+        m_next = 2 ** (j + 1)
+        nxt = K.LevelData(j + 1, m_next, W.SymbolWord(2, (0,) * m_next), (),
+                          None, 0, 0, None, None, False, None, None, None)
+
+        def fill_block(lo, hi, subs, free):
+            subs[free, :max(1, cur.m // 2)] = 0
+
+        return nxt, fill_block
+
+    trace = K._leveled("strictly-ergodic", problem, 2, stub_level)
+    assert trace.fillings[2][12:16].tolist() == [1, 0, 0, K.UNFILLED]
+    with pytest.raises(AssertionError, match="partially filled sub-block"):
+        K._leveled("strictly-ergodic", problem, 3, stub_level)

@@ -36,7 +36,7 @@ def test_level_schedule(two_level):
 
 def test_structure(two_level):
     problem, trace = two_level
-    checks = {c.name: c.ok for c in K.verify_trace(trace, problem)}
+    checks = {c.predicate: c.holds for c in K.verify_trace(trace, problem)}
     assert all(checks.values()), checks
 
 

@@ -46,7 +46,7 @@ def test_level_one_schedule(one_level):
 
 def test_structural_checks(one_level):
     problem, trace = one_level
-    checks = {c.name: c.ok for c in K.verify_trace(trace, problem)}
+    checks = {c.predicate: c.holds for c in K.verify_trace(trace, problem)}
     assert all(checks.values()), checks
 
 
