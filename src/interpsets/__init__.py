@@ -18,8 +18,8 @@ from .construct import (
     MixingExtension,
     density_coloring_witness,
     extend_zero,
-    is_ergodic_member,
     is_member_level,
+    parse_member,
     mixing_extend,
     random_problem,
     strictly_ergodic_construct,

@@ -236,10 +236,11 @@ def cmd_construct(args):
         try:
             trace = builder(problem, levels=args.levels)
         except construct.LevelWindowError as exc:
+            blocking = exc.certificate.to_json() if exc.certificate else None
             certs.append(Certificate.from_bool(
                 "level-window", False, {**scale, "levels": args.levels},
                 {"level": exc.level, "required_gap": exc.required_gap,
-                 "reason": str(exc)}))
+                 "reason": str(exc), "certificate": blocking}))
         else:
             outputs.extend(_write_trace(args.out_dir, trace))
             certs.extend(construct.verify_trace(trace, problem))

@@ -15,18 +15,21 @@ The two leveled constructions share one block skeleton and differ only
 in their level plan and in how they fill the free sub-blocks.  They return
 a ConstructionTrace holding every intermediate partial filling as an int64
 array (-1 = unfilled) so the structural claims can be re-verified from the
-outside.  All choices are first-fit and deterministic: identical inputs
-give bit-identical traces.
+outside; the totally minimal one also records the parse of every word it
+builds, which verify_trace checks in place of searching for one.  All
+choices are first-fit and deterministic: identical inputs give
+bit-identical traces.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .intsets import (
     Certificate,
@@ -222,6 +225,23 @@ class LevelData:
     gap_required: int | None
     spacing_bound: int | None
     density_bound: Fraction | None
+    # totally minimal, from level 1: the Parse of each word of
+    # t_sample + t_prime_sample, and of each block this level filled, by index
+    parses: tuple | None = None
+    filled: dict | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Parse:
+    """How a level-j word splits into level-(j-1) pieces: int32 arrays of
+    each piece's offset and of its index into the distinct words of
+    T_{j-1} then T'_{j-1} (-1 for a piece that is not an anchor), and, by
+    piece number, the Parse of each non-anchor piece above level 0.  An
+    anchor piece needs none: its anchor word carries its own."""
+
+    starts: np.ndarray
+    index: np.ndarray
+    subs: dict
 
 
 @dataclass
@@ -234,7 +254,7 @@ class ConstructionTrace:
     fillings: list               # per level: int64 array, -1 = unfilled, index = position-1
     result: SymbolWord
     closing_blocks: tuple
-    _member_memo: dict = field(default_factory=dict, repr=False)
+    parse: Parse | None = None   # totally minimal: the result as level-J blocks
 
     @property
     def final_m(self) -> int:
@@ -287,7 +307,8 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
     returns the LevelData of level j+1 and a block filler.  The filling of
     level j+1 starts as a copy of level j; each aligned block of length
     m_{j+1} that meets S splits into aligned sub-blocks of length m_j, every
-    one fully free or full, and the filler writes the free ones.
+    one fully free or full, and the filler writes the free ones.  A filler
+    that returns the block's parse has it kept in `filled` of level j+1.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -315,13 +336,16 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
         level_data.append(nxt)
         m_next = nxt.m
         fill = fillings[j].copy()
+        nxt.filled = {}
         for b in _blocks_meeting(elems, m_next, n // m_next):
             subs = fill[b * m_next:(b + 1) * m_next].reshape(-1, m)   # a view
             unfilled = subs == UNFILLED
             free = unfilled.all(axis=1)
             if (unfilled.any(axis=1) != free).any():
                 raise AssertionError("partially filled sub-block")
-            fill_block(b * m_next + 1, (b + 1) * m_next, subs, free)
+            parse = fill_block(b * m_next + 1, (b + 1) * m_next, subs, free)
+            if parse is not None:
+                nxt.filled[b] = parse
         fillings.append(fill)
 
     return _finish_trace(kind, problem, level_data, fillings)
@@ -329,23 +353,31 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
 
 def _finish_trace(kind, problem, level_data, fillings) -> ConstructionTrace:
     """Close all-unfilled final blocks with the top anchor word and cut the
-    longest fully-filled prefix as the result."""
-    m_k = level_data[-1].m
+    longest fully-filled prefix as the result.  In the result's parse a
+    closing block is the anchor w_J, and a filled block carries its own."""
+    top = level_data[-1]
+    m_k = top.m
     count = problem.n // m_k
     final = fillings[-1]
     blocks = final[:count * m_k].reshape(count, m_k)
     unfilled = blocks == UNFILLED
     empty = unfilled.all(axis=1)
-    blocks[empty] = level_data[-1].w.symbols
+    blocks[empty] = top.w.symbols
     holes = unfilled.any(axis=1) & ~empty
-    stop = int(holes.argmax() if holes.any() else count) * m_k
+    stop = int(holes.argmax() if holes.any() else count)
     if stop == 0:
         raise LevelWindowError(len(level_data) - 1,
                                "no fully filled block inside the window")
-    result = SymbolWord(problem.k, tuple(final[:stop].tolist()))
+    parse = None
+    if top.parses is not None:
+        index = np.where(empty[:stop], 0, -1).astype(np.int32)
+        parse = Parse(np.arange(0, stop * m_k, m_k, dtype=np.int32), index,
+                      {b: top.filled[b] for b in np.flatnonzero(index).tolist()})
+    result = SymbolWord(problem.k, tuple(final[:stop * m_k].tolist()))
     return ConstructionTrace(kind, problem.k, problem.n,
                              problem.model.spec_string(), level_data, fillings,
-                             result, tuple(np.flatnonzero(empty).tolist()))
+                             result, tuple(np.flatnonzero(empty).tolist()),
+                             parse)
 
 
 # .. totally minimal ..........................................................
@@ -368,11 +400,17 @@ def totally_minimal_construct(problem: InterpolationProblem,
 def _minimal_level(problem, j, cur, elems):
     """Level j+1 of the totally minimal construction.  Its filler puts the
     repeated coverage block, aligned to m_j, into the first S-free run of
-    length G_j of the block and w_j into every other free sub-block."""
+    length G_j of the block and w_j into every other free sub-block, and
+    returns the block's Parse."""
     k, n, model, m = problem.k, problem.n, problem.model, cur.m
     rho = math.factorial(j)
-    t_enum = _pad_enum(list(cur.t_sample), rho)
-    tp_enum = _pad_enum(list(cur.t_prime_sample), rho)
+    # the words of T_j + T'_j with their anchor indices; w_j = T_j[0] and
+    # the primed anchor v_j = T'_j[0]
+    n_t = len(cur.t_sample)
+    order = {a: i for i, (a, _) in enumerate(_anchors(cur)[0])}
+    pieces = [(w, order[w.symbols]) for w in cur.t_sample + cur.t_prime_sample]
+    t_enum = _pad_enum(pieces[:n_t], rho)
+    tp_enum = _pad_enum(pieces[n_t:], rho)
     gap_needed = 4 * m * m * (len(t_enum) + len(tp_enum))
     cert = gap_syndeticity_table(model, n, gap_needed)
     if not cert.holds:
@@ -386,35 +424,36 @@ def _minimal_level(problem, j, cur, elems):
         raise LevelWindowError(
             j + 1, f"m_{j + 1} = {m_next} exceeds the window {n}",
             gap_needed, cert)
-    u_sym = _concat(t_enum) + _concat(tp_enum) + list(cur.v_anchor.symbols)
-    u_block = SymbolWord(k, tuple(u_sym))
-    if len(u_block) % rho != 1 % rho:
+    u_pieces = t_enum + tp_enum + [pieces[n_t]]
+    u_len = sum(len(w) for w, _ in u_pieces)
+    if u_len % rho != 1 % rho:
         raise AssertionError("U block length residue broken")
-    reps = m_next - m * len(u_block)
+    reps = m_next - m * u_len
     if reps <= 0 or reps % m:
         raise AssertionError("anchor word does not fit the level length")
     r = reps // m
-    u_repeated = list(u_block.symbols) * m
 
-    def make_anchor(fill_word):
-        return SymbolWord(k, tuple(list(fill_word.symbols) * r + u_repeated))
+    def lay_out(layout):
+        """The word laid out of (word, anchor index) pieces, with its Parse."""
+        lens = np.fromiter((len(w) for w, _ in layout), np.int32, len(layout))
+        return (SymbolWord(k, tuple(_concat(w for w, _ in layout))),
+                Parse(np.cumsum(lens, dtype=np.int32) - lens,
+                      np.array([i for _, i in layout], np.int32), {}))
 
-    def make_primed(fill_word):
-        sym = list(cur.v_anchor.symbols)
-        sym += list(fill_word.symbols) * (r - 1)
-        sym += u_repeated
-        return SymbolWord(k, tuple(sym))
-
-    # T_{j+1} holds w_{j+1} and one variant, built on the first anchor of
-    # T_j after w_j; T'_{j+1} holds their primed forms
-    w_next = make_anchor(cur.w)
-    t_next = (w_next, make_anchor(cur.t_sample[1]))
-    tp_next = (make_primed(cur.w), make_primed(cur.t_sample[1]))
-    cur.u_block = u_block
-    nxt = LevelData(j + 1, m_next, w_next, t_next, tp_next, len(t_next),
+    cur.u_block = lay_out(u_pieces)[0]
+    covering, cover_parse = lay_out(u_pieces * m)      # U_j^{m_j}
+    # T_{j+1} holds w_{j+1} = w_j^r U_j^{m_j} and one variant, built on the
+    # first anchor of T_j after w_j; T'_{j+1} holds their primed forms
+    # v_j x^{r-1} U_j^{m_j}
+    built = ([lay_out([x] * r + u_pieces * m) for x in pieces[:2]]
+             + [lay_out([pieces[n_t]] + [x] * (r - 1) + u_pieces * m)
+                for x in pieces[:2]])
+    t_next = (built[0][0], built[1][0])
+    tp_next = (built[2][0], built[3][0])
+    nxt = LevelData(j + 1, m_next, t_next[0], t_next, tp_next, len(t_next),
                     len(tp_next), tp_next[0], None, False, gap_needed, spacing,
-                    None)
-    cover = np.array(u_repeated, dtype=np.int64).reshape(-1, m)
+                    None, tuple(p for _, p in built))
+    cover = np.array(covering.symbols, dtype=np.int64).reshape(-1, m)
     w_sub = np.array(cur.w.symbols, dtype=np.int64)
 
     def fill_block(lo, hi, subs, free):
@@ -425,17 +464,131 @@ def _minimal_level(problem, j, cur, elems):
                 gap_needed, cert)
         ru, rv = run
         a_idx = ((ru - 1 + m - 1) // m) * m
-        if a_idx + len(u_repeated) > rv:
+        if a_idx + len(covering) > rv:
             raise AssertionError("aligned coverage block does not fit the run")
         first = (a_idx - (lo - 1)) // m
         span = slice(first, first + len(cover))
         if not free[span].all():
             raise AssertionError("coverage block would overwrite filled cells")
+        kept = np.flatnonzero(~free)
         subs[span] = cover
         free[span] = False
         subs[free] = w_sub
+        # a sub-block filled below is a non-anchor piece with its own Parse
+        starts = np.concatenate([kept * m, first * m + cover_parse.starts,
+                                 np.flatnonzero(free) * m]).astype(np.int32)
+        index = np.concatenate([np.full(kept.size, -1, np.int32),
+                                cover_parse.index,
+                                np.full(free.sum(), pieces[0][1], np.int32)])
+        order = starts.argsort()
+        starts, index = starts[order], index[order]
+        if not j:      # below level 1 a piece is a cell and needs no Parse
+            return Parse(starts, index, {})
+        at = starts.searchsorted(kept * m).tolist()
+        return Parse(starts, index, {p: cur.filled[(lo - 1) // m + row]
+                                     for p, row in zip(at, kept.tolist())})
 
     return nxt, fill_block
+
+
+# .. parse witnesses (totally minimal levels) .................................
+
+
+def _anchors(lvl: LevelData):
+    """The distinct words of T_i, then those of T'_i, in the order a Parse
+    indexes them, each with the Parse recorded for it (None at level 0),
+    and the number of the former."""
+    t, tp = {}, {}
+    words = lvl.t_sample + (lvl.t_prime_sample or ())
+    for pos, (w, p) in enumerate(zip(words, lvl.parses or (None,) * len(words))):
+        (t if pos < len(lvl.t_sample) else tp).setdefault(w.symbols, p)
+    return list(t.items()) + list(tp.items()), len(t)
+
+
+def _parse_holds(sym: np.ndarray, parse: Parse, levels, proven, level: int,
+                 full: bool = True) -> bool:
+    """Does the Parse prove that sym is a level-`level` member?  It is the
+    definition is_member_level searches, with the split given: the pieces
+    tile sym with lengths m_{level-1} or m_{level-1} + 1; a piece with index
+    a >= 0 equals anchor a, which proven[level-1][a] says its own Parse
+    proves a member; every other piece above level 0 is proved by its own
+    Parse; and, when `full`, the (anchor, offset mod (level-1)!) pairs of
+    the pieces cover all of them.  A wrong parse can only make a member
+    fail."""
+    starts, index = parse.starts, parse.index
+    m = levels[level - 1].m
+    if not starts.size or starts[0] != 0:
+        return False
+    lens = np.diff(starts, append=len(sym))
+    if not ((lens == m) | (lens == m + 1)).all():
+        return False
+    anchors, n_t = _anchors(levels[level - 1])
+    ok = proven[level - 1]
+    is_anchor = index >= 0
+    if (index >= len(anchors)).any() or not ok[index[is_anchor]].all():
+        return False
+    for lo, hi, length in ((0, n_t, m), (n_t, len(anchors), m + 1)):
+        sel = np.flatnonzero((index >= lo) & (index < hi))
+        if not sel.size:
+            continue
+        if (lens[sel] != length).any():
+            return False
+        table = np.zeros((hi - lo, length), dtype=sym.dtype)
+        for row, (a, _) in enumerate(anchors[lo:hi]):
+            if len(a) == length:     # any other anchor is unproven, unused
+                table[row] = a
+        got = sliding_window_view(sym, length)[starts[sel]]
+        if (got != table[index[sel] - lo]).any():
+            return False
+    if level > 1:
+        for p in np.flatnonzero(~is_anchor).tolist():
+            sub = parse.subs.get(p)
+            if sub is None or not _parse_holds(
+                    sym[starts[p]:starts[p] + lens[p]], sub, levels, proven,
+                    level - 1):
+                return False
+    if full:
+        rho = math.factorial(level - 1)
+        seen = np.zeros(len(anchors) * rho, dtype=bool)
+        seen[index[is_anchor] * rho + starts[is_anchor] % rho] = True
+        return bool(seen.all())
+    return True
+
+
+def _proven(levels, top: int) -> list:
+    """Per level i < top, which anchors of T_i + T'_i are members: at level
+    0 those of length 1 (T) or 2 (T'), above it those their Parse proves."""
+    proven = []
+    for i in range(top):
+        anchors, n_t = _anchors(levels[i])
+        m = levels[i].m
+        proven.append(np.array([
+            len(a) == m + (pos >= n_t)
+            and (i == 0 or _parse_holds(np.array(a, np.uint8), p, levels,
+                                        proven, i))
+            for pos, (a, p) in enumerate(anchors)], dtype=bool))
+    return proven
+
+
+def parse_member(w: SymbolWord, level: int, parse: Parse,
+                 trace: ConstructionTrace) -> bool:
+    """Does `parse` prove that w belongs to the level-`level` family X
+    (length m) or X' (m+1)?  The check is linear in the pieces of w and of
+    the anchor words below it, whose recorded parses it checks first.
+    is_member_level decides the same family by search."""
+    if trace.kind != "totally-minimal":
+        raise ValueError("parses are recorded for totally-minimal traces")
+    if not 1 <= level < len(trace.levels):
+        raise ValueError(f"no parse at level {level} in this trace")
+    m = trace.levels[level].m
+    if len(w) not in (m, m + 1):
+        raise ValueError(f"|w| = {len(w)} but level {level} needs {m} or {m + 1}")
+    return _parse_holds(_packed(w), parse, trace.levels,
+                        _proven(trace.levels, level), level)
+
+
+def _packed(w: SymbolWord) -> np.ndarray:
+    return np.frombuffer(w.packed(), np.uint8)
 
 
 # .. membership (totally minimal levels) ......................................
@@ -456,7 +609,7 @@ class _MemberContext:
         self.t_idx = [_index_by_bytes(lvl.t_sample) for lvl in trace.levels]
         self.tp_idx = [_index_by_bytes(lvl.t_prime_sample or ())
                        for lvl in trace.levels]
-        self.memo = trace._member_memo
+        self.memo = {}
 
 
 def _insert_maximal(masks: list, mask: int) -> None:
@@ -518,7 +671,9 @@ def is_member_level(w: SymbolWord, level: int, trace: ConstructionTrace) -> bool
 
     Decided by dynamic programming over split points into level-(level-1)
     pieces, tracking which anchor elements appeared at which residue
-    mod (level-1)!.  Words of any other length are an error.
+    mod (level-1)!, with a memo local to the call.  Words of any other
+    length are an error.  This search is the independent oracle for
+    parse_member, which checks a given split instead.
     """
     if trace.kind != "totally-minimal":
         raise ValueError("membership DP is defined for totally-minimal traces")
@@ -595,6 +750,17 @@ def _ergodic_level(problem, j, cur, elems):
     return nxt, fill_block
 
 
+def _frequency_rows(blocks: np.ndarray, prev: LevelData):
+    """For blocks of shape (count, R, m_{j-1}): per block, the number of its
+    sub-blocks other than w_{j-1}, and whether every anchor of T_{j-1} is
+    one of them."""
+    non_anchor = (blocks != prev.w.symbols).any(axis=2).sum(axis=1)
+    covered = np.ones(len(blocks), dtype=bool)
+    for t in prev.t_sample:
+        covered &= (blocks == t.symbols).all(axis=2).any(axis=1)
+    return non_anchor, covered
+
+
 def ergodic_block_report(trace: ConstructionTrace, level: int) -> list:
     """Per fully-defined block of the given level (1-based): block index,
     non-anchor fraction bound satisfied, anchor sample covered, count."""
@@ -602,52 +768,35 @@ def ergodic_block_report(trace: ConstructionTrace, level: int) -> list:
         raise ValueError("block report is defined for strictly-ergodic traces")
     if not 1 <= level < len(trace.levels):
         raise ValueError(f"no level {level} in this trace")
-    lvl = trace.levels[level]
     prev = trace.levels[level - 1]
-    m, m_prev = lvl.m, prev.m
+    m, m_prev = trace.levels[level].m, prev.m
     big_r = m // m_prev
     count = trace.window // m
     blocks = trace.fillings[level][:count * m].reshape(count, big_r, m_prev)
     done = (blocks != UNFILLED).all(axis=(1, 2))
-    non_anchor = (blocks != prev.w.symbols).any(axis=2).sum(axis=1)
-    covered = np.ones(count, dtype=bool)
-    for t in prev.t_sample:
-        covered &= (blocks == t.symbols).all(axis=2).any(axis=1)
+    non_anchor, covered = _frequency_rows(blocks, prev)
     return [(b, int(non_anchor[b]) * level <= big_r, bool(covered[b]),
              int(non_anchor[b])) for b in np.flatnonzero(done).tolist()]
 
 
-def _ergodic_member(trace: ConstructionTrace, level: int, syms: tuple,
-                    memo: dict) -> bool:
-    if level == 0:
-        return len(syms) == 1
-    key = (level, syms)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    lvl = trace.levels[level]
-    prev = trace.levels[level - 1]
-    m, m_prev = lvl.m, prev.m
-    ok = False
-    if len(syms) == m:
-        big_r = m // m_prev
-        blocks = [syms[c:c + m_prev] for c in range(0, m, m_prev)]
-        w_count = sum(1 for bl in blocks if bl == prev.w.symbols)
-        anchors = {w.symbols for w in prev.t_sample}
-        ok = (all(_ergodic_member(trace, level - 1, bl, memo) for bl in blocks)
-              and anchors.issubset(set(blocks))
-              and w_count * level >= big_r * (level - 1))
-    memo[key] = ok
-    return ok
-
-
-def is_ergodic_member(w: SymbolWord, level: int, trace: ConstructionTrace) -> bool:
-    """Frequency-family membership for the strictly ergodic construction."""
-    if not 0 <= level < len(trace.levels):
-        raise ValueError(f"no level {level} in this trace")
-    if len(w) != trace.levels[level].m:
-        raise ValueError("length mismatch")
-    return _ergodic_member(trace, level, w.symbols, trace._member_memo)
+def _frequency_member(w: SymbolWord, level: int, trace: ConstructionTrace) -> bool:
+    """Frequency-family membership for the strictly ergodic construction:
+    |w| = m_level, and for every i <= level each aligned block of length
+    m_i holds every anchor of T_{i-1} and at most m_i / (i m_{i-1})
+    sub-blocks other than w_{i-1}."""
+    lv = trace.levels
+    sym = np.asarray(w.symbols, dtype=np.int64)
+    if sym.size != lv[level].m:
+        return False
+    for i in range(1, level + 1):
+        big_r = lv[i].m // lv[i - 1].m
+        if lv[i].m % lv[i - 1].m or lv[level].m % lv[i].m:
+            return False
+        non_anchor, covered = _frequency_rows(
+            sym.reshape(-1, big_r, lv[i - 1].m), lv[i - 1])
+        if not (covered.all() and (non_anchor * i <= big_r).all()):
+            return False
+    return True
 
 
 # -- witness generators -------------------------------------------------------
@@ -781,21 +930,18 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
                      f"result covers [1, {len(res)}] with no unfilled cell"))
     out.append(restriction_identity(problem, final, len(res), scale))
     if deep and trace.kind == "totally-minimal":
-        ok = all(is_member_level(lv[j].w, j, trace) for j in range(1, len(lv)))
+        proven = _proven(lv, len(lv))
+        ok = all(len(lvl.w) == lvl.m and _parse_holds(
+            _packed(lvl.w), lvl.parses[0], lv, proven, j)
+            for j, lvl in enumerate(lv[1:], 1))
         out.append(check("anchor-membership", ok,
                          "w_j passes is_member_level at every level"))
-        m_k = trace.final_m
-        blocks_ok = True
-        for b in range(len(res) // m_k):
-            blk = SymbolWord(trace.alphabet_size,
-                             res.symbols[b * m_k:(b + 1) * m_k])
-            if not is_member_level(blk, len(lv) - 1, trace):
-                blocks_ok = False
-                break
-        out.append(check("block-membership", blocks_ok,
+        ok = _parse_holds(_packed(res), trace.parse, lv, proven, len(lv),
+                          full=False)
+        out.append(check("block-membership", ok,
                          "every aligned result block is a level member"))
     if deep and trace.kind == "strictly-ergodic":
-        ok = all(is_ergodic_member(lv[j].w, j, trace) for j in range(1, len(lv)))
+        ok = all(_frequency_member(lv[j].w, j, trace) for j in range(1, len(lv)))
         out.append(check("anchor-membership", ok,
                          "w_j satisfies the frequency conditions"))
         top = len(lv) - 1

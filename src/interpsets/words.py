@@ -51,18 +51,21 @@ def factor_counts(w: SymbolWord, n_max: int) -> list:
 
     One refinement pass: each position holds the id of the length-n factor
     starting there, and the ids at n + 1 are the pairs (id at n, next
-    symbol), renumbered densely by np.unique.
+    symbol), renumbered densely by np.unique.  Ids are below |w|, so the
+    pairs fit uint32 whenever |w| k < 2^32, which halves what np.unique
+    sorts; longer words keep int64.
     """
     sym = np.frombuffer(w.packed(), np.uint8)
     if not 1 <= n_max <= sym.size:
         raise ValueError(f"factor length {n_max} out of range for |w| = {sym.size}")
+    id_type = np.uint32 if sym.size * w.alphabet_size < 2 ** 32 else np.int64
     counts = []
     ids = sym
     for n in range(1, n_max + 1):
         uniq, ids = np.unique(ids, return_inverse=True)
         counts.append(len(uniq))
         if n < n_max:
-            ids = ids[:-1] * w.alphabet_size + sym[n:]
+            ids = ids[:-1].astype(id_type, copy=False) * w.alphabet_size + sym[n:]
     return counts
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from interpsets import construct
 from interpsets.cli import main
+from interpsets.intsets import Certificate, IntegerSetModel, replay_certificate
 
 
 def run(capsys, *argv):
@@ -214,7 +215,21 @@ def test_construct_level_window_failure(tmp_path, capsys):
     assert code == 1
     rep = json.loads(out)
     assert rep["verdicts"][0]["name"] == "level-window"
-    assert rep["verdicts"][0]["certificate"]["witness"]["level"] == 2
+    witness = rep["verdicts"][0]["certificate"]["witness"]
+    assert witness["level"] == 2
+    # the gap-syndeticity certificate that blocked level 2 replays
+    blocking = Certificate.from_json(witness["certificate"])
+    assert blocking.predicate == "gap-syndetic" and not blocking.holds
+    assert blocking.scale == {"N": 100, "n": witness["required_gap"]}
+    assert replay_certificate(IntegerSetModel.lacunary_powers(2), blocking)
+    # the ergodic density refusal has no blocking certificate
+    _write_problem(prob, "kind=ap a=1 b=0", 2, 500, seed=1)
+    code, out = run(capsys, "construct", "--kind", "ergodic",
+                    "--problem", str(prob), "--out-dir", str(tmp_path / "e"),
+                    "--levels", "1")
+    assert code == 1
+    witness = json.loads(out)["verdicts"][0]["certificate"]["witness"]
+    assert witness["level"] == 1 and witness["certificate"] is None
 
 
 def test_construct_internal_fault_exit_3(tmp_path, capsys, monkeypatch):

@@ -1,14 +1,49 @@
 """Strictly ergodic leveled construction at fast scales."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
 from interpsets import construct as K
 from interpsets import intsets as S
+from interpsets.words import SymbolWord
 
 CUBES = S.IntegerSetModel.explicit_window([n ** 3 for n in range(1, 13)])
+
+
+def _ergodic_member(trace, level, syms, memo):
+    if level == 0:
+        return len(syms) == 1
+    key = (level, syms)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    lvl = trace.levels[level]
+    prev = trace.levels[level - 1]
+    m, m_prev = lvl.m, prev.m
+    ok = False
+    if len(syms) == m:
+        big_r = m // m_prev
+        blocks = [syms[c:c + m_prev] for c in range(0, m, m_prev)]
+        w_count = sum(1 for bl in blocks if bl == prev.w.symbols)
+        anchors = {w.symbols for w in prev.t_sample}
+        ok = (all(_ergodic_member(trace, level - 1, bl, memo) for bl in blocks)
+              and anchors.issubset(set(blocks))
+              and w_count * level >= big_r * (level - 1))
+    memo[key] = ok
+    return ok
+
+
+def is_ergodic_member(w, level, trace):
+    """Frequency-family membership by recursion over tuples: the oracle for
+    the array check verify_trace runs."""
+    if not 0 <= level < len(trace.levels):
+        raise ValueError(f"no level {level} in this trace")
+    if len(w) != trace.levels[level].m:
+        raise ValueError("length mismatch")
+    return _ergodic_member(trace, level, w.symbols, {})
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +109,47 @@ def test_restriction_alternating():
 
 def test_member_checker(two_level):
     _, trace = two_level
-    assert K.is_ergodic_member(trace.levels[1].w, 1, trace)
-    assert K.is_ergodic_member(trace.levels[2].w, 2, trace)
-    from interpsets.words import SymbolWord
+    assert is_ergodic_member(trace.levels[1].w, 1, trace)
+    assert is_ergodic_member(trace.levels[2].w, 2, trace)
     m2 = trace.levels[2].m
-    assert not K.is_ergodic_member(SymbolWord(2, (0,) * m2), 2, trace)
+    assert not is_ergodic_member(SymbolWord(2, (0,) * m2), 2, trace)
     with pytest.raises(ValueError):
-        K.is_ergodic_member(SymbolWord(2, (0,) * 3), 1, trace)
+        is_ergodic_member(SymbolWord(2, (0,) * 3), 1, trace)
+
+
+def test_array_check_matches_recursion(two_level):
+    # the array check of verify_trace against the tuple recursion, on the
+    # anchor samples, on every fully filled block and on mutated copies
+    _, trace = two_level
+    rng = random.Random(4)
+    words = []
+    for level in (1, 2):
+        m = trace.levels[level].m
+        words += [(t, level) for t in trace.levels[level].t_sample]
+        fill = trace.fillings[level]
+        for b, *_ in K.ergodic_block_report(trace, level):
+            words.append((SymbolWord(2, tuple(fill[b * m:(b + 1) * m].tolist())), level))
+    for w, level in list(words):
+        for _ in range(3):
+            sym = list(w.symbols)
+            at = rng.randrange(len(sym))
+            span = rng.choice([1, trace.levels[level - 1].m])
+            sym[at:at + span] = [rng.randrange(2)] * len(sym[at:at + span])
+            words.append((SymbolWord(2, tuple(sym)), level))
+    # too many variants: the first R/2 + 1 copies of w_1 in w_2 become T_1[1],
+    # so every anchor is still there but the frequency bound fails
+    w1, var = trace.levels[1].w.symbols, trace.levels[1].t_sample[1].symbols
+    m1 = len(w1)
+    rows = [trace.levels[2].w.symbols[c:c + m1]
+            for c in range(0, trace.levels[2].m, m1)]
+    swap = [r for r, row in enumerate(rows) if row == w1][:len(rows) // 2 + 1]
+    assert len(swap) < rows.count(w1)              # one copy of w_1 stays
+    words.append((SymbolWord(2, sum((var if r in swap else row
+                                     for r, row in enumerate(rows)), ())), 2))
+    verdicts = [is_ergodic_member(w, level, trace) for w, level in words]
+    assert True in verdicts and False in verdicts
+    assert [K._frequency_member(w, level, trace) for w, level in words] == verdicts
+    assert not K._frequency_member(SymbolWord(2, (0,) * 3), 1, trace)
 
 
 def test_density_failure_is_structured():

@@ -4,10 +4,12 @@ The full two-level run on [1, 2^18] lives in the acceptance suite; here
 a one-level window and membership edge cases keep the loop tight.
 """
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interpsets import construct as K
 from interpsets import intsets as S
@@ -129,3 +131,208 @@ def test_closing_blocks_are_anchor_copies():
     w1 = trace.levels[1].w.symbols
     for b in trace.closing_blocks:
         assert trace.result.symbols[b * m1:(b + 1) * m1] == w1
+
+
+# -- parse witnesses -------------------------------------------------------------
+
+
+def _parsed_words(trace):
+    """(word, level, recorded Parse) for every T_j and T'_j word with j >= 1
+    and every aligned result block."""
+    for j, lvl in enumerate(trace.levels[1:], 1):
+        for w, p in zip(lvl.t_sample + lvl.t_prime_sample, lvl.parses):
+            yield w, j, p
+    top = len(trace.levels) - 1
+    m = trace.final_m
+    for b, index in enumerate(trace.parse.index.tolist()):
+        block = SymbolWord(trace.alphabet_size, trace.result.symbols[b * m:(b + 1) * m])
+        yield block, top, (trace.parse.subs[b] if index < 0
+                           else trace.levels[top].parses[index])
+
+
+SPARSE_SETS = ["kind=powers base=2", "kind=powers base=3", "kind=ap a=97 b=5",
+               "kind=union of=(kind=ap a=211 b=3)(kind=powers base=3)"]
+
+
+@given(spec=st.sampled_from(SPARSE_SETS), k=st.sampled_from([2, 3]),
+       seed=st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_parse_check_agrees_with_dp(spec, k, seed):
+    problem = K.random_problem(S.parse_set_spec(spec), k, 3000, seed)
+    trace = K.totally_minimal_construct(problem, levels=1)
+    for word, level, parse in _parsed_words(trace):
+        assert K.parse_member(word, level, parse, trace)
+        assert K.is_member_level(word, level, trace)
+
+
+@pytest.fixture(scope="module")
+def two_levels():
+    problem = K.random_problem(POW(2), 2, 2 ** 18, seed=21)
+    return problem, K.totally_minimal_construct(problem, levels=2)
+
+
+def test_parse_check_agrees_with_dp_at_two_levels(two_levels):
+    problem, trace = two_levels
+    words = list(_parsed_words(trace))
+    assert len(words) == 4 + 4 + len(trace.result) // trace.final_m
+    for word, level, parse in words:
+        assert K.parse_member(word, level, parse, trace)
+        assert K.is_member_level(word, level, trace)
+    assert all(c.holds for c in K.verify_trace(trace, problem))
+
+
+def _with(parse, p, start=None, index=None):
+    """A copy of parse with piece p moved to `start` or given `index`."""
+    starts, idx = parse.starts.copy(), parse.index.copy()
+    if start is not None:
+        starts[p] = start
+    if index is not None:
+        idx[p] = index
+    return K.Parse(starts, idx, dict(parse.subs))
+
+
+def _without(parse, pieces, index0):
+    """A copy of parse without the given pieces, its first piece indexed
+    index0."""
+    keep = np.setdiff1d(np.arange(parse.starts.size), pieces)
+    idx = parse.index[keep].copy()
+    idx[0] = index0
+    return K.Parse(parse.starts[keep], idx, {})
+
+
+def _mutated_parses(trace):
+    """w_1's recorded Parse with a shifted boundary, a wrong anchor index,
+    the one piece carrying anchor (1,) dropped to a non-anchor, a piece of
+    length 3, an anchor piece one symbol too long and a first piece that
+    does not start at 0.  w_1 opens with a run of (0,) pieces, so anchor
+    (0,) stays covered by the others."""
+    parse = trace.levels[1].parses[0]
+    assert parse.index[:3].tolist() == [0, 0, 0]
+    ones = np.flatnonzero(parse.index == 1)        # anchor (1,) of T_0
+    assert ones.size == 1
+    p = int(ones[0])
+    return {"shifted boundary": _with(parse, p, start=parse.starts[p] + 1),
+            "wrong anchor index": _with(parse, p, index=0),
+            "anchor bit dropped": _with(parse, p, index=-1),
+            "piece of length 3": _without(parse, [1, 2], -1),
+            "anchor piece too long": _without(parse, [1], 0),
+            "first piece not at 0": _without(parse, [0], 0)}
+
+
+def test_mutated_parse_fails_exactly_the_parse_check(one_level):
+    problem, trace = one_level
+    w1 = trace.levels[1].w
+    assert K.is_member_level(w1, 1, trace)
+    for name, bad in _mutated_parses(trace).items():
+        assert not K.parse_member(w1, 1, bad, trace), name
+        levels = list(trace.levels)
+        levels[1] = dataclasses.replace(
+            levels[1], parses=(bad,) + levels[1].parses[1:])
+        failing = {c.predicate for c in
+                   K.verify_trace(dataclasses.replace(trace, levels=levels), problem)
+                   if not c.holds}
+        # closing blocks are copies of w_1, so their proof fails with it
+        assert failing == {"anchor-membership", "block-membership"}, name
+
+
+def test_mutated_block_parse_fails_only_block_membership(one_level):
+    problem, trace = one_level
+    b = min(trace.parse.subs)
+    sub = trace.parse.subs[b]
+    p = int(np.flatnonzero(sub.index >= 0)[1])
+    block_parse = _with(sub, p, start=sub.starts[p] + 1)
+    bad = dataclasses.replace(trace, parse=K.Parse(
+        trace.parse.starts, trace.parse.index, {**trace.parse.subs, b: block_parse}))
+    failing = {c.predicate for c in K.verify_trace(bad, problem) if not c.holds}
+    assert failing == {"block-membership"}
+    # a filled block is no anchor, so without its own Parse nothing proves it
+    subs = {q: sub for q, sub in trace.parse.subs.items() if q != b}
+    bad = dataclasses.replace(trace, parse=K.Parse(
+        trace.parse.starts, trace.parse.index, subs))
+    failing = {c.predicate for c in K.verify_trace(bad, problem) if not c.holds}
+    assert failing == {"block-membership"}
+
+
+def test_mutated_word_fails_under_its_parse(one_level, two_levels):
+    rng = random.Random(3)
+    for _, trace in (one_level, two_levels):
+        for level in range(1, len(trace.levels)):
+            w, parse = trace.levels[level].w, trace.levels[level].parses[0]
+            for at in rng.sample(range(len(w)), 5):
+                sym = list(w.symbols)
+                sym[at] = 1 - sym[at]
+                assert not K.parse_member(SymbolWord(2, tuple(sym)), level,
+                                          parse, trace)
+
+
+def _toy_family():
+    """A hand-made family with m = 1, 4, 13, 54, the smallest in which a
+    level (3) counts anchors by residue mod 2! = 2: T_0 = {0, 1},
+    T'_0 = {00}; T_1 = {0100}, T'_1 = {01000}; T_2 = {a}, T'_2 = {b} with
+    a = 0100 0100 01000 and b = 0100 01000 01000."""
+    def word(s):
+        return SymbolWord(2, tuple(int(c) for c in s))
+
+    def parse(starts, index):
+        return K.Parse(np.array(starts, np.int32), np.array(index, np.int32), {})
+
+    def level(j, m, t, tp, parses=None):
+        return K.LevelData(j, m, word(t[0]), tuple(map(word, t)),
+                           tuple(map(word, tp)), len(t), len(tp), None, None,
+                           False, None, None, None, parses)
+
+    a, b = "0100" "0100" "01000", "0100" "01000" "01000"
+    levels = [level(0, 1, ["0", "1"], ["00"]),
+              level(1, 4, ["0100"], ["01000"],
+                    (parse([0, 1, 2], [0, 1, 2]), parse([0, 1, 2, 4], [0, 1, 2, 0]))),
+              level(2, 13, [a], [b], (parse([0, 4, 8], [0, 0, 1]),
+                                      parse([0, 4, 9], [0, 1, 1]))),
+              level(3, 54, [a + b + a + b], [])]
+    trace = K.ConstructionTrace("totally-minimal", 2, 54, "toy", levels, [],
+                                word(a + b + a + b), ())
+    return trace, word, parse, a, b
+
+
+def test_residues_count_at_level_three():
+    trace, word, parse, a, b = _toy_family()
+    # a b a b puts a at offsets 0, 27 and b at 13, 40: both residues of each
+    good = word(a + b + a + b)
+    assert K.parse_member(good, 3, parse([0, 13, 27, 40], [0, 1, 0, 1]), trace)
+    assert K.is_member_level(good, 3, trace)
+    # a a b b tiles with the same anchors, but b only at even offsets
+    bad = word(a + a + b + b)
+    assert not K.parse_member(bad, 3, parse([0, 13, 26, 40], [0, 0, 1, 1]), trace)
+    assert not K.is_member_level(bad, 3, trace)
+    # dropping the b at offset 13 to a non-anchor (proved by its own parse)
+    # leaves the pair (b, 1) uncovered
+    dropped = K.Parse(np.array([0, 13, 27, 40], np.int32),
+                      np.array([0, -1, 0, 1], np.int32),
+                      {1: trace.levels[2].parses[1]})
+    assert not K.parse_member(good, 3, dropped, trace)
+    # an anchor whose own parse is wrong proves nothing above it
+    levels = list(trace.levels)
+    levels[2] = dataclasses.replace(
+        levels[2], parses=(levels[2].parses[0], parse([0, 5, 9], [1, 0, 1])))
+    broken = dataclasses.replace(trace, levels=levels)
+    assert not K.parse_member(good, 3, parse([0, 13, 27, 40], [0, 1, 0, 1]), broken)
+
+
+def test_deep_verify_does_not_search(one_level, two_levels, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_trace searched for a parse")
+
+    monkeypatch.setattr(K, "_member", refuse)
+    for problem, trace in (one_level, two_levels):
+        checks = K.verify_trace(trace, problem)
+        assert [c.predicate for c in checks][-2:] == ["anchor-membership",
+                                                      "block-membership"]
+        assert all(c.holds for c in checks)
+
+
+def test_parse_member_refuses_other_shapes(one_level):
+    _, trace = one_level
+    parse = trace.levels[1].parses[0]
+    with pytest.raises(ValueError):
+        K.parse_member(SymbolWord(2, (0,) * 10), 1, parse, trace)
+    with pytest.raises(ValueError):
+        K.parse_member(trace.levels[1].w, 0, parse, trace)
