@@ -35,6 +35,7 @@ from .intsets import (
     Certificate,
     IntegerSetModel,
     _free_runs,
+    continued_fraction,
     free_runs,
     gap_syndeticity_table,
     max_window_count,
@@ -131,7 +132,7 @@ def constant_problem(model: IntegerSetModel, k: int, n: int,
 
 def extend_zero(problem: InterpolationProblem, profile_max: int = None):
     """Extend f by zero off S.  Returns (word, complexity profile)."""
-    w = SymbolWord(problem.k, tuple(problem.base_word(0).tolist()))
+    w = SymbolWord(problem.k, problem.base_word(0))
     if profile_max is None:
         profile_max = min(64, problem.n // 2)
     return w, complexity_profile(w, profile_max)
@@ -143,21 +144,11 @@ def sturmian_interpolate(delta, f: dict, k: int, n: int) -> SymbolWord:
     The output differs from the mechanical word of delta only at its 1s,
     so its factor count at m is at most (m+1) k^ceil(m*delta).
     """
-    if isinstance(delta, (list, tuple)):
-        model = IntegerSetModel.sturmian_floor(delta)
-    else:
-        frac = Fraction(delta)
-        cf = []
-        p, q = frac.numerator, frac.denominator
-        while q:
-            cf.append(p // q)
-            p, q = q, p % q
-        model = IntegerSetModel.sturmian_floor(cf)
-    d = model.delta()
-    if not 0 < d <= Fraction(1, 2):
+    model = IntegerSetModel.sturmian_floor(continued_fraction(delta))
+    if not 0 < model.delta() <= Fraction(1, 2):
         raise ValueError("delta must lie in (0, 1/2]")
     problem = InterpolationProblem(model, k, n, f)
-    return SymbolWord(k, tuple(problem.base_word(0).tolist()))
+    return SymbolWord(k, problem.base_word(0))
 
 
 @dataclass(frozen=True)
@@ -200,7 +191,7 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
             placements.append((u, take))
             if record >= len(y):
                 break
-    w = SymbolWord(problem.k, tuple(sym.tolist()))
+    w = SymbolWord(problem.k, sym)
     full = [count == problem.k ** m
             for m, count in enumerate(factor_counts(w, l_target), 1)]
     l_cover = (full + [False]).index(False)
@@ -265,13 +256,6 @@ def _pad_enum(items: list, mult: int) -> list:
     out = list(items)
     while len(out) % mult:
         out.append(out[-1])
-    return out
-
-
-def _concat(words) -> list:
-    out = []
-    for w in words:
-        out.extend(w.symbols)
     return out
 
 
@@ -373,7 +357,7 @@ def _finish_trace(kind, problem, level_data, fillings) -> ConstructionTrace:
         index = np.where(empty[:stop], 0, -1).astype(np.int32)
         parse = Parse(np.arange(0, stop * m_k, m_k, dtype=np.int32), index,
                       {b: top.filled[b] for b in np.flatnonzero(index).tolist()})
-    result = SymbolWord(problem.k, tuple(final[:stop * m_k].tolist()))
+    result = SymbolWord(problem.k, final[:stop * m_k])
     return ConstructionTrace(kind, problem.k, problem.n,
                              problem.model.spec_string(), level_data, fillings,
                              result, tuple(np.flatnonzero(empty).tolist()),
@@ -408,7 +392,7 @@ def _minimal_level(problem, j, cur, elems):
     # the primed anchor v_j = T'_j[0]
     n_t = len(cur.t_sample)
     order = {a: i for i, (a, _) in enumerate(_anchors(cur)[0])}
-    pieces = [(w, order[w.symbols]) for w in cur.t_sample + cur.t_prime_sample]
+    pieces = [(w, order[w]) for w in cur.t_sample + cur.t_prime_sample]
     t_enum = _pad_enum(pieces[:n_t], rho)
     tp_enum = _pad_enum(pieces[n_t:], rho)
     gap_needed = 4 * m * m * (len(t_enum) + len(tp_enum))
@@ -436,7 +420,7 @@ def _minimal_level(problem, j, cur, elems):
     def lay_out(layout):
         """The word laid out of (word, anchor index) pieces, with its Parse."""
         lens = np.fromiter((len(w) for w, _ in layout), np.int32, len(layout))
-        return (SymbolWord(k, tuple(_concat(w for w, _ in layout))),
+        return (SymbolWord(k, np.concatenate([w.symbols for w, _ in layout])),
                 Parse(np.cumsum(lens, dtype=np.int32) - lens,
                       np.array([i for _, i in layout], np.int32), {}))
 
@@ -453,8 +437,8 @@ def _minimal_level(problem, j, cur, elems):
     nxt = LevelData(j + 1, m_next, t_next[0], t_next, tp_next, len(t_next),
                     len(tp_next), tp_next[0], None, False, gap_needed, spacing,
                     None, tuple(p for _, p in built))
-    cover = np.array(covering.symbols, dtype=np.int64).reshape(-1, m)
-    w_sub = np.array(cur.w.symbols, dtype=np.int64)
+    cover = covering.symbols.reshape(-1, m)
+    w_sub = cur.w.symbols
 
     def fill_block(lo, hi, subs, free):
         run = _first_free_run(elems, lo, hi, gap_needed)
@@ -501,7 +485,7 @@ def _anchors(lvl: LevelData):
     t, tp = {}, {}
     words = lvl.t_sample + (lvl.t_prime_sample or ())
     for pos, (w, p) in enumerate(zip(words, lvl.parses or (None,) * len(words))):
-        (t if pos < len(lvl.t_sample) else tp).setdefault(w.symbols, p)
+        (t if pos < len(lvl.t_sample) else tp).setdefault(w, p)
     return list(t.items()) + list(tp.items()), len(t)
 
 
@@ -536,7 +520,7 @@ def _parse_holds(sym: np.ndarray, parse: Parse, levels, proven, level: int,
         table = np.zeros((hi - lo, length), dtype=sym.dtype)
         for row, (a, _) in enumerate(anchors[lo:hi]):
             if len(a) == length:     # any other anchor is unproven, unused
-                table[row] = a
+                table[row] = a.symbols
         got = sliding_window_view(sym, length)[starts[sel]]
         if (got != table[index[sel] - lo]).any():
             return False
@@ -564,8 +548,7 @@ def _proven(levels, top: int) -> list:
         m = levels[i].m
         proven.append(np.array([
             len(a) == m + (pos >= n_t)
-            and (i == 0 or _parse_holds(np.array(a, np.uint8), p, levels,
-                                        proven, i))
+            and (i == 0 or _parse_holds(a.symbols, p, levels, proven, i))
             for pos, (a, p) in enumerate(anchors)], dtype=bool))
     return proven
 
@@ -583,24 +566,16 @@ def parse_member(w: SymbolWord, level: int, parse: Parse,
     m = trace.levels[level].m
     if len(w) not in (m, m + 1):
         raise ValueError(f"|w| = {len(w)} but level {level} needs {m} or {m + 1}")
-    return _parse_holds(_packed(w), parse, trace.levels,
+    return _parse_holds(w.symbols, parse, trace.levels,
                         _proven(trace.levels, level), level)
-
-
-def _packed(w: SymbolWord) -> np.ndarray:
-    return np.frombuffer(w.packed(), np.uint8)
 
 
 # .. membership (totally minimal levels) ......................................
 
 
 def _index_by_bytes(words) -> dict:
-    idx = {}
-    for w in words:
-        b = w.packed()
-        if b not in idx:
-            idx[b] = len(idx)
-    return idx
+    keys = dict.fromkeys(w.symbols.tobytes() for w in words)
+    return {b: i for i, b in enumerate(keys)}
 
 
 class _MemberContext:
@@ -682,10 +657,10 @@ def is_member_level(w: SymbolWord, level: int, trace: ConstructionTrace) -> bool
     m = trace.levels[level].m
     if len(w) not in (m, m + 1):
         raise ValueError(f"|w| = {len(w)} but level {level} needs {m} or {m + 1}")
-    if w.alphabet_size != trace.alphabet_size:
-        raise ValueError("alphabet mismatch")
+    if w.alphabet_size != trace.alphabet_size or w.alphabet_size > 256:
+        raise ValueError("alphabet mismatch, or above the DP's 256 symbols")
     ctx = _MemberContext(trace)
-    return _member(ctx, level, w.packed())
+    return _member(ctx, level, w.symbols.tobytes())
 
 
 # .. strictly ergodic .........................................................
@@ -727,16 +702,16 @@ def _ergodic_level(problem, j, cur, elems):
         t_mult += 1
     big_r = m_next // m
     fill_reps = big_r - 1 - len(t_list)
-    w_sym = list(cur.w.symbols) + _concat(t_list) + list(cur.w.symbols) * fill_reps
-    w_next = SymbolWord(k, tuple(w_sym))
-    var_sym = list(cur.w.symbols) * (big_r - len(t_list)) + _concat(t_list)
-    t_next = (w_next, SymbolWord(k, tuple(var_sym)))
+    w_sub = cur.w.symbols
+    anchors = np.stack([t.symbols for t in t_list])      # one row per anchor
+    w_next = SymbolWord(k, np.concatenate([w_sub, anchors.ravel(),
+                                           np.tile(w_sub, fill_reps)]))
+    var = np.concatenate([np.tile(w_sub, big_r - len(t_list)), anchors.ravel()])
+    t_next = (w_next, SymbolWord(k, var))
     nxt = LevelData(j + 1, m_next, w_next, t_next, None, len(t_next), 0,
                     None, None, False, None, None, density)
     overwrite = big_r - big_r // (j + 1)
     need = overwrite + len(t_list)
-    w_sub = np.array(cur.w.symbols, dtype=np.int64)
-    anchors = np.array([t.symbols for t in t_list], dtype=np.int64)
 
     def fill_block(lo, hi, subs, free):
         stars = np.flatnonzero(free)
@@ -785,15 +760,14 @@ def _frequency_member(w: SymbolWord, level: int, trace: ConstructionTrace) -> bo
     m_i holds every anchor of T_{i-1} and at most m_i / (i m_{i-1})
     sub-blocks other than w_{i-1}."""
     lv = trace.levels
-    sym = np.asarray(w.symbols, dtype=np.int64)
-    if sym.size != lv[level].m:
+    if len(w) != lv[level].m:
         return False
     for i in range(1, level + 1):
         big_r = lv[i].m // lv[i - 1].m
         if lv[i].m % lv[i - 1].m or lv[level].m % lv[i].m:
             return False
         non_anchor, covered = _frequency_rows(
-            sym.reshape(-1, big_r, lv[i - 1].m), lv[i - 1])
+            w.symbols.reshape(-1, big_r, lv[i - 1].m), lv[i - 1])
         if not (covered.all() and (non_anchor * i <= big_r).all()):
             return False
     return True
@@ -886,12 +860,12 @@ def density_coloring_witness(model: IntegerSetModel, intervals, k: int,
 
 def restriction_identity(problem: InterpolationProblem, cells, covered: int,
                          scale: dict) -> Certificate:
-    """Does x|_S = f?  cells holds x (index = position-1, -1 = unfilled);
-    every s of S inside the window must hold f(s), or be unfilled and lie
-    beyond `covered`."""
+    """Does x|_S = f?  The array cells holds x (index = position-1, -1 =
+    unfilled); every s of S inside the window must hold f(s), or be
+    unfilled and lie beyond `covered`."""
     size = len(problem.f)
     pos = np.fromiter(problem.f, np.int64, size)
-    got = np.asarray(cells, dtype=np.int64)[pos - 1]
+    got = cells[pos - 1].astype(np.int64)
     filled = got != UNFILLED
     wrong = filled & (got != np.fromiter(problem.f.values(), np.int64, size))
     bad = int((wrong | (~filled & (pos <= covered))).sum())
@@ -910,7 +884,7 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
         return Certificate.from_bool(name, ok, scale, {"detail": detail})
 
     lv = trace.levels
-    ok = all(lv[j + 1].w.symbols[:lv[j].m] == lv[j].w.symbols
+    ok = all(np.array_equal(lv[j + 1].w.symbols[:lv[j].m], lv[j].w.symbols)
              for j in range(len(lv) - 1))
     out = [check("prefix-chain", ok, "w_j is a prefix of w_{j+1}")]
     ok = all(lv[j + 1].m % lv[j].m == 0 for j in range(len(lv) - 1))
@@ -932,11 +906,11 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
     if deep and trace.kind == "totally-minimal":
         proven = _proven(lv, len(lv))
         ok = all(len(lvl.w) == lvl.m and _parse_holds(
-            _packed(lvl.w), lvl.parses[0], lv, proven, j)
+            lvl.w.symbols, lvl.parses[0], lv, proven, j)
             for j, lvl in enumerate(lv[1:], 1))
         out.append(check("anchor-membership", ok,
                          "w_j passes is_member_level at every level"))
-        ok = _parse_holds(_packed(res), trace.parse, lv, proven, len(lv),
+        ok = _parse_holds(res.symbols, trace.parse, lv, proven, len(lv),
                           full=False)
         out.append(check("block-membership", ok,
                          "every aligned result block is a level member"))

@@ -57,6 +57,19 @@ def continued_fraction_value(cf) -> Fraction:
     return value
 
 
+def continued_fraction(delta) -> list:
+    """delta as a continued fraction [a0; a1, ...]: a list or tuple is taken
+    as one already, any other exact rational is expanded (Euclid)."""
+    if isinstance(delta, (list, tuple)):
+        return list(delta)
+    p, q = Fraction(delta).as_integer_ratio()
+    cf = []
+    while q:
+        cf.append(p // q)
+        p, q = q, p % q
+    return cf
+
+
 @dataclass(frozen=True)
 class IntegerSetModel:
     """A subset of N given by a generator or an explicit window.

@@ -14,36 +14,52 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intsets import atomic_write_text, continued_fraction_value
+from .intsets import (
+    IntegerSetModel,
+    atomic_write_text,
+    continued_fraction,
+    window,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolWord:
-    """Immutable finite word over the alphabet {0, ..., alphabet_size-1}."""
+    """Immutable finite word over the alphabet {0, ..., alphabet_size-1}:
+    `symbols` is a read-only copy of the input, uint8 for alphabet_size
+    <= 256 and int64 above, and equality ignores the input's container."""
 
     alphabet_size: int
-    symbols: tuple
+    symbols: np.ndarray
 
     def __post_init__(self):
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
-        for s in self.symbols:
-            if not 0 <= s < self.alphabet_size:
-                raise ValueError(f"symbol {s} outside alphabet")
+        sym = np.asarray(self.symbols)
+        if sym.ndim != 1 or (sym.size and sym.dtype.kind not in "iu"):
+            raise ValueError("symbols must be a flat sequence of integers")
+        if sym.size and not 0 <= sym.min() <= sym.max() < self.alphabet_size:
+            raise ValueError(f"symbols outside alphabet {self.alphabet_size}")
+        sym = sym.astype(np.uint8 if self.alphabet_size <= 256 else np.int64)
+        sym.flags.writeable = False
+        object.__setattr__(self, "symbols", sym)
+
+    def _key(self):
+        return self.alphabet_size, self.symbols.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, SymbolWord) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __len__(self):
-        return len(self.symbols)
+        return self.symbols.size
 
     def at(self, position: int) -> int:
         """Symbol at 1-based sequence position."""
-        if not 1 <= position <= len(self.symbols):
+        if not 1 <= position <= self.symbols.size:
             raise IndexError(position)
-        return self.symbols[position - 1]
-
-    def packed(self) -> bytes:
-        if self.alphabet_size > 256:
-            raise ValueError("packed() needs alphabet_size <= 256")
-        return bytes(self.symbols)
+        return int(self.symbols[position - 1])
 
 
 def factor_counts(w: SymbolWord, n_max: int) -> list:
@@ -55,7 +71,9 @@ def factor_counts(w: SymbolWord, n_max: int) -> list:
     pairs fit uint32 whenever |w| k < 2^32, which halves what np.unique
     sorts; longer words keep int64.
     """
-    sym = np.frombuffer(w.packed(), np.uint8)
+    if w.alphabet_size > 256:
+        raise ValueError("factor_counts needs alphabet_size <= 256")
+    sym = w.symbols
     if not 1 <= n_max <= sym.size:
         raise ValueError(f"factor length {n_max} out of range for |w| = {sym.size}")
     id_type = np.uint32 if sym.size * w.alphabet_size < 2 ** 32 else np.int64
@@ -139,23 +157,14 @@ def mechanical_word(delta, length: int) -> SymbolWord:
     truncated continued fraction.  Every length-m factor carries at most
     ceil(m*delta) ones.
     """
-    if isinstance(delta, (list, tuple)):
-        delta = continued_fraction_value(delta)
-    delta = Fraction(delta)
-    if not 0 < delta <= Fraction(1, 2):
+    model = IntegerSetModel.sturmian_floor(continued_fraction(delta))
+    if not 0 < model.delta() <= Fraction(1, 2):
         raise ValueError("delta must lie in (0, 1/2]")
     if length < 1:
         raise ValueError("length must be >= 1")
-    p, q = delta.numerator, delta.denominator
-    sym = [0] * length
-    m = 1
-    while True:
-        x = (m * q) // p
-        if x > length:
-            break
-        sym[x - 1] = 1
-        m += 1
-    return SymbolWord(2, tuple(sym))
+    sym = np.zeros(length, dtype=np.uint8)
+    sym[window(model, length) - 1] = 1
+    return SymbolWord(2, sym)
 
 
 def _de_bruijn(k: int, n: int) -> list:
@@ -194,36 +203,38 @@ def universal_word(k: int, max_len: int) -> SymbolWord:
         cyc = _de_bruijn(k, n)
         sym.extend(cyc)
         sym.extend(cyc[:n - 1])
-    return SymbolWord(k, tuple(sym))
+    return SymbolWord(k, sym)
 
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def write_word_file(path, w: SymbolWord) -> None:
-    """Header 'k=<alphabet>', then symbols; digits for k <= 10.
+    """Header 'k=<alphabet>', then symbols; ASCII digits for k <= 10.
 
     Written atomically (temp file + rename)."""
     lines = [f"k={w.alphabet_size}"]
     if w.alphabet_size <= 10:
-        text = bytes(w.symbols).translate(_DIGITS).decode("ascii")
+        text = w.symbols.tobytes().translate(_DIGITS).decode("ascii")
         lines.extend(text[i:i + 120] for i in range(0, len(text), 120))
     else:
-        lines.extend(
-            ",".join(str(s) for s in w.symbols[i:i + 40])
-            for i in range(0, len(w.symbols), 40))
+        sym = w.symbols.tolist()
+        lines.extend(",".join(map(str, sym[i:i + 40]))
+                     for i in range(0, len(sym), 40))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_word_file(path) -> SymbolWord:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Inverse of write_word_file; a k <= 10 body must be ASCII digits."""
+    with open(path, "rb") as fh:
         header = fh.readline().strip()
-        if not header.startswith("k="):
+        if not header.startswith(b"k="):
             raise ValueError(f"{path}: missing k= header")
         k = int(header[2:])
-        body = [line.strip() for line in fh if line.strip()]
+        body = [line.strip() for line in fh]
     if k <= 10:
-        sym = tuple(int(c) for line in body for c in line)
+        sym = np.frombuffer(b"".join(body), np.uint8) - ord("0")
     else:
-        sym = tuple(int(x) for line in body for x in line.split(","))
+        sym = np.array([int(x) for line in body if line
+                        for x in line.split(b",")])
     return SymbolWord(k, sym)

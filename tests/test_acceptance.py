@@ -92,7 +92,7 @@ def test_criterion_04_sturmian():
     profile = W.complexity_profile(w, 100)
     assert all(profile.p[n] == n + 1 for n in range(1, 101))
     ones = [0]
-    for smb in w.symbols:
+    for smb in w.symbols.tolist():
         ones.append(ones[-1] + smb)
     for m in range(1, 101):
         worst = max(ones[i + m] - ones[i] for i in range(len(w) - m))

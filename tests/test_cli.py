@@ -352,3 +352,11 @@ def test_every_verdict_is_a_certificate(tmp_path, capsys):
             assert v["ok"] == (cert["verdict"] == "holds-at-scale"), argv
             assert Certificate.from_json(cert).to_json() == cert, argv
         assert code == (0 if all(v["ok"] for v in verdicts) else 1), argv
+
+
+def test_word_file_non_ascii_digit_exit_2(tmp_path, capsys):
+    # U+0663 (ARABIC-INDIC DIGIT THREE) is a digit to int() but not ASCII
+    path = tmp_path / "u.word"
+    path.write_text("k=4\n01٣\n", encoding="utf-8")
+    assert main(["word-stats", "--word", str(path), "--n-max", "1"]) == 2
+    assert "outside alphabet" in capsys.readouterr().err

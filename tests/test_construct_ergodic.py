@@ -27,8 +27,8 @@ def _ergodic_member(trace, level, syms, memo):
     if len(syms) == m:
         big_r = m // m_prev
         blocks = [syms[c:c + m_prev] for c in range(0, m, m_prev)]
-        w_count = sum(1 for bl in blocks if bl == prev.w.symbols)
-        anchors = {w.symbols for w in prev.t_sample}
+        w_count = sum(1 for bl in blocks if bl == tuple(prev.w.symbols.tolist()))
+        anchors = {tuple(w.symbols.tolist()) for w in prev.t_sample}
         ok = (all(_ergodic_member(trace, level - 1, bl, memo) for bl in blocks)
               and anchors.issubset(set(blocks))
               and w_count * level >= big_r * (level - 1))
@@ -43,7 +43,7 @@ def is_ergodic_member(w, level, trace):
         raise ValueError(f"no level {level} in this trace")
     if len(w) != trace.levels[level].m:
         raise ValueError("length mismatch")
-    return _ergodic_member(trace, level, w.symbols, {})
+    return _ergodic_member(trace, level, tuple(w.symbols.tolist()), {})
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def two_level():
 def test_level_zero(two_level):
     _, trace = two_level
     lvl0 = trace.levels[0]
-    assert lvl0.m == 1 and lvl0.w.symbols == (0,)
+    assert lvl0.m == 1 and tuple(lvl0.w.symbols) == (0,)
 
 
 def test_level_schedule(two_level):
@@ -89,13 +89,13 @@ def test_anchor_word_frequencies(two_level):
     _, trace = two_level
     w2 = trace.levels[2].w
     m1 = trace.levels[1].m
-    blocks = [w2.symbols[c:c + m1] for c in range(0, len(w2), m1)]
-    w1 = trace.levels[1].w.symbols
+    blocks = [tuple(w2.symbols[c:c + m1].tolist()) for c in range(0, len(w2), m1)]
+    w1 = tuple(trace.levels[1].w.symbols.tolist())
     big_r = len(blocks)
     w_count = sum(1 for b in blocks if b == w1)
     assert 2 * w_count >= big_r            # at least (1 - 1/2) R copies
     for t in trace.levels[1].t_sample:
-        assert t.symbols in blocks
+        assert tuple(t.symbols.tolist()) in blocks
 
 
 def test_restriction_alternating():
@@ -138,9 +138,10 @@ def test_array_check_matches_recursion(two_level):
             words.append((SymbolWord(2, tuple(sym)), level))
     # too many variants: the first R/2 + 1 copies of w_1 in w_2 become T_1[1],
     # so every anchor is still there but the frequency bound fails
-    w1, var = trace.levels[1].w.symbols, trace.levels[1].t_sample[1].symbols
+    w1 = tuple(trace.levels[1].w.symbols.tolist())
+    var = tuple(trace.levels[1].t_sample[1].symbols.tolist())
     m1 = len(w1)
-    rows = [trace.levels[2].w.symbols[c:c + m1]
+    rows = [tuple(trace.levels[2].w.symbols[c:c + m1].tolist())
             for c in range(0, trace.levels[2].m, m1)]
     swap = [r for r, row in enumerate(rows) if row == w1][:len(rows) // 2 + 1]
     assert len(swap) < rows.count(w1)              # one copy of w_1 stays
@@ -173,8 +174,8 @@ def _loop_block_report(trace, level):
     # the per-block scan over Python tuples, kept as the reference
     m, m_prev = trace.levels[level].m, trace.levels[level - 1].m
     fill = trace.fillings[level].tolist()
-    anchors = {t.symbols for t in trace.levels[level - 1].t_sample}
-    w_prev = trace.levels[level - 1].w.symbols
+    anchors = {tuple(t.symbols.tolist()) for t in trace.levels[level - 1].t_sample}
+    w_prev = tuple(trace.levels[level - 1].w.symbols.tolist())
     out = []
     for b in range(trace.window // m):
         seg = fill[b * m:(b + 1) * m]

@@ -28,10 +28,10 @@ def test_level_zero_anchors(one_level):
     _, trace = one_level
     lvl0 = trace.levels[0]
     assert lvl0.m == 1
-    assert lvl0.w.symbols == (0,)
-    assert [t.symbols for t in lvl0.t_sample] == [(0,), (1,)]
+    assert tuple(lvl0.w.symbols) == (0,)
+    assert [tuple(t.symbols) for t in lvl0.t_sample] == [(0,), (1,)]
     assert len(lvl0.t_prime_sample) == 4
-    assert lvl0.v_anchor.symbols == (0, 0)
+    assert tuple(lvl0.v_anchor.symbols) == (0, 0)
 
 
 def test_level_one_schedule(one_level):
@@ -41,9 +41,9 @@ def test_level_one_schedule(one_level):
     assert lvl1.gap_required == 24
     assert lvl1.m == 56
     u = trace.levels[0].u_block
-    assert u.symbols == (0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0)
-    assert trace.levels[1].w.symbols[:44] == (0,) * 44
-    assert trace.levels[1].w.symbols[44:] == u.symbols
+    assert tuple(u.symbols) == (0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0)
+    assert tuple(trace.levels[1].w.symbols[:44]) == (0,) * 44
+    assert tuple(trace.levels[1].w.symbols[44:]) == tuple(u.symbols)
 
 
 def test_structural_checks(one_level):
@@ -128,9 +128,9 @@ def test_closing_blocks_are_anchor_copies():
     problem = K.random_problem(POW(2), 2, 4096, seed=5)
     trace = K.totally_minimal_construct(problem, levels=1)
     m1 = trace.levels[1].m
-    w1 = trace.levels[1].w.symbols
+    w1 = tuple(trace.levels[1].w.symbols)
     for b in trace.closing_blocks:
-        assert trace.result.symbols[b * m1:(b + 1) * m1] == w1
+        assert tuple(trace.result.symbols[b * m1:(b + 1) * m1]) == w1
 
 
 # -- parse witnesses -------------------------------------------------------------

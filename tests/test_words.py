@@ -4,11 +4,12 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from interpsets import words as W
-from interpsets.intsets import continued_fraction_value
+from interpsets.intsets import continued_fraction, continued_fraction_value
 
 CF_SQRT2M1 = [0] + [2] * 9          # convergent 985/2378 of sqrt(2) - 1
 
@@ -19,7 +20,7 @@ def wd(symbols, k=2):
 
 def slice_factors(w, n):
     """Oracle: the distinct length-n factors of w, one slice per position."""
-    data = w.packed()
+    data = w.symbols.tolist()
     if not 1 <= n <= len(data):
         raise ValueError(f"factor length {n} out of range for |w| = {len(data)}")
     return {tuple(data[i:i + n]) for i in range(len(data) - n + 1)}
@@ -53,7 +54,7 @@ def test_factors_out_of_range():
     with pytest.raises(ValueError):
         W.factor_counts(wd([0, 1]), 0)
     with pytest.raises(ValueError):
-        W.factor_counts(W.SymbolWord(257, (256,)), 1)   # packed() needs k <= 256
+        W.factor_counts(W.SymbolWord(257, (256,)), 1)   # factor_counts needs k <= 256
     assert W.factor_counts(W.SymbolWord(256, (255, 0, 255, 0)), 4) == [2, 2, 2, 1]
 
 
@@ -135,20 +136,20 @@ def test_profile_submultiplicative(sym):
 
 def test_mechanical_half():
     w = W.mechanical_word(Fraction(1, 2), 12)
-    assert w.symbols == (0, 1) * 6
+    assert tuple(w.symbols) == (0, 1) * 6
 
 
 def test_mechanical_two_fifths():
     # S = {floor(5n/2)} = {2, 5, 7, 10, ...}
     w = W.mechanical_word(Fraction(2, 5), 10)
-    assert w.symbols == (0, 1, 0, 0, 1, 0, 1, 0, 0, 1)
+    assert tuple(w.symbols) == (0, 1, 0, 0, 1, 0, 1, 0, 0, 1)
 
 
 def test_mechanical_weight_bound():
     delta = continued_fraction_value(CF_SQRT2M1)
     w = W.mechanical_word(delta, 5000)
     ones = [0]
-    for s in w.symbols:
+    for s in w.symbols.tolist():
         ones.append(ones[-1] + s)
     for m in (7, 20, 53):
         worst = max(ones[i + m] - ones[i] for i in range(len(w) - m))
@@ -159,11 +160,21 @@ def test_mechanical_balance():
     delta = continued_fraction_value([0, 2, 2, 2, 2, 2])
     w = W.mechanical_word(delta, 2000)
     ones = [0]
-    for s in w.symbols:
+    for s in w.symbols.tolist():
         ones.append(ones[-1] + s)
     for m in (5, 12, 31):
         counts = {ones[i + m] - ones[i] for i in range(len(w) - m)}
         assert max(counts) - min(counts) <= 1
+
+
+@given(st.fractions(min_value=Fraction(1, 10 ** 6), max_value=Fraction(1, 2),
+                    max_denominator=10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_continued_fraction_inverts_its_value(delta):
+    cf = continued_fraction(delta)
+    assert continued_fraction_value(cf) == delta
+    assert continued_fraction(cf) == cf
+    assert W.mechanical_word(cf, 50) == W.mechanical_word(delta, 50)
 
 
 def test_mechanical_range_errors():
@@ -237,6 +248,8 @@ def test_word_file_large_alphabet(tmp_path):
     w = W.SymbolWord(40, tuple(range(40)) * 3)
     path = tmp_path / "big.word"
     W.write_word_file(path, w)
+    assert path.read_bytes() == b"k=40\n" + (",".join(map(str, range(40))).encode()
+                                            + b"\n") * 3
     assert W.read_word_file(path) == w
 
 
@@ -245,3 +258,55 @@ def test_symbol_validation():
         W.SymbolWord(2, (0, 2))
     with pytest.raises(ValueError):
         W.SymbolWord(0, ())
+    with pytest.raises(ValueError):
+        W.SymbolWord(2, (0.5, 1))
+    with pytest.raises(ValueError):
+        W.SymbolWord(2, np.zeros((2, 2), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        W.SymbolWord(256, (0, 256))         # would wrap to 0 as uint8
+    with pytest.raises(ValueError):
+        W.SymbolWord(256, (-1, 0))          # would wrap to 255 as uint8
+    assert W.SymbolWord(256, (255, 0)).symbols.dtype == np.uint8
+    assert W.SymbolWord(257, (256, 0)).symbols.dtype == np.int64
+
+
+def test_symbols_read_only_copy():
+    src = np.array([0, 1, 1], dtype=np.int64)
+    w = W.SymbolWord(2, src)
+    src[0] = 1
+    assert w.symbols.tolist() == [0, 1, 1]
+    with pytest.raises(ValueError):
+        w.symbols[0] = 1
+    assert type(w.at(2)) is int and w.at(2) == 1
+
+
+def test_equality_ignores_container(tmp_path):
+    forms = [[0, 1, 0, 1], (0, 1, 0, 1), np.array([0, 1, 0, 1]),
+             np.array([0, 1, 0, 1], dtype=np.uint8)]
+    ws = [W.SymbolWord(2, f) for f in forms]
+    assert all(w == ws[0] and hash(w) == hash(ws[0]) for w in ws)
+    assert len(set(ws)) == 1
+    assert W.SymbolWord(3, (0, 1, 0, 1)) != ws[0]
+    assert W.SymbolWord(2, (0, 1, 0)) != ws[0]
+    path = tmp_path / "w.word"
+    W.write_word_file(path, ws[0])
+    assert W.read_word_file(path) == W.SymbolWord(2, [0, 1, 0, 1])
+
+
+@given(st.sampled_from([1, 2, 10, 11, 256, 257]).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1),
+                                             max_size=300))))
+@settings(max_examples=120, deadline=None)
+def test_word_file_array_roundtrip(tmp_path_factory, case):
+    k, sym = case
+    arr = np.array(sym, dtype=np.int64)
+    w = W.SymbolWord(k, arr)
+    assert w == W.SymbolWord(k, sym) and w.symbols.tolist() == sym
+    assert w.symbols.dtype == (np.uint8 if k <= 256 else np.int64)
+    path = tmp_path_factory.mktemp("rt") / "w.word"
+    W.write_word_file(path, w)
+    back = W.read_word_file(path)
+    assert back == w and np.array_equal(back.symbols, arr)
+    assert back.symbols.dtype == w.symbols.dtype
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert body.isascii() and (k > 10 or b"," not in body)
