@@ -180,40 +180,50 @@ def digit_membership(x: int, n_max: int = 64):
     return False, None
 
 
-def digit_enumerate(n_bound: int, chunk: int = 1_000_000) -> list:
-    """All members of F in [1, n_bound] found by applying the digit oracle
-    to every integer (vectorized in chunks); independent of build_F."""
-    digits_needed = len(str(n_bound))
-    shifts = []
+def _place_masks(count: int) -> np.ndarray:
+    """For each v < count, the bitmask of the decimal places where v has a
+    1-digit (bit p for place p), or -1 when some digit of v exceeds 1."""
+    rest = np.arange(count, dtype=np.int64)
+    mask = np.zeros(count, dtype=np.int64)
+    bad = np.zeros(count, dtype=bool)
+    place = 0
+    while rest.any():
+        rest, d = np.divmod(rest, 10)
+        bad |= d > 1
+        mask |= (d == 1).astype(np.int64) << place
+        place += 1
+    mask[bad] = -1
+    return mask
+
+
+def digit_enumerate(n_bound: int) -> list:
+    """All members of F in [1, n_bound], found by applying the digit oracle
+    to every integer; independent of build_F.
+
+    x is split as x - n = high * 10^h + low, with h half the digits of
+    n_bound, and two O(sqrt(n_bound)) tables give the 1-digit places of
+    every high and every low half (or -1 when a digit exceeds 1).  For
+    each shift n, a half is admissible when its digits are all 0/1 and
+    its 1s sit at places in I_n; x - n qualifies exactly when both halves
+    are and it is positive, which the outer AND of the two admissible
+    rows decides over the (high, low) grid, a bounded block of rows at a
+    time.
+    """
+    digits = len(str(n_bound))
+    half = digits // 2
+    base = 10 ** half
+    low_masks = _place_masks(base)
+    high_masks = _place_masks(n_bound // base + 1)
+    rows = max(1, (1 << 20) // base)        # about 1 MB of grid per block
+    found = [np.empty(0, dtype=np.int64)]
     n = 1
     while 10 ** (1 << (n - 1)) + n <= n_bound:
-        allowed = np.zeros(digits_needed + 1, dtype=bool)
-        for p in range(1, digits_needed + 1):
-            allowed[p] = in_index_set(p, n)
-        shifts.append((n, allowed))
+        allowed = sum(1 << p for p in range(1, digits) if in_index_set(p, n))
+        low_ok = (low_masks >= 0) & (low_masks & ~allowed == 0)
+        high_ok = (high_masks >= 0) & ((high_masks << half) & ~allowed == 0)
+        top = n_bound - n
+        for r in range(0, top // base + 1, rows):
+            y = r * base + np.flatnonzero(high_ok[r:r + rows, None] & low_ok)
+            found.append(y[(y >= 1) & (y <= top)] + n)
         n += 1
-    found = []
-    start = 1
-    while start <= n_bound:
-        stop = min(start + chunk - 1, n_bound)
-        arr = np.arange(start, stop + 1, dtype=np.int64)
-        for n, allowed in shifts:
-            y = arr - n
-            valid = y >= 10
-            bad = np.zeros(arr.shape, dtype=bool)
-            any_one = np.zeros(arr.shape, dtype=bool)
-            rest = np.where(valid, y, 0)
-            for p in range(digits_needed + 1):
-                d = rest % 10
-                rest = rest // 10
-                bad |= d > 1
-                one = d == 1
-                if allowed[p] if p <= digits_needed else False:
-                    any_one |= one
-                else:
-                    bad |= one
-            hit = valid & ~bad & any_one
-            if hit.any():
-                found.extend(int(v) for v in arr[hit])
-        start = stop + 1
-    return sorted(set(found))
+    return np.unique(np.concatenate(found)).tolist()

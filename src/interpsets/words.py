@@ -65,26 +65,55 @@ class SymbolWord:
 def factor_counts(w: SymbolWord, n_max: int) -> list:
     """[p(1), ..., p(n_max)]: the number of distinct length-n factors of w.
 
-    One refinement pass: each position holds the id of the length-n factor
-    starting there, and the ids at n + 1 are the pairs (id at n, next
-    symbol), renumbered densely by np.unique.  Ids are below |w|, so the
-    pairs fit uint32 whenever |w| k < 2^32, which halves what np.unique
-    sorts; longer words keep int64.
+    Prefix doubling (Manber & Myers 1993) over int32 ranks: the word is
+    padded past its end with a 0 that sorts below every symbol (symbol s
+    has rank s + 1), and the rank of the length-2h factor at i is the
+    dense id of the pair (rank_h[i], rank_h[i + h]), numbered by one
+    argsort of an int64 key.  Doubling stops at the first power of two
+    2^T >= max(n_max, 2), whose sort puts equal length-n factors next to
+    each other for every n <= n_max.  The common prefix of each adjacent
+    pair, capped at n_max, comes from a binary descent over the T stored
+    rank arrays, and p(n) = (|w| - n + 1) - #{adjacent pairs sharing n
+    symbols}.  That is T = ceil(log2 n_max) sorts of |w| keys (one when
+    n_max = 1), each key built from ranks below 2^31.
     """
     if w.alphabet_size > 256:
         raise ValueError("factor_counts needs alphabet_size <= 256")
     sym = w.symbols
-    if not 1 <= n_max <= sym.size:
-        raise ValueError(f"factor length {n_max} out of range for |w| = {sym.size}")
-    id_type = np.uint32 if sym.size * w.alphabet_size < 2 ** 32 else np.int64
-    counts = []
-    ids = sym
-    for n in range(1, n_max + 1):
-        uniq, ids = np.unique(ids, return_inverse=True)
-        counts.append(len(uniq))
-        if n < n_max:
-            ids = ids[:-1].astype(id_type, copy=False) * w.alphabet_size + sym[n:]
-    return counts
+    size = sym.size
+    if not 1 <= n_max <= size:
+        raise ValueError(f"factor length {n_max} out of range for |w| = {size}")
+    rank = np.zeros(size + 1, np.int32)
+    rank[:size] = sym
+    rank[:size] += 1
+    ranks, h = [], 1
+    while True:
+        ranks.append(rank)
+        key = rank[:size].astype(np.int64)
+        key <<= 32
+        key[:size - h] |= rank[h:size]
+        order = np.argsort(key).astype(np.int32)
+        key = key[order]
+        new = np.ones(size, np.int32)       # 1 where a sorted key differs from the one before
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        del key
+        h *= 2
+        if h >= n_max:
+            break
+        rank = np.zeros(size + 1, np.int32)
+        rank[order] = np.cumsum(new, out=new)
+        del order, new                      # before the next level allocates its own
+    # A common prefix never runs past the shorter suffix, so a + lcp <= |w|.
+    a, b = order[:-1], order[1:]
+    lcp = np.where(new[1:], 0, h).astype(np.int32)
+    del new
+    while ranks:
+        rank = ranks.pop()
+        h //= 2
+        np.add(lcp, h, out=lcp, where=rank[a + lcp] == rank[b + lcp])
+    hist = np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)
+    shared = hist[::-1].cumsum()[::-1]      # shared[n] = #{adjacent pairs with lcp >= n}
+    return (np.arange(size, size - n_max, -1) - shared[1:]).tolist()
 
 
 @dataclass(frozen=True)
@@ -124,6 +153,8 @@ def complexity_profile(w: SymbolWord, n_max: int) -> ComplexityProfile:
 
     Beyond half the length the profile measures the prefix artifact, not
     the sequence it approximates; factor_counts gives the deeper counts.
+    One factor_counts call fills the profile, so its cost grows with
+    log n_max: the whole profile to |w|/2 takes O(|w| log^2 |w|).
     """
     if len(w) < 2:
         raise ValueError("word too short for a profile")
@@ -225,16 +256,21 @@ def write_word_file(path, w: SymbolWord) -> None:
 
 
 def read_word_file(path) -> SymbolWord:
-    """Inverse of write_word_file; a k <= 10 body must be ASCII digits."""
+    """Inverse of write_word_file.  A k <= 10 body must be ASCII digits;
+    a larger k takes comma-separated tokens of ASCII digits only, so a
+    sign, an underscore, a space or an empty token is refused."""
     with open(path, "rb") as fh:
         header = fh.readline().strip()
-        if not header.startswith(b"k="):
-            raise ValueError(f"{path}: missing k= header")
+        if not (header.startswith(b"k=") and header[2:].isdigit()):
+            raise ValueError(f"{path}: missing k=<digits> header")
         k = int(header[2:])
         body = [line.strip() for line in fh]
     if k <= 10:
         sym = np.frombuffer(b"".join(body), np.uint8) - ord("0")
     else:
-        sym = np.array([int(x) for line in body if line
-                        for x in line.split(b",")])
+        tokens = [x for line in body if line for x in line.split(b",")]
+        bad = next((x for x in tokens if not x.isdigit()), None)
+        if bad is not None:
+            raise ValueError(f"{path}: symbol {bad!r} is not an ASCII decimal")
+        sym = np.array([int(x) for x in tokens])
     return SymbolWord(k, sym)

@@ -89,8 +89,9 @@ def test_criterion_04_sturmian():
     delta = S.continued_fraction_value(CF_SQRT2M1)
     assert delta.denominator >= 1000
     w = W.mechanical_word(delta, 10 ** 4)
-    profile = W.complexity_profile(w, 100)
-    assert all(profile.p[n] == n + 1 for n in range(1, 101))
+    q = delta.denominator               # the word has period q = 2378
+    profile = W.complexity_profile(w, len(w) // 2)
+    assert all(profile.p[n] == min(n + 1, q) for n in range(1, len(w) // 2 + 1))
     ones = [0]
     for smb in w.symbols.tolist():
         ones.append(ones[-1] + smb)
@@ -108,8 +109,8 @@ def test_criterion_04_sturmian():
         for m, count in enumerate(W.factor_counts(x, 20), 1):
             cap = (m + 1) * k ** math.ceil(m * delta)
             assert count <= cap, (k, m)
-    report(4, "p(n) = n+1, weight <= ceil(m d), interpolation bounds", t0,
-           f"delta = {delta}")
+    report(4, "p(n) = min(n+1, q) to N/2, weight <= ceil(m d), "
+           "interpolation bounds", t0, f"delta = {delta}")
 
 
 # -- 5: mixing extension ---------------------------------------------------------

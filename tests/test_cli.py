@@ -360,3 +360,10 @@ def test_word_file_non_ascii_digit_exit_2(tmp_path, capsys):
     path.write_text("k=4\n01٣\n", encoding="utf-8")
     assert main(["word-stats", "--word", str(path), "--n-max", "1"]) == 2
     assert "outside alphabet" in capsys.readouterr().err
+
+
+def test_word_file_non_digit_token_exit_2(tmp_path, capsys):
+    path = tmp_path / "t.word"
+    path.write_text("k=40\n1_0,+3, 7\n", encoding="utf-8")
+    assert main(["word-stats", "--word", str(path), "--n-max", "1"]) == 2
+    assert "not an ASCII decimal" in capsys.readouterr().err

@@ -113,6 +113,21 @@ def test_digit_oracle_agrees_to_1e6():
     assert R.digit_enumerate(10 ** 6) == list(model.elements)
 
 
+@pytest.fixture(scope="module")
+def scalar_members():
+    """Members of F up to 10^6 + 3 by the scalar digit oracle, one per x;
+    membership does not depend on the bound, so each N takes a prefix."""
+    return [x for x in range(1, 10 ** 6 + 4) if R.digit_membership(x)[0]]
+
+
+@pytest.mark.parametrize("n_bound", [
+    1, 10, 11, 99, 100, 101, 9_999, 10_000, 10_001, 10 ** 5, 10 ** 6 + 3])
+def test_digit_enumerate_matches_scalar_oracle(scalar_members, n_bound):
+    # 10^k and 10^k + 1 move the split between the high and low digit tables
+    assert R.digit_enumerate(n_bound) == [
+        x for x in scalar_members if x <= n_bound]
+
+
 def test_fset_exports_to_intsets():
     model = R.build_F(2000)
     as_set = model.as_intset()

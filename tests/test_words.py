@@ -2,14 +2,20 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from interpsets import construct as K
 from interpsets import words as W
-from interpsets.intsets import continued_fraction, continued_fraction_value
+from interpsets.intsets import (
+    IntegerSetModel,
+    continued_fraction,
+    continued_fraction_value,
+)
 
 CF_SQRT2M1 = [0] + [2] * 9          # convergent 985/2378 of sqrt(2) - 1
 
@@ -24,6 +30,20 @@ def slice_factors(w, n):
     if not 1 <= n <= len(data):
         raise ValueError(f"factor length {n} out of range for |w| = {len(data)}")
     return {tuple(data[i:i + n]) for i in range(len(data) - n + 1)}
+
+
+def refinement_counts(w, n_max):
+    """Oracle: one np.unique refinement per n.  Each position holds the id
+    of the length-n factor starting there, and the ids at n + 1 renumber
+    the pairs (id at n, next symbol)."""
+    sym = w.symbols.astype(np.int64)
+    counts, ids = [], sym
+    for n in range(1, n_max + 1):
+        uniq, ids = np.unique(ids, return_inverse=True)
+        counts.append(len(uniq))
+        if n < n_max:
+            ids = ids[:-1] * w.alphabet_size + sym[n:]
+    return counts
 
 
 # -- factors -------------------------------------------------------------------
@@ -58,18 +78,57 @@ def test_factors_out_of_range():
     assert W.factor_counts(W.SymbolWord(256, (255, 0, 255, 0)), 4) == [2, 2, 2, 1]
 
 
-@given(st.sampled_from([1, 2, 3, 5]).flatmap(
-    lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1),
-                                             min_size=1, max_size=80))))
-@settings(max_examples=150, deadline=None)
-def test_factor_counts_match_slice_sets(case):
+def _symbols(k):
+    # Repeats of 0 and k - 1 give long shared factors even at k = 256,
+    # where the rank 255 + 1 = 256 must not wrap to the pad's 0 as a uint8.
+    return st.one_of(st.sampled_from(sorted({0, k - 1})), st.integers(0, k - 1))
+
+
+@given(st.sampled_from([1, 2, 3, 5, 256]).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(_symbols(k), min_size=1,
+                                             max_size=80))), st.data())
+@settings(max_examples=200, deadline=None)
+def test_factor_counts_match_slice_sets(case, data):
     k, sym = case
     w = W.SymbolWord(k, tuple(sym))
-    assert W.factor_counts(w, len(sym)) == [
-        len(slice_factors(w, n)) for n in range(1, len(sym) + 1)]
+    full = [len(slice_factors(w, n)) for n in range(1, len(sym) + 1)]
+    assert W.factor_counts(w, len(sym)) == full == refinement_counts(w, len(sym))
+    n_max = data.draw(st.integers(1, len(sym)))
+    assert W.factor_counts(w, n_max) == full[:n_max]
     for bad in (0, len(sym) + 1):
         with pytest.raises(ValueError):
             W.factor_counts(w, bad)
+
+
+def test_factor_counts_n_max_around_powers_of_two():
+    rng = np.random.default_rng(7)
+    for k, size in ((2, 70), (3, 64), (256, 65)):
+        sym = rng.integers(0, 2, size) * (k - 1)    # symbols 0 and k - 1 only
+        w = W.SymbolWord(k, sym)
+        full = [len(slice_factors(w, n)) for n in range(1, size + 1)]
+        for n_max in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, size):
+            assert W.factor_counts(w, n_max) == full[:n_max], (k, n_max)
+
+
+def test_factor_counts_structured_word():
+    problem = K.random_problem(IntegerSetModel.lacunary_powers(2), 2, 2 ** 18,
+                               seed=5)
+    xu = K.totally_minimal_construct(problem, levels=2).result
+    w = W.SymbolWord(2, xu.symbols[:10 ** 4])
+    assert W.factor_counts(w, 64) == refinement_counts(w, 64)
+
+
+def test_factor_counts_memory_budget():
+    # tracemalloc peak 8.46 MB with NumPy 2.4; the refinement pass
+    # peaked at 9.70 MB on the same word.
+    w = W.SymbolWord(2, np.random.default_rng(2018).integers(0, 2, 2 ** 18))
+    tracemalloc.start()
+    try:
+        W.factor_counts(w, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0e6, peak
 
 
 @given(st.lists(st.integers(0, 2), min_size=4, max_size=40),
@@ -251,6 +310,21 @@ def test_word_file_large_alphabet(tmp_path):
     assert path.read_bytes() == b"k=40\n" + (",".join(map(str, range(40))).encode()
                                             + b"\n") * 3
     assert W.read_word_file(path) == w
+    path.write_bytes(b"k=40\n10,3,7\n39,0\n")
+    assert W.read_word_file(path) == W.SymbolWord(40, (10, 3, 7, 39, 0))
+
+
+@pytest.mark.parametrize("text", [
+    "k=40\n1_0,+3, 7\n",                 # int() would read (10, 3, 7)
+    "k=40\n3,-1\n", "k=40\n3,,4\n", "k=40\n3,\n", "k=40\n0x1\n",
+    "k=40\n1,\u0663\n",                  # ARABIC-INDIC DIGIT THREE
+    "k=4_0\n1,2\n", "k=+40\n1,2\n", "k=\n1\n",
+])
+def test_word_file_refuses_non_digit_tokens(tmp_path, text):
+    path = tmp_path / "bad.word"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError):
+        W.read_word_file(path)
 
 
 def test_symbol_validation():
