@@ -125,20 +125,19 @@ def _load_problem(path):
         k = int(data["k"])
         n = int(data["N"])
         fspec = data["f"]
+        if "pairs" in fspec:
+            f, seed = {int(s): int(v) for s, v in fspec["pairs"]}, None
+        elif "seed" in fspec:
+            f, seed = None, int(fspec["seed"])
+            if fspec.get("distribution", "uniform") != "uniform":
+                raise UsageError("only distribution=uniform is supported")
+        else:
+            raise UsageError("f must give pairs or a seed")
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad problem file {path}: {exc}") from exc
-    seed = None
-    if "pairs" in fspec:
-        f = {int(s): int(v) for s, v in fspec["pairs"]}
-        problem = construct.InterpolationProblem(model, k, n, f)
-    elif "seed" in fspec:
-        seed = int(fspec["seed"])
-        if fspec.get("distribution", "uniform") != "uniform":
-            raise UsageError("only distribution=uniform is supported")
-        problem = construct.random_problem(model, k, n, seed)
-    else:
-        raise UsageError("f must give pairs or a seed")
-    return problem, data, seed
+    if seed is None:
+        return construct.InterpolationProblem(model, k, n, f), data, None
+    return construct.random_problem(model, k, n, seed), data, seed
 
 
 def _write_trace(out_dir, trace):
@@ -163,9 +162,9 @@ def _write_trace(out_dir, trace):
                 "m": lvl.m,
                 "w_file": files[lvl.level],
                 "t_size": len(lvl.t_sample),
-                "t_prime_size": len(lvl.t_prime_sample or ()),
-                "t_enum_len": lvl.t_enum_len,
-                "t_prime_enum_len": lvl.t_prime_enum_len,
+                "t_prime_size": len(lvl.t_prime_sample),
+                "t_enum_len": len(lvl.t_sample),
+                "t_prime_enum_len": len(lvl.t_prime_sample),
                 "t_capped": lvl.t_capped,
                 "gap_required": lvl.gap_required,
                 "spacing_bound": lvl.spacing_bound,
@@ -377,7 +376,8 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="certificates and densities for a set")
     p.add_argument("--set", required=True, help="generator spec, e.g. 'kind=ap a=3 b=0'")
-    p.add_argument("--n", type=int, required=True, help="window bound N")
+    p.add_argument("--n", type=_positive_int, required=True,
+                   help="window bound N")
     p.add_argument("--gaps", action="store_true")
     p.add_argument("--syndetic", type=int, metavar="G")
     p.add_argument("--thick", type=int, metavar="L")
@@ -411,7 +411,7 @@ def build_parser():
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify-f", help="verify the sum-free recurrence set F")
-    p.add_argument("--n", type=int, default=10 ** 6)
+    p.add_argument("--n", type=_positive_int, default=10 ** 6)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--shifts", type=int, nargs=2, default=(1, 3),
                    metavar=("LO", "HI"))

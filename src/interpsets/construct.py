@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -201,25 +201,24 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
 # -- leveled constructions ----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelData:
     level: int
     m: int
-    w: SymbolWord
-    t_sample: tuple
-    t_prime_sample: tuple | None
-    t_enum_len: int
-    t_prime_enum_len: int
-    v_anchor: SymbolWord | None
-    u_block: SymbolWord | None
-    t_capped: bool
-    gap_required: int | None
-    spacing_bound: int | None
-    density_bound: Fraction | None
+    t_sample: tuple              # T_j, opening with the anchor word w_j
+    t_prime_sample: tuple = ()   # T'_j (totally minimal), opening with v_j
+    t_capped: bool = False
+    gap_required: int | None = None
+    spacing_bound: int | None = None
+    density_bound: Fraction | None = None
     # totally minimal, from level 1: the Parse of each word of
     # t_sample + t_prime_sample, and of each block this level filled, by index
     parses: tuple | None = None
-    filled: dict | None = None
+    filled: dict = field(default_factory=dict)
+
+    @property
+    def w(self) -> SymbolWord:
+        return self.t_sample[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,18 +298,13 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
     if problem.k < 2:
         raise ValueError("leveled constructions need alphabet size >= 2")
     k, n = problem.k, problem.n
-    w0 = SymbolWord(k, (0,))
+    tp0, capped = (), k > ANCHOR_CAP
+    if kind == "totally-minimal":      # T'_0: the pairs (a, b), a-major
+        tp0 = tuple(SymbolWord(k, divmod(i, k))
+                    for i in range(min(k * k, ANCHOR_CAP)))
+        capped = k * k > ANCHOR_CAP
     t0 = tuple(SymbolWord(k, (s,)) for s in range(min(k, ANCHOR_CAP)))
-    if kind == "totally-minimal":
-        tp0 = tuple([SymbolWord(k, (a, b)) for a in range(k)
-                     for b in range(k)][:ANCHOR_CAP])
-        capped = k > ANCHOR_CAP or k * k > ANCHOR_CAP
-        lvl0 = LevelData(0, 1, w0, t0, tp0, len(t0), len(tp0), tp0[0], None,
-                         capped, None, None, None)
-    else:
-        lvl0 = LevelData(0, 1, w0, t0, None, len(t0), 0, None, None,
-                         k > ANCHOR_CAP, None, None, None)
-    level_data = [lvl0]
+    level_data = [LevelData(0, 1, t0, t_prime_sample=tp0, t_capped=capped)]
     fillings = [problem.base_word(UNFILLED)]
     elems = window(problem.model, n)
 
@@ -320,7 +314,6 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
         level_data.append(nxt)
         m_next = nxt.m
         fill = fillings[j].copy()
-        nxt.filled = {}
         for b in _blocks_meeting(elems, m_next, n // m_next):
             subs = fill[b * m_next:(b + 1) * m_next].reshape(-1, m)   # a view
             unfilled = subs == UNFILLED
@@ -424,7 +417,6 @@ def _minimal_level(problem, j, cur, elems):
                 Parse(np.cumsum(lens, dtype=np.int32) - lens,
                       np.array([i for _, i in layout], np.int32), {}))
 
-    cur.u_block = lay_out(u_pieces)[0]
     covering, cover_parse = lay_out(u_pieces * m)      # U_j^{m_j}
     # T_{j+1} holds w_{j+1} = w_j^r U_j^{m_j} and one variant, built on the
     # first anchor of T_j after w_j; T'_{j+1} holds their primed forms
@@ -432,11 +424,10 @@ def _minimal_level(problem, j, cur, elems):
     built = ([lay_out([x] * r + u_pieces * m) for x in pieces[:2]]
              + [lay_out([pieces[n_t]] + [x] * (r - 1) + u_pieces * m)
                 for x in pieces[:2]])
-    t_next = (built[0][0], built[1][0])
-    tp_next = (built[2][0], built[3][0])
-    nxt = LevelData(j + 1, m_next, t_next[0], t_next, tp_next, len(t_next),
-                    len(tp_next), tp_next[0], None, False, gap_needed, spacing,
-                    None, tuple(p for _, p in built))
+    words, parses = zip(*built)
+    nxt = LevelData(j + 1, m_next, words[:2], t_prime_sample=words[2:],
+                    gap_required=gap_needed, spacing_bound=spacing,
+                    parses=parses)
     cover = covering.symbols.reshape(-1, m)
     w_sub = cur.w.symbols
 
@@ -483,7 +474,7 @@ def _anchors(lvl: LevelData):
     indexes them, each with the Parse recorded for it (None at level 0),
     and the number of the former."""
     t, tp = {}, {}
-    words = lvl.t_sample + (lvl.t_prime_sample or ())
+    words = lvl.t_sample + lvl.t_prime_sample
     for pos, (w, p) in enumerate(zip(words, lvl.parses or (None,) * len(words))):
         (t if pos < len(lvl.t_sample) else tp).setdefault(w, p)
     return list(t.items()) + list(tp.items()), len(t)
@@ -582,8 +573,7 @@ class _MemberContext:
     def __init__(self, trace: ConstructionTrace):
         self.ms = [lvl.m for lvl in trace.levels]
         self.t_idx = [_index_by_bytes(lvl.t_sample) for lvl in trace.levels]
-        self.tp_idx = [_index_by_bytes(lvl.t_prime_sample or ())
-                       for lvl in trace.levels]
+        self.tp_idx = [_index_by_bytes(lvl.t_prime_sample) for lvl in trace.levels]
         self.memo = {}
 
 
@@ -707,9 +697,8 @@ def _ergodic_level(problem, j, cur, elems):
     w_next = SymbolWord(k, np.concatenate([w_sub, anchors.ravel(),
                                            np.tile(w_sub, fill_reps)]))
     var = np.concatenate([np.tile(w_sub, big_r - len(t_list)), anchors.ravel()])
-    t_next = (w_next, SymbolWord(k, var))
-    nxt = LevelData(j + 1, m_next, w_next, t_next, None, len(t_next), 0,
-                    None, None, False, None, None, density)
+    nxt = LevelData(j + 1, m_next, (w_next, SymbolWord(k, var)),
+                    density_bound=density)
     overwrite = big_r - big_r // (j + 1)
     need = overwrite + len(t_list)
 
@@ -904,12 +893,10 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
                      f"result covers [1, {len(res)}] with no unfilled cell"))
     out.append(restriction_identity(problem, final, len(res), scale))
     if deep and trace.kind == "totally-minimal":
-        proven = _proven(lv, len(lv))
-        ok = all(len(lvl.w) == lvl.m and _parse_holds(
-            lvl.w.symbols, lvl.parses[0], lv, proven, j)
-            for j, lvl in enumerate(lv[1:], 1))
+        proven = _proven(lv, len(lv))     # w_j is anchor 0 of level j
+        ok = all(proven[j][0] for j in range(1, len(lv)))
         out.append(check("anchor-membership", ok,
-                         "w_j passes is_member_level at every level"))
+                         "w_j's parse proves it a level member at every level"))
         ok = _parse_holds(res.symbols, trace.parse, lv, proven, len(lv),
                           full=False)
         out.append(check("block-membership", ok,

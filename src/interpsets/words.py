@@ -141,10 +141,15 @@ class ComplexityProfile:
             if self.p[n] < prev:
                 out.append(f"p not nondecreasing at n = {n}")
             prev = self.p[n]
-        for n in ns:
-            for m in ns:
-                if n + m in self.p and self.p[n + m] > self.p[n] * self.p[m]:
-                    out.append(f"p({n + m}) > p({n}) p({m})")
+        # p(n) <= |w|, so every product fits int64; one compare per n over
+        # the m with n + m <= max n, O(len(p)^2) elements in all
+        at = np.array(ns, dtype=np.int64)
+        pv = np.array([self.p[n] for n in ns], dtype=np.int64)
+        for n, pn in zip(ns, pv):
+            ms = at[:at.searchsorted(ns[-1] - n, "right")]
+            i = at.searchsorted(n + ms)
+            bad = (at[i] == n + ms) & (pv[i] > pn * pv[:len(ms)])
+            out.extend(f"p({n + m}) > p({n}) p({m})" for m in ms[bad].tolist())
         return out
 
 

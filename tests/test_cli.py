@@ -191,6 +191,17 @@ def test_construct_out_dir_under_a_file_exit_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("f", [5, {"pairs": 5}, {"seed": None}, "seed"])
+def test_construct_wrongly_typed_f_exit_2(tmp_path, capsys, f):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps(
+        {"set_spec": "kind=powers base=2", "k": 2, "N": 64, "f": f}))
+    code = main(["construct", "--kind", "zero", "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad problem file")
+
+
 def test_construct_minimal_trace_files(tmp_path, capsys):
     prob = tmp_path / "p.json"
     _write_problem(prob, "kind=powers base=2", 2, 4096, seed=5)
@@ -290,6 +301,10 @@ def test_reproducibility_bytes(tmp_path, capsys):
     ["analyze", "--set", "kind=ap a=3 b=0", "--n", "40", "--banach", "-3"],
     ["word-stats", "--word", "w.word", "--n-max", "0"],
     ["word-stats", "--word", "w.word", "--n-max", "-1"],
+    ["analyze", "--set", "kind=ap a=3 b=0", "--n", "0", "--banach"],
+    ["analyze", "--set", "kind=ap a=3 b=0", "--n", "-5", "--banach"],
+    ["verify-f", "--n", "0"],
+    ["verify-f", "--n", "-5"],
 ])
 def test_non_positive_counts_exit_2(tmp_path, capsys, monkeypatch, argv):
     from interpsets import words as W

@@ -334,8 +334,7 @@ def test_leveled_refuses_a_partially_filled_sub_block():
 
     def stub_level(problem, j, cur, elems):
         m_next = 2 ** (j + 1)
-        nxt = K.LevelData(j + 1, m_next, W.SymbolWord(2, (0,) * m_next), (),
-                          None, 0, 0, None, None, False, None, None, None)
+        nxt = K.LevelData(j + 1, m_next, (W.SymbolWord(2, (0,) * m_next),))
 
         def fill_block(lo, hi, subs, free):
             subs[free, :max(1, cur.m // 2)] = 0

@@ -31,7 +31,7 @@ def test_level_zero_anchors(one_level):
     assert tuple(lvl0.w.symbols) == (0,)
     assert [tuple(t.symbols) for t in lvl0.t_sample] == [(0,), (1,)]
     assert len(lvl0.t_prime_sample) == 4
-    assert tuple(lvl0.v_anchor.symbols) == (0, 0)
+    assert tuple(lvl0.t_prime_sample[0].symbols) == (0, 0)    # v_0
 
 
 def test_level_one_schedule(one_level):
@@ -40,10 +40,10 @@ def test_level_one_schedule(one_level):
     # G_0 = 4 * 1 * (2 + 4) = 24; spacing bound on the powers window is 56
     assert lvl1.gap_required == 24
     assert lvl1.m == 56
-    u = trace.levels[0].u_block
-    assert tuple(u.symbols) == (0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0)
-    assert tuple(trace.levels[1].w.symbols[:44]) == (0,) * 44
-    assert tuple(trace.levels[1].w.symbols[44:]) == tuple(u.symbols)
+    # w_1 = w_0^44 U_0, with U_0 = T_0, then T'_0, then v_0
+    w1 = tuple(trace.levels[1].w.symbols)
+    assert w1[:44] == (0,) * 44
+    assert w1[44:] == (0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0)
 
 
 def test_structural_checks(one_level):
@@ -277,9 +277,8 @@ def _toy_family():
         return K.Parse(np.array(starts, np.int32), np.array(index, np.int32), {})
 
     def level(j, m, t, tp, parses=None):
-        return K.LevelData(j, m, word(t[0]), tuple(map(word, t)),
-                           tuple(map(word, tp)), len(t), len(tp), None, None,
-                           False, None, None, None, parses)
+        return K.LevelData(j, m, tuple(map(word, t)),
+                           t_prime_sample=tuple(map(word, tp)), parses=parses)
 
     a, b = "0100" "0100" "01000", "0100" "01000" "01000"
     levels = [level(0, 1, ["0", "1"], ["00"]),

@@ -162,6 +162,49 @@ def test_profile_periodic_saturates():
     assert profile.violations() == []
 
 
+def _violations_oracle(profile):
+    """The plain double loop over (n, m) that violations() vectorizes."""
+    out = []
+    p, k = profile.p, profile.alphabet_size
+    ns = sorted(p)
+    out += [f"p({n}) = {p[n]} exceeds k^n" for n in ns if p[n] > k ** n]
+    peak = max(ns, key=lambda n: (p[n], -n))
+    prev = 0
+    for n in ns:
+        if n > peak:
+            break
+        if p[n] < prev:
+            out.append(f"p not nondecreasing at n = {n}")
+        prev = p[n]
+    for n in ns:
+        for m in ns:
+            if n + m in p and p[n + m] > p[n] * p[m]:
+                out.append(f"p({n + m}) > p({n}) p({m})")
+    return out
+
+
+def test_profile_violation_messages():
+    # k = 2: p(2) = 5 exceeds 2^2, p dips at n = 3 before its peak at
+    # n = 5, and p(2), p(4), p(5) exceed products of smaller counts
+    p = {1: 2, 2: 5, 3: 4, 4: 9, 5: 30, 6: 8}
+    profile = W.ComplexityProfile(2, 100, p, {})
+    got = profile.violations()
+    assert got == _violations_oracle(profile)
+    assert got == ["p(2) = 5 exceeds k^n", "p not nondecreasing at n = 3",
+                   "p(2) > p(1) p(1)", "p(4) > p(1) p(3)", "p(5) > p(1) p(4)",
+                   "p(5) > p(2) p(3)", "p(4) > p(3) p(1)", "p(5) > p(3) p(2)",
+                   "p(5) > p(4) p(1)"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(1, 20), st.integers(1, 40), min_size=1),
+       st.integers(1, 3))
+def test_profile_violations_match_the_double_loop(p, k):
+    # keys with holes too: a sum n + m off the profile is no check
+    profile = W.ComplexityProfile(k, 100, p, {})
+    assert profile.violations() == _violations_oracle(profile)
+
+
 def test_profile_universal_full_growth():
     w = W.universal_word(2, 12)
     profile = W.complexity_profile(w, 12)
