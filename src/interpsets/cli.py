@@ -126,17 +126,17 @@ def _load_problem(path):
         n = int(data["N"])
         fspec = data["f"]
         if "pairs" in fspec:
-            f, seed = {int(s): int(v) for s, v in fspec["pairs"]}, None
-        elif "seed" in fspec:
-            f, seed = None, int(fspec["seed"])
-            if fspec.get("distribution", "uniform") != "uniform":
-                raise UsageError("only distribution=uniform is supported")
-        else:
+            pairs = [(int(s), int(v)) for s, v in fspec["pairs"]]
+            return (construct.InterpolationProblem.from_pairs(model, k, n, pairs),
+                    data, None)
+        if "seed" not in fspec:
             raise UsageError("f must give pairs or a seed")
-    except (KeyError, TypeError, ValueError) as exc:
+        seed = int(fspec["seed"])
+        if fspec.get("distribution", "uniform") != "uniform":
+            raise UsageError("only distribution=uniform is supported")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers the DomainError of pairs that do not match S
         raise UsageError(f"bad problem file {path}: {exc}") from exc
-    if seed is None:
-        return construct.InterpolationProblem(model, k, n, f), data, None
     return construct.random_problem(model, k, n, seed), data, seed
 
 
@@ -203,10 +203,7 @@ def cmd_construct(args):
             "entropy-estimate", True, {**scale, "n_max": est.n_max},
             {"h_at_max": est.at_n_max}))
     elif args.kind == "sturmian":
-        if problem.model.kind != "sturmian":
-            raise UsageError("sturmian construction needs a sturmian set_spec")
-        w = construct.sturmian_interpolate(list(problem.model.cf), problem.f,
-                                           problem.k, problem.n)
+        w = construct.sturmian_interpolate(problem)
         emit_word(w)
         delta = problem.model.delta()
         m_max = min(20, len(w) // 2)
@@ -305,6 +302,9 @@ def cmd_count(args):
 
 def cmd_verify_f(args):
     started = time.monotonic()
+    lo, hi = args.shifts
+    if not 1 <= lo <= hi:
+        raise UsageError(f"--shifts needs 1 <= LO <= HI, got {lo} {hi}")
     bound = args.n
     model = recurrence.build_F(bound)
     sf = recurrence.verify_sum_free(model.elements, bound)
@@ -312,7 +312,6 @@ def cmd_verify_f(args):
         "sum-free", sf.ok, {"N": bound},
         {"pairs_checked": sf.pairs_checked,
          "counterexample": list(sf.counterexample) if sf.counterexample else None})]
-    lo, hi = args.shifts
     for n in range(lo, hi + 1):
         rep = recurrence.verify_shift_ip(model, n, args.depth)
         certs.append(Certificate.from_bool(

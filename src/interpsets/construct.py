@@ -35,7 +35,6 @@ from .intsets import (
     Certificate,
     IntegerSetModel,
     _free_runs,
-    continued_fraction,
     free_runs,
     gap_syndeticity_table,
     max_window_count,
@@ -82,34 +81,50 @@ class LevelWindowError(Exception):
 
 @dataclass(frozen=True)
 class InterpolationProblem:
-    """A function f on S intersect [1, N] with values in {0..k-1}."""
+    """A function f on S intersect [1, N] with values in {0..k-1}, held as
+    the word f(s_1) f(s_2) ... over the members s_1 < s_2 < ... of
+    window(model, n)."""
 
     model: IntegerSetModel
-    k: int
     n: int
-    f: dict
+    f: SymbolWord
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("alphabet size k must be >= 1")
-        domain = set(self.model.elements(self.n))
-        given = set(self.f)
-        if domain != given:
-            extra = sorted(given - domain)[:5]
-            missing = sorted(domain - given)[:5]
+        size = window(self.model, self.n).size
+        if len(self.f) != size:
+            raise DomainError(f"f has {len(self.f)} values for the {size} "
+                              f"members of S in [1, {self.n}]")
+
+    @property
+    def k(self) -> int:
+        return self.f.alphabet_size
+
+    @classmethod
+    def from_pairs(cls, model: IntegerSetModel, k: int, n: int,
+                   pairs) -> InterpolationProblem:
+        """The problem with f(s) = v for each (s, v) of `pairs`, which must
+        name every member of S intersect [1, n] exactly once."""
+        given = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        pos, vals = given[given[:, 0].argsort()].T
+        twice = pos[1:][pos[1:] == pos[:-1]]
+        if twice.size:
+            raise DomainError(f"f gives position {twice[0]} more than once")
+        elems = window(model, n)
+        if not np.array_equal(pos, elems):
+            extra = np.setdiff1d(pos, elems)[:5].tolist()
+            missing = np.setdiff1d(elems, pos)[:5].tolist()
             raise DomainError(
                 f"f domain mismatch: extra {extra}, missing {missing}")
-        for s, v in self.f.items():
-            if not 0 <= v < self.k:
-                raise DomainError(f"f({s}) = {v} outside alphabet")
+        bad = np.flatnonzero((vals < 0) | (vals >= k))
+        if bad.size:
+            raise DomainError(f"f({pos[bad[0]]}) = {vals[bad[0]]} outside alphabet")
+        return cls(model, n, SymbolWord(k, vals))
 
     def base_word(self, fill: int) -> np.ndarray:
         """Length-N int64 word holding f on S intersect [1, N] and `fill`
         everywhere else; index = position-1."""
         out = np.full(self.n, fill, dtype=np.int64)
-        size = len(self.f)
-        out[np.fromiter(self.f, np.int64, size) - 1] = np.fromiter(
-            self.f.values(), np.int64, size)
+        out[window(self.model, self.n) - 1] = self.f.symbols
         return out
 
 
@@ -117,14 +132,14 @@ def random_problem(model: IntegerSetModel, k: int, n: int,
                    seed: int) -> InterpolationProblem:
     """Uniform seeded f over S intersect [1, n]; ascending fill order."""
     rng = random.Random(seed)
-    f = {s: rng.randrange(k) for s in model.elements(n)}
-    return InterpolationProblem(model, k, n, f)
+    f = [rng.randrange(k) for _ in range(window(model, n).size)]
+    return InterpolationProblem(model, n, SymbolWord(k, f))
 
 
 def constant_problem(model: IntegerSetModel, k: int, n: int,
                      value: int) -> InterpolationProblem:
-    return InterpolationProblem(model, k, n,
-                                {s: value for s in model.elements(n)})
+    return InterpolationProblem(
+        model, n, SymbolWord(k, np.full(window(model, n).size, value)))
 
 
 # -- simple constructors ------------------------------------------------------
@@ -138,17 +153,17 @@ def extend_zero(problem: InterpolationProblem, profile_max: int = None):
     return w, complexity_profile(w, profile_max)
 
 
-def sturmian_interpolate(delta, f: dict, k: int, n: int) -> SymbolWord:
+def sturmian_interpolate(problem: InterpolationProblem) -> SymbolWord:
     """Place f on S = {floor(m/delta)} and 0 elsewhere.
 
     The output differs from the mechanical word of delta only at its 1s,
     so its factor count at m is at most (m+1) k^ceil(m*delta).
     """
-    model = IntegerSetModel.sturmian_floor(continued_fraction(delta))
-    if not 0 < model.delta() <= Fraction(1, 2):
+    if problem.model.kind != "sturmian":
+        raise ValueError("sturmian construction needs a sturmian set_spec")
+    if not 0 < problem.model.delta() <= Fraction(1, 2):
         raise ValueError("delta must lie in (0, 1/2]")
-    problem = InterpolationProblem(model, k, n, f)
-    return SymbolWord(k, problem.base_word(0))
+    return SymbolWord(problem.k, problem.base_word(0))
 
 
 @dataclass(frozen=True)
@@ -412,7 +427,7 @@ def _minimal_level(problem, j, cur, elems):
 
     def lay_out(layout):
         """The word laid out of (word, anchor index) pieces, with its Parse."""
-        lens = np.fromiter((len(w) for w, _ in layout), np.int32, len(layout))
+        lens = np.array([len(w) for w, _ in layout], np.int32)
         return (SymbolWord(k, np.concatenate([w.symbols for w, _ in layout])),
                 Parse(np.cumsum(lens, dtype=np.int32) - lens,
                       np.array([i for _, i in layout], np.int32), {}))
@@ -771,7 +786,7 @@ class SyndeticPartition:
     h: int
     window: int
     pieces: tuple                # tuple of tuples of positions
-    coloring: dict               # s -> piece index (0 off all pieces)
+    coloring: SymbolWord         # piece index per window member, 0 off all pieces
     covering_ok: bool
     covering_checked: int
     failures: tuple
@@ -791,30 +806,19 @@ def syndetic_partition_witness(model: IntegerSetModel, g: int, h: int,
     if h <= g:
         raise ValueError("need h > g")
     hh = h * h
-    elems = model.elements(n)
-    pieces = [[] for _ in range(h)]
-    coloring = {}
-    for x in elems:
-        coloring[x] = 0
-        if x < hh:
-            continue
-        i = (x % hh) // h
-        pieces[i].append(x)
-        coloring[x] = i
-    member = [set(p) for p in pieces]
-    failures = []
-    checked = 0
+    elems = window(model, n)
+    colors = np.where(elems < hh, 0, elems % hh // h)
+    pieces, failures, checked = [], [], 0
     for i in range(h):
-        q = 1
-        while True:
-            target = hh * q + i * h
-            if target > n - hh:
-                break
-            checked += 1
-            if not any(target + j in member[i] for j in range(g)):
-                failures.append((i, target))
-            q += 1
-    return SyndeticPartition(g, h, n, tuple(tuple(p) for p in pieces), coloring,
+        piece = elems[(elems >= hh) & (colors == i)]
+        pieces.append(tuple(piece.tolist()))
+        targets = np.arange(hh + i * h, n - hh + 1, hh)
+        checked += targets.size
+        # the first member of S_i at or after a target (n + g when none is)
+        # must lie within g of it
+        first = np.append(piece, n + g)[piece.searchsorted(targets)]
+        failures.extend((i, t) for t in targets[first >= targets + g].tolist())
+    return SyndeticPartition(g, h, n, tuple(pieces), SymbolWord(h, colors),
                              not failures, checked, tuple(failures))
 
 
@@ -822,7 +826,7 @@ def syndetic_partition_witness(model: IntegerSetModel, g: int, h: int,
 class DensityColoring:
     k: int
     intervals: tuple
-    coloring: dict
+    coloring: SymbolWord         # color per member of the window
 
 
 def density_coloring_witness(model: IntegerSetModel, intervals, k: int,
@@ -841,7 +845,7 @@ def density_coloring_witness(model: IntegerSetModel, intervals, k: int,
     colors = np.zeros(arr.size, dtype=np.int64)
     for idx, (lo, hi) in enumerate(ivs, start=1):
         colors[arr.searchsorted(lo):arr.searchsorted(hi)] = idx % k
-    return DensityColoring(k, tuple(ivs), dict(zip(arr.tolist(), colors.tolist())))
+    return DensityColoring(k, tuple(ivs), SymbolWord(k, colors))
 
 
 # -- verification -------------------------------------------------------------
@@ -852,11 +856,10 @@ def restriction_identity(problem: InterpolationProblem, cells, covered: int,
     """Does x|_S = f?  The array cells holds x (index = position-1, -1 =
     unfilled); every s of S inside the window must hold f(s), or be
     unfilled and lie beyond `covered`."""
-    size = len(problem.f)
-    pos = np.fromiter(problem.f, np.int64, size)
+    pos = window(problem.model, problem.n)
     got = cells[pos - 1].astype(np.int64)
     filled = got != UNFILLED
-    wrong = filled & (got != np.fromiter(problem.f.values(), np.int64, size))
+    wrong = filled & (got != problem.f.symbols)
     bad = int((wrong | (~filled & (pos <= covered))).sum())
     return Certificate.from_bool("restriction-identity", bad == 0, scale,
                                  {"mismatches": bad})

@@ -73,7 +73,6 @@ class FSetModel:
     bound: int
     elements: tuple                # ascending
     provenance: dict               # element -> (n, j) with j in J_n, element = j + n
-    index_sets: dict               # n -> materialized slice of I_n
 
     def as_intset(self) -> IntegerSetModel:
         return IntegerSetModel.explicit_window(self.elements, self.bound)
@@ -97,18 +96,15 @@ def _digit_positions(y: int):
 def build_F(n_bound: int) -> FSetModel:
     """Materialize F = union(J_n + n) on [1, n_bound] by subset sums."""
     if n_bound < 11:
-        return FSetModel(n_bound, (), {}, {})
+        return FSetModel(n_bound, (), {})
     elements = []
     provenance = {}
-    index_sets = {}
     n = 1
     while 10 ** (1 << (n - 1)) + n <= n_bound:
         max_power = 1
         while 10 ** (max_power + 1) <= n_bound - n:
             max_power += 1
-        idx = [k for k in index_set(n, max_power)]
-        index_sets[n] = idx
-        gens = [10 ** k for k in idx]
+        gens = [10 ** k for k in index_set(n, max_power)]
         for j in ip_closure(gens, depth=len(gens) if gens else 1,
                             bound=n_bound - n):
             x = j + n
@@ -118,7 +114,7 @@ def build_F(n_bound: int) -> FSetModel:
     elements.sort()
     if len(set(elements)) != len(elements):
         raise AssertionError("J_n + n overlapped; dyadic disjointness broken")
-    return FSetModel(n_bound, tuple(elements), provenance, index_sets)
+    return FSetModel(n_bound, tuple(elements), provenance)
 
 
 @dataclass(frozen=True)
@@ -168,11 +164,11 @@ def verify_shift_ip(f_model: FSetModel, n: int, depth: int) -> ShiftIPReport:
     return ShiftIPReport(n, depth, not missing, tuple(required), missing)
 
 
-def digit_membership(x: int, n_max: int = 64):
+def digit_membership(x: int):
     """(member, n) via the sparse-digit oracle: x in F iff for some n the
     decimal digits of x - n are all 0/1 with 1s exactly at places in I_n."""
     n = 1
-    while n <= n_max and 10 ** (1 << (n - 1)) + n <= x:
+    while 10 ** (1 << (n - 1)) + n <= x:
         ok, pos = _digit_positions(x - n)
         if ok and pos and all(in_index_set(p, n) for p in pos):
             return True, n

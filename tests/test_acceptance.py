@@ -26,6 +26,12 @@ CF_SQRT2M1 = [0] + [2] * 9          # 985/2378, denominator >= 1000
 DELTAS = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
 
 
+def f_dict(problem):
+    """f as {s: f(s)} over S intersect [1, N]."""
+    return dict(zip(S.window(problem.model, problem.n).tolist(),
+                    problem.f.symbols.tolist()))
+
+
 def report(num, label, t0, detail=""):
     took = time.monotonic() - t0
     print(f"ACCEPTANCE {num:>2} PASS ({took:6.2f}s): {label}  {detail}")
@@ -101,9 +107,9 @@ def test_criterion_04_sturmian():
     model = S.IntegerSetModel.sturmian_floor(CF_SQRT2M1)
     for k in (2, 3):
         problem = K.random_problem(model, k, 10 ** 4, seed=100 + k)
-        x = K.sturmian_interpolate(CF_SQRT2M1, problem.f, k, 10 ** 4)
-        assert all(x.at(s) == v for s, v in problem.f.items())
-        support = set(problem.f)
+        x = K.sturmian_interpolate(problem)
+        assert all(x.at(s) == v for s, v in f_dict(problem).items())
+        support = set(f_dict(problem))
         assert all(x.at(p) == 0 for p in range(1, 10 ** 4 + 1)
                    if p not in support)
         for m, count in enumerate(W.factor_counts(x, 20), 1):
@@ -122,7 +128,8 @@ def test_criterion_05_mixing():
     for seed in range(20):
         problem = K.random_problem(POW2, 2, n, seed=seed)
         ext = K.mixing_extend(problem, 4)
-        assert all(ext.word.at(s) == v for s, v in problem.f.items()), seed
+        assert all(ext.word.at(s) == v
+                   for s, v in f_dict(problem).items()), seed
         assert W.factor_counts(ext.word, 4)[-1] == 16, seed
     evens = S.IntegerSetModel.arithmetic_progression(2, 0)
     with pytest.raises(K.ConstructionRefused) as err:
@@ -150,7 +157,7 @@ def test_criterion_06_totally_minimal(minimal_trace):
                  "monotone-filling", "result-complete", "restriction-identity",
                  "anchor-membership", "block-membership"):
         assert checks[name], name
-    assert all(trace.result.at(s) == v for s, v in problem.f.items()
+    assert all(trace.result.at(s) == v for s, v in f_dict(problem).items()
                if s <= len(trace.result))
     # 10 seeded mutation faults per level, all rejected
     rng = random.Random(20260808)
@@ -183,7 +190,7 @@ def test_criterion_07_strictly_ergodic():
     trace = K.strictly_ergodic_construct(problem, levels=2)
     checks = {c.predicate: c.holds for c in K.verify_trace(trace, problem)}
     assert all(checks.values()), checks
-    assert all(trace.result.at(s) == v for s, v in problem.f.items()
+    assert all(trace.result.at(s) == v for s, v in f_dict(problem).items()
                if s <= len(trace.result))
     rep = K.ergodic_block_report(trace, 2)
     big_r = trace.levels[2].m // trace.levels[1].m
@@ -208,10 +215,12 @@ def test_criterion_08_witnesses():
     part2 = K.syndetic_partition_witness(evens, 2, 3, 10 ** 4)
     assert part2.covering_ok and part2.covering_checked > 0
     intervals = [(n * 100, n * 100 + 50) for n in range(1, 10)]
-    col = K.density_coloring_witness(S.IntegerSetModel.arithmetic_progression(3, 0),
-                                     intervals, 3, 1000)
+    thirds = S.IntegerSetModel.arithmetic_progression(3, 0)
+    col = K.density_coloring_witness(thirds, intervals, 3, 1000)
+    coloring = dict(zip(S.window(thirds, 1000).tolist(),
+                        col.coloring.symbols.tolist()))
     for idx, (lo, hi) in enumerate(intervals, start=1):
-        got = {col.coloring[s] for s in col.coloring if lo <= s < hi}
+        got = {coloring[s] for s in coloring if lo <= s < hi}
         assert got <= {idx % 3}
     report(8, "covering containment exhaustive; coloring piecewise constant",
            t0, f"{part.covering_checked + part2.covering_checked} targets")

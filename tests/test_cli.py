@@ -1,13 +1,19 @@
 """CLI surface: exit codes, file outputs, reproducibility."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from interpsets import construct
 from interpsets.cli import main
-from interpsets.intsets import Certificate, IntegerSetModel, replay_certificate
+from interpsets.intsets import (
+    Certificate,
+    IntegerSetModel,
+    replay_certificate,
+    window,
+)
 
 
 def run(capsys, *argv):
@@ -148,7 +154,7 @@ def test_construct_word_off_f_exit_1(tmp_path, capsys, monkeypatch):
     def flipped(problem, profile_max):
         w, profile = real(problem, profile_max)
         sym = list(w.symbols)
-        sym[min(problem.f) - 1] ^= 1
+        sym[int(window(problem.model, problem.n)[0]) - 1] ^= 1
         return W.SymbolWord(w.alphabet_size, tuple(sym)), profile
 
     monkeypatch.setattr(construct, "extend_zero", flipped)
@@ -168,6 +174,37 @@ def test_construct_sturmian_requires_matching_spec(tmp_path, capsys):
     code, _ = run(capsys, "construct", "--kind", "sturmian",
                   "--problem", str(prob), "--out-dir", str(tmp_path / "o"))
     assert code == 2
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([[2, 0], [2, 1], [4, 0], [8, 1], [16, 0]], "position 2 more than once"),
+    ([[2, 0], [4, 0], [8, 1]], "missing [16]"),
+    ([[2, 0], [4, 0], [8, 1], [16, 0], [2 ** 70, 0]], "bad problem file"),
+])
+def test_construct_bad_pairs_exit_2(tmp_path, capsys, pairs, message):
+    # pairs must name every member of S in [1, N] exactly once
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, 20, pairs=pairs)
+    code = main(["construct", "--kind", "zero", "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "x.word").exists()
+
+
+@pytest.mark.parametrize("f, message", [
+    ({"values": [1, 0]}, "f must give pairs or a seed"),
+    ({"seed": 1, "distribution": "normal"}, "only distribution=uniform"),
+])
+def test_construct_f_without_pairs_or_uniform_seed_exit_2(tmp_path, capsys,
+                                                          f, message):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps(
+        {"set_spec": "kind=powers base=2", "k": 2, "N": 64, "f": f}))
+    code = main(["construct", "--kind", "zero", "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_construct_sturmian_tiny_window(tmp_path, capsys):
@@ -272,6 +309,19 @@ def test_verify_f(tmp_path, capsys):
     assert out_set.read_text().splitlines()[0] == "11"
 
 
+@pytest.mark.parametrize("shifts", [("3", "1"), ("0", "2"), ("-4", "-2")])
+def test_verify_f_bad_shifts_exit_2_before_work(capsys, monkeypatch, shifts):
+    from interpsets import recurrence
+
+    def no_work(bound):
+        raise AssertionError("F was built before --shifts was checked")
+
+    monkeypatch.setattr(recurrence, "build_F", no_work)
+    code = main(["verify-f", "--n", "1000", "--shifts", *shifts])
+    assert code == 2
+    assert "--shifts" in capsys.readouterr().err
+
+
 def test_word_stats(tmp_path, capsys):
     from interpsets import words as W
     from fractions import Fraction
@@ -279,6 +329,36 @@ def test_word_stats(tmp_path, capsys):
     W.write_word_file(path, W.mechanical_word(Fraction(2, 5), 400))
     code, out = run(capsys, "word-stats", "--word", str(path), "--n-max", "10")
     assert code == 0
+
+
+def test_word_stats_csv_file(tmp_path, capsys):
+    from interpsets import words as W
+    path = tmp_path / "w.word"
+    W.write_word_file(path, W.mechanical_word(Fraction(2, 5), 400))
+    code, out = run(capsys, "word-stats", "--word", str(path), "--n-max", "3")
+    assert code == 0
+    stdout_csv = out[:out.index("{")]
+    csv = tmp_path / "p.csv"
+    code, out = run(capsys, "word-stats", "--word", str(path), "--n-max", "3",
+                    "--csv", str(csv))
+    assert code == 0
+    assert json.loads(out)["outputs"] == [str(csv)]
+    assert csv.read_text() == stdout_csv
+    # a Sturmian word has p(n) = n + 1
+    assert csv.read_bytes() == (
+        b"n,p,h_est\n"
+        b"1,2,%.12f\n2,3,%.12f\n3,4,%.12f\n"
+        % tuple(math.log(n + 1) / n for n in (1, 2, 3)))
+
+
+@pytest.mark.parametrize("m_args", [["--m-range", "3:9"],
+                                    ["--m-range", "a:b:c"], []])
+def test_count_m_option_malformed_or_missing_exit_2(capsys, m_args):
+    code = main(["count", "--delta", "1/3", "--k", "2", *m_args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("m-range must be LO:HI:STEP" if m_args
+            else "pass --m, --m-list, or --m-range") in err
 
 
 def test_reproducibility_bytes(tmp_path, capsys):

@@ -21,6 +21,15 @@ EXPL = S.IntegerSetModel.explicit_window
 CF_SQRT2M1 = [0] + [2] * 9
 
 
+def as_dict(model, n, word):
+    """A window-aligned word as {s: value} over S intersect [1, n]."""
+    return dict(zip(S.window(model, n).tolist(), word.symbols.tolist()))
+
+
+def f_dict(problem):
+    return as_dict(problem.model, problem.n, problem.f)
+
+
 # -- extend_zero ---------------------------------------------------------------
 
 
@@ -33,7 +42,7 @@ def test_extend_zero_powers_ones():
 
 
 def test_extend_zero_empty_set():
-    problem = K.InterpolationProblem(EXPL([], 100), 2, 100, {})
+    problem = K.InterpolationProblem.from_pairs(EXPL([], 100), 2, 100, [])
     w, profile = K.extend_zero(problem, 10)
     assert set(w.symbols) == {0}
     assert all(profile.p[n] == 1 for n in profile.p)
@@ -43,7 +52,7 @@ def test_extend_zero_squares_entropy():
     model = EXPL([n * n for n in range(1, 101)])
     problem = K.random_problem(model, 3, 10 ** 4, seed=7)
     w, profile = K.extend_zero(problem, 64)
-    assert all(w.at(s) == v for s, v in problem.f.items())
+    assert all(w.at(s) == v for s, v in f_dict(problem).items())
     assert profile.h_est[64] < 0.15
 
 
@@ -64,8 +73,7 @@ def test_extend_zero_entropy_control_bridge():
 
 def test_sturmian_constant_two():
     model = S.IntegerSetModel.sturmian_floor([0, 2])
-    f = {s: 2 for s in model.elements(12)}
-    w = K.sturmian_interpolate(Fraction(1, 2), f, 3, 12)
+    w = K.sturmian_interpolate(K.constant_problem(model, 3, 12, 2))
     assert tuple(w.symbols) == (0, 2) * 6
     assert W.factor_counts(w, 2) == [2, 2]
 
@@ -73,9 +81,9 @@ def test_sturmian_constant_two():
 def test_sturmian_restriction_identity():
     model = S.IntegerSetModel.sturmian_floor([0, 2, 2])  # delta = 2/5
     problem = K.random_problem(model, 4, 500, seed=3)
-    w = K.sturmian_interpolate([0, 2, 2], problem.f, 4, 500)
-    assert all(w.at(s) == v for s, v in problem.f.items())
-    off = set(problem.f)
+    w = K.sturmian_interpolate(problem)
+    assert all(w.at(s) == v for s, v in f_dict(problem).items())
+    off = set(f_dict(problem))
     assert all(w.at(p) == 0 for p in range(1, 501) if p not in off)
 
 
@@ -83,7 +91,7 @@ def test_sturmian_factor_bound():
     model = S.IntegerSetModel.sturmian_floor(CF_SQRT2M1)
     delta = model.delta()
     problem = K.random_problem(model, 2, 10 ** 4, seed=5)
-    w = K.sturmian_interpolate(CF_SQRT2M1, problem.f, 2, 10 ** 4)
+    w = K.sturmian_interpolate(problem)
     counts = W.factor_counts(w, 20)
     for m in (6, 12, 20):
         assert counts[m - 1] <= (m + 1) * 2 ** math.ceil(m * delta)
@@ -91,12 +99,20 @@ def test_sturmian_factor_bound():
 
 def test_sturmian_domain_error():
     with pytest.raises(K.DomainError):
-        K.sturmian_interpolate(Fraction(1, 2), {3: 1}, 2, 10)
+        K.InterpolationProblem.from_pairs(
+            S.IntegerSetModel.sturmian_floor([0, 2]), 2, 10, [(3, 1)])
+
+
+def test_sturmian_needs_a_sturmian_set():
+    with pytest.raises(ValueError, match="sturmian set_spec"):
+        K.sturmian_interpolate(K.random_problem(AP(2, 0), 2, 100, seed=1))
 
 
 def test_sturmian_delta_range():
     with pytest.raises(ValueError):
-        K.sturmian_interpolate(Fraction(3, 5), {}, 2, 10)
+        model = S.IntegerSetModel.sturmian_floor(
+            S.continued_fraction(Fraction(3, 5)))
+        K.sturmian_interpolate(K.constant_problem(model, 2, 10, 0))
 
 
 # -- mixing --------------------------------------------------------------------
@@ -116,7 +132,7 @@ def test_mixing_powers_cover_all_4_words():
     ext = K.mixing_extend(problem, 4)
     assert ext.l_cover == 4
     assert W.factor_counts(ext.word, 4) == [2, 4, 8, 16]
-    assert all(ext.word.at(s) == v for s, v in problem.f.items())
+    assert all(ext.word.at(s) == v for s, v in f_dict(problem).items())
 
 
 def test_mixing_l_cover_counts_full_lengths():
@@ -132,7 +148,7 @@ def test_mixing_l_cover_counts_full_lengths():
 def test_mixing_restriction_alternating():
     model = POW(2)
     f = {2 ** i: i % 2 for i in range(1, 13)}
-    problem = K.InterpolationProblem(model, 2, 2 ** 12, f)
+    problem = K.InterpolationProblem.from_pairs(model, 2, 2 ** 12, f.items())
     ext = K.mixing_extend(problem, 3)
     assert all(ext.word.at(2 ** i) == i % 2 for i in range(1, 13))
 
@@ -164,8 +180,9 @@ def test_partition_even_numbers():
     assert part.covering_ok and len(part.pieces) == 3
     assert all(part.pieces)
     # the coloring is the interpolation counterexample function
+    coloring = as_dict(AP(2, 0), 10 ** 4, part.coloring)
     for i, piece in enumerate(part.pieces):
-        assert all(part.coloring[x] == i for x in piece)
+        assert all(coloring[x] == i for x in piece)
 
 
 def test_partition_covering_replay():
@@ -176,6 +193,58 @@ def test_partition_covering_replay():
         while 9 * q + 3 * i <= 2000 - 9:
             assert any(9 * q + 3 * i + j in member[i] for j in range(2))
             q += 1
+
+
+def test_partition_coloring_is_a_problem():
+    # the coloring is window-aligned, so it is the counterexample f as is
+    part = K.syndetic_partition_witness(AP(2, 0), 2, 3, 2000)
+    problem = K.InterpolationProblem(AP(2, 0), 2000, part.coloring)
+    assert problem.k == 3
+    word = problem.base_word(-1)
+    for i, piece in enumerate(part.pieces):
+        assert piece and (word[np.array(piece) - 1] == i).all()
+
+
+def loop_partition(members, g, h, n):
+    """The per-element loop with per-target set scans, as a reference:
+    (pieces, coloring as {s: i}, targets checked, failures)."""
+    hh = h * h
+    pieces = [[] for _ in range(h)]
+    coloring = {}
+    for x in members:
+        coloring[x] = 0
+        if x >= hh:
+            pieces[(x % hh) // h].append(x)
+            coloring[x] = (x % hh) // h
+    member = [set(p) for p in pieces]
+    failures, checked = [], 0
+    for i in range(h):
+        q = 1
+        while hh * q + i * h <= n - hh:
+            target = hh * q + i * h
+            checked += 1
+            if not any(target + j in member[i] for j in range(g)):
+                failures.append((i, target))
+            q += 1
+    return tuple(tuple(p) for p in pieces), coloring, checked, tuple(failures)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 300),
+       st.sets(st.integers(1, 300), max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_partition_matches_loop(g, dh, n, extra):
+    # the multiples of g make S syndetic at gap g; the extras vary the pieces
+    h = g + dh
+    n = max(n, g)
+    model = EXPL(sorted(set(range(g, 301, g)) | extra))
+    part = K.syndetic_partition_witness(model, g, h, n)
+    pieces, coloring, checked, failures = loop_partition(
+        model.elements(n), g, h, n)
+    assert part.pieces == pieces
+    assert as_dict(model, n, part.coloring) == coloring
+    assert part.covering_checked == checked
+    assert part.failures == failures
+    assert part.covering_ok == (not failures)
 
 
 def test_partition_rejects_bad_h():
@@ -190,21 +259,23 @@ def test_partition_rejects_non_syndetic():
 
 def test_coloring_by_interval_index():
     col = K.density_coloring_witness(AP(1, 0), [(10, 20), (30, 40)], 2, 50)
-    assert {col.coloring[s] for s in range(10, 20)} == {1}
-    assert {col.coloring[s] for s in range(30, 40)} == {0}
-    assert col.coloring[5] == 0
+    coloring = as_dict(AP(1, 0), 50, col.coloring)
+    assert {coloring[s] for s in range(10, 20)} == {1}
+    assert {coloring[s] for s in range(30, 40)} == {0}
+    assert coloring[5] == 0
 
 
 def test_coloring_order_one():
     col = K.density_coloring_witness(AP(3, 0), [(10, 20)], 1, 60)
-    assert set(col.coloring.values()) == {0}
+    assert set(as_dict(AP(3, 0), 60, col.coloring).values()) == {0}
 
 
 def test_coloring_three_blocks():
     intervals = [(n * 100, n * 100 + 50) for n in range(1, 10)]
     col = K.density_coloring_witness(AP(3, 0), intervals, 3, 1000)
+    coloring = as_dict(AP(3, 0), 1000, col.coloring)
     for idx, (lo, hi) in enumerate(intervals, start=1):
-        vals = {col.coloring[s] for s in range(lo, hi) if s % 3 == 0}
+        vals = {coloring[s] for s in range(lo, hi) if s % 3 == 0}
         assert vals == {idx % 3}
 
 
@@ -228,7 +299,8 @@ def test_coloring_matches_loop(members, cuts, k, n):
     intervals = [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
     model = EXPL(sorted(members))
     col = K.density_coloring_witness(model, intervals, k, n)
-    assert col.coloring == loop_coloring(model.elements(n), intervals, k)
+    assert as_dict(model, n, col.coloring) == loop_coloring(
+        model.elements(n), intervals, k)
 
 
 def test_coloring_rejects_overlap():
@@ -241,14 +313,66 @@ def test_coloring_rejects_overlap():
 
 def test_problem_domain_validation():
     with pytest.raises(K.DomainError):
-        K.InterpolationProblem(POW(2), 2, 100, {3: 1})
+        K.InterpolationProblem.from_pairs(POW(2), 2, 100, [(3, 1)])
     with pytest.raises(K.DomainError):
-        K.InterpolationProblem(POW(2), 2, 100, {2: 5, 4: 0, 8: 0, 16: 0, 32: 0, 64: 0})
+        K.InterpolationProblem.from_pairs(
+            POW(2), 2, 100, {2: 5, 4: 0, 8: 0, 16: 0, 32: 0, 64: 0}.items())
+
+
+def dict_f(members, k, n, pairs):
+    """The dict form f had, with its set-based domain check, as a
+    reference: {s: v}, or None where that check refuses."""
+    f = dict(pairs)
+    if set(f) != {s for s in members if s <= n}:
+        return None
+    return f if all(0 <= v < k for v in f.values()) else None
+
+
+@given(st.sets(st.integers(1, 60), max_size=20), st.integers(1, 4),
+       st.integers(1, 70), st.data())
+@settings(max_examples=80, deadline=None)
+def test_from_pairs_matches_dict_oracle(members, k, n, data):
+    model = EXPL(sorted(members))
+    domain = model.elements(n)
+    pairs = [(s, data.draw(st.integers(0, k - 1))) for s in domain]
+    fault = data.draw(st.sampled_from(["none", "drop", "extra", "value",
+                                       "repeat"]))
+    if fault == "drop" and pairs:
+        del pairs[data.draw(st.integers(0, len(pairs) - 1))]
+    elif fault == "extra":
+        off = data.draw(st.integers(-3, 80).filter(lambda s: s not in domain))
+        pairs.append((off, 0))
+    elif fault == "value" and pairs:
+        pairs[0] = (pairs[0][0], data.draw(st.sampled_from([-1, k, k + 3])))
+    elif fault == "repeat" and pairs:
+        pairs.append((pairs[-1][0], data.draw(st.integers(0, k - 1))))
+    shuffled = data.draw(st.permutations(pairs))
+    expected = dict_f(members, k, n, pairs)
+    if fault == "repeat" and pairs:
+        assert expected is not None      # the dict kept the last value
+        with pytest.raises(K.DomainError, match=f"position {pairs[-1][0]} "):
+            K.InterpolationProblem.from_pairs(model, k, n, pairs)
+        return
+    if expected is None:
+        with pytest.raises(K.DomainError):
+            K.InterpolationProblem.from_pairs(model, k, n, pairs)
+        return
+    a = K.InterpolationProblem.from_pairs(model, k, n, pairs)
+    b = K.InterpolationProblem.from_pairs(model, k, n, shuffled)
+    assert a == b and hash(a) == hash(b)
+    assert a.k == k
+    assert a.base_word(-1).tolist() == [expected.get(p, -1)
+                                        for p in range(1, n + 1)]
+
+
+def test_problem_length_must_match_window():
+    with pytest.raises(K.DomainError):
+        K.InterpolationProblem(POW(2), 100, W.SymbolWord(2, (0, 1)))
 
 
 def test_base_word_puts_f_on_fill():
     f = {2: 1, 4: 2, 8: 0, 16: 1}
-    problem = K.InterpolationProblem(POW(2), 3, 20, f)
+    problem = K.InterpolationProblem.from_pairs(POW(2), 3, 20, f.items())
     assert problem.base_word(-1).tolist() == [f.get(p, -1) for p in range(1, 21)]
 
 
@@ -289,16 +413,16 @@ def test_shallow_checks_hold(leveled):
 def test_changed_filled_cell_fails_monotone_filling(leveled):
     problem, trace = leveled
     bad = _copy(trace)
-    s = min(problem.f)
-    bad.fillings[0][s - 1] = 1 - problem.f[s]
+    s = min(f_dict(problem))
+    bad.fillings[0][s - 1] = 1 - f_dict(problem)[s]
     assert _failing_checks(bad, problem) == {"monotone-filling"}
 
 
 def test_changed_result_on_s_fails_restriction_identity(leveled):
     problem, trace = leveled
     bad = _copy(trace)
-    s = min(problem.f)
-    flipped = 1 - problem.f[s]
+    s = min(f_dict(problem))
+    flipped = 1 - f_dict(problem)[s]
     for fill in bad.fillings:
         fill[s - 1] = flipped
     sym = list(trace.result.symbols)
@@ -319,7 +443,7 @@ def test_unfilled_result_cell_fails_result_complete(leveled):
 def test_unfilled_s_cell_fails_restriction_identity(leveled):
     problem, trace = leveled
     bad = _copy(trace)
-    s = min(problem.f)
+    s = min(f_dict(problem))
     for fill in bad.fillings:
         fill[s - 1] = K.UNFILLED
     assert _failing_checks(bad, problem) == {"result-complete",
@@ -330,7 +454,7 @@ def test_leveled_refuses_a_partially_filled_sub_block():
     # S = {13} in [1, 16]; level j+1 has length 2^(j+1).  The level-2
     # filler writes only the first half of each free sub-block, so the
     # block [13, 16] is left part filled and level 3 must refuse to split it.
-    problem = K.InterpolationProblem(EXPL([13], 16), 2, 16, {13: 1})
+    problem = K.InterpolationProblem.from_pairs(EXPL([13], 16), 2, 16, [(13, 1)])
 
     def stub_level(problem, j, cur, elems):
         m_next = 2 ** (j + 1)

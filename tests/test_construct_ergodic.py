@@ -100,7 +100,7 @@ def test_anchor_word_frequencies(two_level):
 
 def test_restriction_alternating():
     f = {c: i % 2 for i, c in enumerate(CUBES.elements(2000))}
-    problem = K.InterpolationProblem(CUBES, 2, 2000, f)
+    problem = K.InterpolationProblem.from_pairs(CUBES, 2, 2000, f.items())
     trace = K.strictly_ergodic_construct(problem, levels=2)
     for s, v in f.items():
         if s <= len(trace.result):

@@ -54,7 +54,8 @@ def test_structural_checks(one_level):
 
 def test_restriction(one_level):
     problem, trace = one_level
-    for s, v in problem.f.items():
+    for s, v in zip(S.window(problem.model, problem.n).tolist(),
+                    problem.f.symbols.tolist()):
         if s <= len(trace.result):
             assert trace.result.at(s) == v
 
