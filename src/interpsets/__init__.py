@@ -18,7 +18,6 @@ from .construct import (
     MixingExtension,
     density_coloring_witness,
     extend_zero,
-    is_member_level,
     parse_member,
     mixing_extend,
     random_problem,

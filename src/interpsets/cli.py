@@ -117,21 +117,30 @@ def cmd_analyze(args):
 # -- construct -----------------------------------------------------------------
 
 
+def _json_int(value, field):
+    """A field of the problem file that must be a JSON integer: a float, a
+    string or a bool is refused, never truncated or converted."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def _load_problem(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         model = intsets.parse_set_spec(data["set_spec"])
-        k = int(data["k"])
-        n = int(data["N"])
+        k = _json_int(data["k"], "k")
+        n = _json_int(data["N"], "N")
         fspec = data["f"]
         if "pairs" in fspec:
-            pairs = [(int(s), int(v)) for s, v in fspec["pairs"]]
+            pairs = [(_json_int(s, f"f.pairs[{i}]"), _json_int(v, f"f.pairs[{i}]"))
+                     for i, (s, v) in enumerate(fspec["pairs"])]
             return (construct.InterpolationProblem.from_pairs(model, k, n, pairs),
                     data, None)
         if "seed" not in fspec:
             raise UsageError("f must give pairs or a seed")
-        seed = int(fspec["seed"])
+        seed = _json_int(fspec["seed"], "f.seed")
         if fspec.get("distribution", "uniform") != "uniform":
             raise UsageError("only distribution=uniform is supported")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

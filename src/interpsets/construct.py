@@ -331,10 +331,7 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
         fill = fillings[j].copy()
         for b in _blocks_meeting(elems, m_next, n // m_next):
             subs = fill[b * m_next:(b + 1) * m_next].reshape(-1, m)   # a view
-            unfilled = subs == UNFILLED
-            free = unfilled.all(axis=1)
-            if (unfilled.any(axis=1) != free).any():
-                raise AssertionError("partially filled sub-block")
+            free = _free_rows(subs, "sub-block")
             parse = fill_block(b * m_next + 1, (b + 1) * m_next, subs, free)
             if parse is not None:
                 nxt.filled[b] = parse
@@ -343,33 +340,36 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
     return _finish_trace(kind, problem, level_data, fillings)
 
 
+def _free_rows(rows, what: str) -> np.ndarray:
+    """Which rows of a 2-D view of a filling are unfilled; none is part filled."""
+    unfilled = rows == UNFILLED
+    free = unfilled.all(axis=1)
+    if (unfilled.any(axis=1) != free).any():
+        raise AssertionError(f"partially filled {what}")
+    return free
+
+
 def _finish_trace(kind, problem, level_data, fillings) -> ConstructionTrace:
-    """Close all-unfilled final blocks with the top anchor word and cut the
-    longest fully-filled prefix as the result.  In the result's parse a
+    """Close the unfilled top blocks with w_J; all N // m_J are the result.
+    A cell filled at any level lies in a block meeting S, so in a top block
+    meeting S, which the top filler fills whole.  In the result's parse a
     closing block is the anchor w_J, and a filled block carries its own."""
     top = level_data[-1]
     m_k = top.m
     count = problem.n // m_k
-    final = fillings[-1]
-    blocks = final[:count * m_k].reshape(count, m_k)
-    unfilled = blocks == UNFILLED
-    empty = unfilled.all(axis=1)
+    cells = fillings[-1][:count * m_k]
+    blocks = cells.reshape(count, m_k)
+    empty = _free_rows(blocks, "top block")
     blocks[empty] = top.w.symbols
-    holes = unfilled.any(axis=1) & ~empty
-    stop = int(holes.argmax() if holes.any() else count)
-    if stop == 0:
-        raise LevelWindowError(len(level_data) - 1,
-                               "no fully filled block inside the window")
     parse = None
     if top.parses is not None:
-        index = np.where(empty[:stop], 0, -1).astype(np.int32)
-        parse = Parse(np.arange(0, stop * m_k, m_k, dtype=np.int32), index,
+        index = np.where(empty, 0, -1).astype(np.int32)
+        parse = Parse(np.arange(0, count * m_k, m_k, dtype=np.int32), index,
                       {b: top.filled[b] for b in np.flatnonzero(index).tolist()})
-    result = SymbolWord(problem.k, final[:stop * m_k])
     return ConstructionTrace(kind, problem.k, problem.n,
                              problem.model.spec_string(), level_data, fillings,
-                             result, tuple(np.flatnonzero(empty).tolist()),
-                             parse)
+                             SymbolWord(problem.k, cells),
+                             tuple(np.flatnonzero(empty).tolist()), parse)
 
 
 # .. totally minimal ..........................................................
@@ -447,11 +447,11 @@ def _minimal_level(problem, j, cur, elems):
     w_sub = cur.w.symbols
 
     def fill_block(lo, hi, subs, free):
+        # the spacing bound puts a free run of G_j in every window of m_{j+1}
         run = _first_free_run(elems, lo, hi, gap_needed)
         if run is None:
-            raise LevelWindowError(
-                j + 1, f"block [{lo}, {hi}] has no free run of {gap_needed}",
-                gap_needed, cert)
+            raise AssertionError(
+                f"block [{lo}, {hi}] has no free run of {gap_needed}")
         ru, rv = run
         a_idx = ((ru - 1 + m - 1) // m) * m
         if a_idx + len(covering) > rv:
@@ -497,10 +497,10 @@ def _anchors(lvl: LevelData):
 
 def _parse_holds(sym: np.ndarray, parse: Parse, levels, proven, level: int,
                  full: bool = True) -> bool:
-    """Does the Parse prove that sym is a level-`level` member?  It is the
-    definition is_member_level searches, with the split given: the pieces
-    tile sym with lengths m_{level-1} or m_{level-1} + 1; a piece with index
-    a >= 0 equals anchor a, which proven[level-1][a] says its own Parse
+    """Does the Parse prove that sym is a level-`level` member?  It checks
+    the family's definition on the split given: the pieces tile sym with
+    lengths m_{level-1} or m_{level-1} + 1; a piece with index a >= 0
+    equals anchor a, which proven[level-1][a] says its own Parse
     proves a member; every other piece above level 0 is proved by its own
     Parse; and, when `full`, the (anchor, offset mod (level-1)!) pairs of
     the pieces cover all of them.  A wrong parse can only make a member
@@ -563,8 +563,7 @@ def parse_member(w: SymbolWord, level: int, parse: Parse,
                  trace: ConstructionTrace) -> bool:
     """Does `parse` prove that w belongs to the level-`level` family X
     (length m) or X' (m+1)?  The check is linear in the pieces of w and of
-    the anchor words below it, whose recorded parses it checks first.
-    is_member_level decides the same family by search."""
+    the anchor words below it, whose recorded parses it checks first."""
     if trace.kind != "totally-minimal":
         raise ValueError("parses are recorded for totally-minimal traces")
     if not 1 <= level < len(trace.levels):
@@ -574,98 +573,6 @@ def parse_member(w: SymbolWord, level: int, parse: Parse,
         raise ValueError(f"|w| = {len(w)} but level {level} needs {m} or {m + 1}")
     return _parse_holds(w.symbols, parse, trace.levels,
                         _proven(trace.levels, level), level)
-
-
-# .. membership (totally minimal levels) ......................................
-
-
-def _index_by_bytes(words) -> dict:
-    keys = dict.fromkeys(w.symbols.tobytes() for w in words)
-    return {b: i for i, b in enumerate(keys)}
-
-
-class _MemberContext:
-    def __init__(self, trace: ConstructionTrace):
-        self.ms = [lvl.m for lvl in trace.levels]
-        self.t_idx = [_index_by_bytes(lvl.t_sample) for lvl in trace.levels]
-        self.tp_idx = [_index_by_bytes(lvl.t_prime_sample) for lvl in trace.levels]
-        self.memo = {}
-
-
-def _insert_maximal(masks: list, mask: int) -> None:
-    for other in masks:
-        if other | mask == other:
-            return
-    masks[:] = [other for other in masks if other | mask != mask]
-    masks.append(mask)
-
-
-def _member(ctx: _MemberContext, level: int, data: bytes) -> bool:
-    if level == 0:
-        return len(data) in (1, 2)
-    key = (level, data)
-    memo = ctx.memo
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    m_prev = ctx.ms[level - 1]
-    rho = math.factorial(level - 1)
-    t_idx = ctx.t_idx[level - 1]
-    tp_idx = ctx.tp_idx[level - 1]
-    n_t = len(t_idx)
-    full = (1 << ((n_t + len(tp_idx)) * rho)) - 1
-    total = len(data)
-    states = {0: [0]}
-    result = False
-    for p in range(total + 1):
-        masks = states.pop(p, None)
-        if not masks:
-            continue
-        if p == total:
-            result = any(mask == full for mask in masks)
-            break
-        end = p + m_prev
-        if end <= total:
-            piece = data[p:end]
-            if _member(ctx, level - 1, piece):
-                ti = t_idx.get(piece)
-                bit = 1 << (ti * rho + p % rho) if ti is not None else 0
-                bucket = states.setdefault(end, [])
-                for mask in masks:
-                    _insert_maximal(bucket, mask | bit)
-        end = p + m_prev + 1
-        if end <= total:
-            piece = data[p:end]
-            if _member(ctx, level - 1, piece):
-                ti = tp_idx.get(piece)
-                bit = (1 << ((n_t + ti) * rho + p % rho)) if ti is not None else 0
-                bucket = states.setdefault(end, [])
-                for mask in masks:
-                    _insert_maximal(bucket, mask | bit)
-    memo[key] = result
-    return result
-
-
-def is_member_level(w: SymbolWord, level: int, trace: ConstructionTrace) -> bool:
-    """Does w belong to the level-`level` family X (length m) or X' (m+1)?
-
-    Decided by dynamic programming over split points into level-(level-1)
-    pieces, tracking which anchor elements appeared at which residue
-    mod (level-1)!, with a memo local to the call.  Words of any other
-    length are an error.  This search is the independent oracle for
-    parse_member, which checks a given split instead.
-    """
-    if trace.kind != "totally-minimal":
-        raise ValueError("membership DP is defined for totally-minimal traces")
-    if not 0 <= level < len(trace.levels):
-        raise ValueError(f"no level {level} in this trace")
-    m = trace.levels[level].m
-    if len(w) not in (m, m + 1):
-        raise ValueError(f"|w| = {len(w)} but level {level} needs {m} or {m + 1}")
-    if w.alphabet_size != trace.alphabet_size or w.alphabet_size > 256:
-        raise ValueError("alphabet mismatch, or above the DP's 256 symbols")
-    ctx = _MemberContext(trace)
-    return _member(ctx, level, w.symbols.tobytes())
 
 
 # .. strictly ergodic .........................................................
@@ -718,11 +625,11 @@ def _ergodic_level(problem, j, cur, elems):
     need = overwrite + len(t_list)
 
     def fill_block(lo, hi, subs, free):
+        # < t_mult points of S in the block leave > R - t_mult >= need free
         stars = np.flatnonzero(free)
         if len(stars) < need:
-            raise LevelWindowError(
-                j + 1, f"block [{lo}, {hi}] too crowded: {len(stars)} free "
-                f"sub-blocks, need {need}")
+            raise AssertionError(f"block [{lo}, {hi}] too crowded: {len(stars)} "
+                                 f"free sub-blocks, need {need}")
         subs[stars] = w_sub
         subs[stars[overwrite:need]] = anchors
 
@@ -794,17 +701,15 @@ class SyndeticPartition:
 
 def syndetic_partition_witness(model: IntegerSetModel, g: int, h: int,
                                n: int) -> SyndeticPartition:
-    """Split a syndetic S into h residue-window pieces S_i and verify that
-    each piece, smeared g-1 steps left, covers h^2 N + ih inside the window.
+    """Split S into h residue-window pieces S_i and check that each piece,
+    smeared g-1 steps left, covers h^2 N + ih inside the window; each
+    target it misses is a failure.  A syndetic S at gap g < h misses none.
 
     The coloring f = i on S_i is the witness function used against
     totally transitive interpolation.
     """
-    cert = syndetic_certificate(model, n, g)
-    if not cert.holds:
-        raise ValueError(f"S is not syndetic at gap {g} on [1, {n}]: {cert}")
-    if h <= g:
-        raise ValueError("need h > g")
+    if g < 1 or h <= g or n < g:
+        raise ValueError(f"need 1 <= g < h and N >= g, got g={g}, h={h}, N={n}")
     hh = h * h
     elems = window(model, n)
     colors = np.where(elems < hh, 0, elems % hh // h)
@@ -865,8 +770,7 @@ def restriction_identity(problem: InterpolationProblem, cells, covered: int,
                                  {"mismatches": bad})
 
 
-def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
-                 deep: bool = True) -> list:
+def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem) -> list:
     """Structural checks shared by both leveled constructions, plus the
     membership checks specific to each kind: one Certificate per check, at
     the scale of the window and the number of levels."""
@@ -895,7 +799,7 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
     out.append(check("result-complete", ok,
                      f"result covers [1, {len(res)}] with no unfilled cell"))
     out.append(restriction_identity(problem, final, len(res), scale))
-    if deep and trace.kind == "totally-minimal":
+    if trace.kind == "totally-minimal":
         proven = _proven(lv, len(lv))     # w_j is anchor 0 of level j
         ok = all(proven[j][0] for j in range(1, len(lv)))
         out.append(check("anchor-membership", ok,
@@ -904,7 +808,7 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem,
                           full=False)
         out.append(check("block-membership", ok,
                          "every aligned result block is a level member"))
-    if deep and trace.kind == "strictly-ergodic":
+    if trace.kind == "strictly-ergodic":
         ok = all(_frequency_member(lv[j].w, j, trace) for j in range(1, len(lv)))
         out.append(check("anchor-membership", ok,
                          "w_j satisfies the frequency conditions"))

@@ -21,6 +21,8 @@ from interpsets import recurrence as R
 from interpsets import words as W
 from interpsets.cli import main as cli_main
 
+from oracles import is_member_level
+
 POW2 = S.IntegerSetModel.lacunary_powers(2)
 CF_SQRT2M1 = [0] + [2] * 9          # 985/2378, denominator >= 1000
 DELTAS = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
@@ -166,7 +168,7 @@ def test_criterion_06_totally_minimal(minimal_trace):
         ell = rng.randrange(2, m1 - 1)
         a, b = rng.choice([(0, 1), (1, 0)])
         mut = W.SymbolWord(2, (a,) * ell + (b,) * (m1 - ell))
-        assert not K.is_member_level(mut, 1, trace)
+        assert not is_member_level(mut, 1, trace)
     w2 = trace.levels[2].w
     span = 2 * m1 + 2
     for _ in range(10):
@@ -175,7 +177,7 @@ def test_criterion_06_totally_minimal(minimal_trace):
         sym = list(w2.symbols)
         sym[pos:pos + span] = [const] * span
         mut = W.SymbolWord(2, tuple(sym))
-        assert not K.is_member_level(mut, 2, trace)
+        assert not is_member_level(mut, 2, trace)
     report(6, "trace coherent, x_u|_S = f, membership + 20 faults rejected",
            t0, f"m_1 = {m1}, m_2 = {m2}")
 

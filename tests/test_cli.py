@@ -1,5 +1,6 @@
 """CLI surface: exit codes, file outputs, reproducibility."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -239,6 +240,27 @@ def test_construct_wrongly_typed_f_exit_2(tmp_path, capsys, f):
     assert capsys.readouterr().err.startswith("error: bad problem file")
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"k": 2.7, "N": 20.9,
+      "f": {"pairs": [[2.9, 0], [4, 1], [8, 0], [16, 1]]}}, "k"),
+    ({"k": "2", "N": "20", "f": {"seed": "3"}}, "k"),
+    ({"k": True}, "k"),
+    ({"N": 20.0}, "N"),
+    ({"f": {"seed": 5.0}}, "f.seed"),
+    ({"f": {"pairs": [[2, 0], [4, 1.0], [8, 0], [16, 1]]}}, "f.pairs[1]"),
+], ids=["floats", "strings", "bool-k", "float-N", "float-seed", "float-pair"])
+def test_construct_non_integer_field_exit_2(tmp_path, capsys, fields, named):
+    # int() would truncate a float, parse a string and read true as k = 1
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({"set_spec": "kind=powers base=2", "k": 2,
+                                "N": 20, "f": {"seed": 3}, **fields}))
+    code = main(["construct", "--kind", "zero", "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert f": {named} must be a JSON integer" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "x.word").exists()
+
+
 def test_construct_minimal_trace_files(tmp_path, capsys):
     prob = tmp_path / "p.json"
     _write_problem(prob, "kind=powers base=2", 2, 4096, seed=5)
@@ -462,3 +484,42 @@ def test_word_file_non_digit_token_exit_2(tmp_path, capsys):
     path.write_text("k=40\n1_0,+3, 7\n", encoding="utf-8")
     assert main(["word-stats", "--word", str(path), "--n-max", "1"]) == 2
     assert "not an ASCII decimal" in capsys.readouterr().err
+
+
+def _broken_plan_fault(tmp_path, capsys, kind, spec, n):
+    """Run construct with a patched level plan; the fault it reports."""
+    prob = tmp_path / "p.json"
+    _write_problem(prob, spec, 2, n, seed=5)
+    code = main(["construct", "--kind", kind, "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o"), "--levels", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "level-window" not in out
+    fault = json.loads(err)
+    assert fault["type"] == "AssertionError"
+    return fault
+
+
+def test_construct_minimal_broken_plan_exit_3(tmp_path, capsys, monkeypatch):
+    # a spacing bound one short of G_1 puts blocks too short for a free run
+    # of G_1 into the plan; only the filler can see that
+    real = construct.gap_syndeticity_table
+
+    def short(model, n, gap_len):
+        cert = real(model, n, gap_len)
+        return dataclasses.replace(
+            cert, witness={**cert.witness, "spacing_bound": gap_len - 1})
+
+    monkeypatch.setattr(construct, "gap_syndeticity_table", short)
+    fault = _broken_plan_fault(tmp_path, capsys, "minimal",
+                               "kind=powers base=2", 4096)
+    assert "has no free run of 24" in fault["message"]
+
+
+def test_construct_ergodic_broken_plan_exit_3(tmp_path, capsys, monkeypatch):
+    # a density scan that sees no point of S lets blocks full of S through
+    monkeypatch.setattr(construct, "max_window_count",
+                        lambda model, n, length: (0, 1))
+    fault = _broken_plan_fault(tmp_path, capsys, "ergodic", "kind=ap a=1 b=0",
+                               500)
+    assert "too crowded" in fault["message"]

@@ -230,13 +230,15 @@ def loop_partition(members, g, h, n):
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 300),
-       st.sets(st.integers(1, 300), max_size=60))
+       st.sets(st.integers(1, 300), max_size=60), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_partition_matches_loop(g, dh, n, extra):
-    # the multiples of g make S syndetic at gap g; the extras vary the pieces
+def test_partition_matches_loop(g, dh, n, extra, syndetic):
+    # the multiples of g make S syndetic at gap g; without them S may miss
+    # targets, and the extras vary the pieces
     h = g + dh
     n = max(n, g)
-    model = EXPL(sorted(set(range(g, 301, g)) | extra))
+    multiples = set(range(g, 301, g)) if syndetic else set()
+    model = EXPL(sorted(multiples | extra))
     part = K.syndetic_partition_witness(model, g, h, n)
     pieces, coloring, checked, failures = loop_partition(
         model.elements(n), g, h, n)
@@ -253,8 +255,12 @@ def test_partition_rejects_bad_h():
 
 
 def test_partition_rejects_non_syndetic():
-    with pytest.raises(ValueError):
-        K.syndetic_partition_witness(POW(2), 3, 5, 1000)
+    # the covering check, not a precondition, refuses the powers of 2
+    part = K.syndetic_partition_witness(POW(2), 3, 5, 1000)
+    *_, checked, failures = loop_partition(POW(2).elements(1000), 3, 5, 1000)
+    assert not part.covering_ok
+    assert part.failures == failures and part.covering_checked == checked
+    assert (0, 25) in part.failures      # S_0 holds no member of [25, 27]
 
 
 def test_coloring_by_interval_index():
@@ -396,7 +402,7 @@ def leveled(request):
 
 
 def _failing_checks(trace, problem):
-    return {c.predicate for c in K.verify_trace(trace, problem, deep=False)
+    return {c.predicate for c in K.verify_trace(trace, problem)
             if not c.holds}
 
 
@@ -453,7 +459,8 @@ def test_unfilled_s_cell_fails_restriction_identity(leveled):
 def test_leveled_refuses_a_partially_filled_sub_block():
     # S = {13} in [1, 16]; level j+1 has length 2^(j+1).  The level-2
     # filler writes only the first half of each free sub-block, so the
-    # block [13, 16] is left part filled and level 3 must refuse to split it.
+    # block [13, 16] is left part filled: with two levels the finish must
+    # refuse it as a top block, and with three level 3 must refuse to split it.
     problem = K.InterpolationProblem.from_pairs(EXPL([13], 16), 2, 16, [(13, 1)])
 
     def stub_level(problem, j, cur, elems):
@@ -465,7 +472,30 @@ def test_leveled_refuses_a_partially_filled_sub_block():
 
         return nxt, fill_block
 
-    trace = K._leveled("strictly-ergodic", problem, 2, stub_level)
-    assert trace.fillings[2][12:16].tolist() == [1, 0, 0, K.UNFILLED]
+    assert K._leveled("strictly-ergodic", problem, 1, stub_level).result \
+        == W.SymbolWord(2, (0,) * 12 + (1, 0, 0, 0))
+    with pytest.raises(AssertionError, match="partially filled top block"):
+        K._leveled("strictly-ergodic", problem, 2, stub_level)
     with pytest.raises(AssertionError, match="partially filled sub-block"):
         K._leveled("strictly-ergodic", problem, 3, stub_level)
+
+
+@pytest.mark.parametrize("kind, spec, k, n, levels", [
+    ("minimal", "kind=powers base=2", 2, 4096, 1),
+    ("minimal", "kind=ap a=97 b=5", 3, 3000, 1),
+    ("minimal", "kind=powers base=3", 2, 2 ** 18, 2),
+    ("minimal", "kind=explicit elements=1,8,27,64,125,216,343,512,729,1000",
+     3, 2 ** 18, 2),
+    ("ergodic", "kind=powers base=2", 3, 3000, 1),
+    ("ergodic", "kind=sturmian cf=0,40", 2, 3000, 2),
+    ("ergodic", "kind=union of=(kind=ap a=211 b=3)(kind=powers base=3)",
+     2, 2 ** 14, 2),
+])
+def test_result_spans_every_top_block(kind, spec, k, n, levels):
+    build = {"minimal": K.totally_minimal_construct,
+             "ergodic": K.strictly_ergodic_construct}[kind]
+    problem = K.random_problem(S.parse_set_spec(spec), k, n, seed=levels + n)
+    trace = build(problem, levels=levels)
+    m = trace.final_m
+    assert len(trace.levels) == levels + 1
+    assert len(trace.result) == (n // m) * m

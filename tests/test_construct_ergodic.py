@@ -10,40 +10,9 @@ from interpsets import construct as K
 from interpsets import intsets as S
 from interpsets.words import SymbolWord
 
+from oracles import is_ergodic_member
+
 CUBES = S.IntegerSetModel.explicit_window([n ** 3 for n in range(1, 13)])
-
-
-def _ergodic_member(trace, level, syms, memo):
-    if level == 0:
-        return len(syms) == 1
-    key = (level, syms)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    lvl = trace.levels[level]
-    prev = trace.levels[level - 1]
-    m, m_prev = lvl.m, prev.m
-    ok = False
-    if len(syms) == m:
-        big_r = m // m_prev
-        blocks = [syms[c:c + m_prev] for c in range(0, m, m_prev)]
-        w_count = sum(1 for bl in blocks if bl == tuple(prev.w.symbols.tolist()))
-        anchors = {tuple(w.symbols.tolist()) for w in prev.t_sample}
-        ok = (all(_ergodic_member(trace, level - 1, bl, memo) for bl in blocks)
-              and anchors.issubset(set(blocks))
-              and w_count * level >= big_r * (level - 1))
-    memo[key] = ok
-    return ok
-
-
-def is_ergodic_member(w, level, trace):
-    """Frequency-family membership by recursion over tuples: the oracle for
-    the array check verify_trace runs."""
-    if not 0 <= level < len(trace.levels):
-        raise ValueError(f"no level {level} in this trace")
-    if len(w) != trace.levels[level].m:
-        raise ValueError("length mismatch")
-    return _ergodic_member(trace, level, tuple(w.symbols.tolist()), {})
 
 
 @pytest.fixture(scope="module")
