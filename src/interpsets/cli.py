@@ -6,6 +6,9 @@ invariant or any other unexpected exception), reported as one JSON line on
 stderr with its type, message and traceback.  All output files are written
 atomically and are byte-identical across reruns with the same parameters
 and seeds; timing appears only on stdout, never inside files.
+
+Each command imports only the library modules it runs, so every call, a
+fresh process, pays for no other module, and `count` never imports numpy.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ import math
 import os
 import sys
 import time
-import traceback
 from fractions import Fraction
 
-from . import construct, counting, intsets, recurrence, words
-from .intsets import Certificate
-from .intsets import atomic_write_text as _atomic_write
+from .certificate import Certificate
+from .certificate import atomic_write_text as _atomic_write
 
 SCHEMA = 1
 
@@ -76,6 +77,8 @@ def _report(command, parameters, outputs, certs, seed=None, started=None,
 
 
 def cmd_analyze(args):
+    from . import intsets
+
     started = time.monotonic()
     model = intsets.parse_set_spec(args.set)
     n = args.n
@@ -126,6 +129,8 @@ def _json_int(value, field):
 
 
 def _load_problem(path):
+    from . import construct, intsets
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
@@ -150,6 +155,8 @@ def _load_problem(path):
 
 
 def _write_trace(out_dir, trace):
+    from . import words
+
     files = {}
     for lvl in trace.levels:
         name = f"w{lvl.level}.word"
@@ -189,6 +196,8 @@ def _write_trace(out_dir, trace):
 
 
 def cmd_construct(args):
+    from . import construct, words
+
     started = time.monotonic()
     problem, data, seed = _load_problem(args.problem)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -273,6 +282,8 @@ def _parse_m_values(args):
 
 
 def cmd_count(args):
+    from . import counting
+
     started = time.monotonic()
     delta = _parse_fraction(args.delta)
     ms = _parse_m_values(args)
@@ -310,6 +321,8 @@ def cmd_count(args):
 
 
 def cmd_verify_f(args):
+    from . import intsets, recurrence
+
     started = time.monotonic()
     lo, hi = args.shifts
     if not 1 <= lo <= hi:
@@ -350,6 +363,8 @@ def cmd_verify_f(args):
 
 
 def cmd_word_stats(args):
+    from . import words
+
     started = time.monotonic()
     w = words.read_word_file(args.word)
     n_max = args.n_max or min(64, len(w) // 2)   # the type rules out 0
@@ -450,6 +465,8 @@ def main(argv=None):
         return 2
     except Exception as exc:
         # a fault of the program is not a verdict, so never exit 1 or 2
+        import traceback
+
         print(json.dumps({"error": "internal", "type": type(exc).__name__,
                           "message": str(exc),
                           "traceback": traceback.format_exc()}),

@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .certificate import Certificate
 from .intsets import (
-    Certificate,
     IntegerSetModel,
     _free_runs,
     free_runs,
@@ -207,6 +207,7 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
             if record >= len(y):
                 break
     w = SymbolWord(problem.k, sym)
+    del sym     # w holds its own copy: free the int64 cells before factor_counts
     full = [count == problem.k ** m
             for m, count in enumerate(factor_counts(w, l_target), 1)]
     l_cover = (full + [False]).index(False)
@@ -606,11 +607,15 @@ def _ergodic_level(problem, j, cur, elems):
                 j + 1,
                 f"window {n} cannot satisfy the density bound "
                 f"1/{step} at level length {cand}")
-        count, _ = max_window_count(model, n, cand)
-        if count * step < cand:
-            m_next = cand
-            density = Fraction(count, cand)
-            break
+        # q disjoint windows of length cand tile [1, q cand] and one holds
+        # at least the average, so an average of t_mult fails unscanned
+        q = n // cand
+        if -(-int(elems.searchsorted(q * cand, "right")) // q) < t_mult:
+            count, _ = max_window_count(model, n, cand)
+            if count * step < cand:
+                m_next = cand
+                density = Fraction(count, cand)
+                break
         t_mult += 1
     big_r = m_next // m
     fill_reps = big_r - 1 - len(t_list)

@@ -11,29 +11,12 @@ answer is tagged with the scale it was computed at.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-HOLDS = "holds-at-scale"
-FAILS = "fails-at-scale"
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+from .certificate import FAILS, HOLDS, Certificate, atomic_write_text
 
 
 class EmptyWindowError(ValueError):
@@ -279,39 +262,6 @@ def _materialize(model: IntegerSetModel, n: int):
 # -- certificates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A scale-tagged verdict with its witness; every verdict the CLI emits
-    is one.  The four set-predicate certificates can be replayed."""
-
-    predicate: str
-    scale: dict
-    verdict: str
-    witness: dict
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == HOLDS
-
-    def to_json(self) -> dict:
-        return {
-            "predicate": self.predicate,
-            "scale": dict(self.scale),
-            "verdict": self.verdict,
-            "witness": dict(self.witness),
-        }
-
-    @classmethod
-    def from_bool(cls, predicate, ok, scale, witness) -> "Certificate":
-        """The certificate of a check that came out `ok` at `scale`."""
-        return cls(predicate, dict(scale), HOLDS if ok else FAILS, dict(witness))
-
-    @classmethod
-    def from_json(cls, data) -> "Certificate":
-        return cls(data["predicate"], dict(data["scale"]), data["verdict"],
-                   dict(data["witness"]))
-
-
 def _nonempty_window(model: IntegerSetModel, n: int) -> np.ndarray:
     arr = window(model, n)
     if not arr.size:
@@ -473,16 +423,20 @@ def max_window_count(model: IntegerSetModel, n: int, length: int):
     """(count, start) maximizing |S intersect [m, m+length)| over [1, n].
 
     Candidate starts are the members of S clamped to [1, n-length+1]; the
-    first maximizing one is returned, (0, 1) when S misses [1, n].
+    first maximizing one is returned, (0, 1) when S misses [1, n].  A
+    member at or below the clamp is its own left index, so one search per
+    length counts those windows; every clamped member shares one window.
     """
     arr = window(model, n)
     if not arr.size:
         return 0, 1
-    ms = np.maximum(np.minimum(arr, n - length + 1), 1)
-    counts = (arr.searchsorted(ms + (length - 1), "right")
-              - arr.searchsorted(ms, "left"))
+    top = max(n - length + 1, 1)
+    own = int(arr.searchsorted(top, "right"))     # members at or below top
+    counts = arr.searchsorted(arr[:own] + (length - 1), "right") - np.arange(own)
+    if own < arr.size:       # every member past top starts its window at top
+        counts = np.append(counts, arr.size - arr.searchsorted(top, "left"))
     i = int(counts.argmax())
-    return int(counts[i]), int(ms[i])
+    return int(counts[i]), int(arr[i]) if i < own else top
 
 
 def banach_density_profile(model: IntegerSetModel, n: int, n_max: int = None,

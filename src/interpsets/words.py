@@ -14,12 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intsets import (
-    IntegerSetModel,
-    atomic_write_text,
-    continued_fraction,
-    window,
-)
+from .certificate import atomic_write_text
+from .intsets import IntegerSetModel, continued_fraction, window
 
 
 @dataclass(frozen=True, eq=False)

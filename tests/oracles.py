@@ -1,14 +1,52 @@
-"""Independent membership oracles for the two leveled constructions.
+"""Independent oracles for the tests.
 
-Each decides a level family by search from its definition, with no use of
-the parses or array checks that construct.verify_trace runs, so the tests
-can hold those checks against them on small traces.
+The membership oracles decide a level family of the two leveled
+constructions by search from its definition, with no use of the parses or
+array checks that construct.verify_trace runs, so the tests can hold those
+checks against them on small traces.  The window-count oracles are the
+direct scans that intsets.max_window_count and the strictly ergodic level
+plan replaced.
 """
 
 import math
+from fractions import Fraction
+
+import numpy as np
 
 from interpsets.construct import ConstructionTrace
+from interpsets.intsets import window
 from interpsets.words import SymbolWord
+
+
+# -- Banach rows and the ergodic density loop ---------------------------------
+
+
+def max_window_count(model, n, length):
+    """(count, start) maximizing |S intersect [m, m+length)| over [1, n]:
+    every member of S, clamped to [1, n-length+1], is a candidate start
+    with two searches of its own, and the first maximizing one wins."""
+    arr = window(model, n)
+    if not arr.size:
+        return 0, 1
+    ms = np.maximum(np.minimum(arr, n - length + 1), 1)
+    counts = (arr.searchsorted(ms + (length - 1), "right")
+              - arr.searchsorted(ms, "left"))
+    i = int(counts.argmax())
+    return int(counts[i]), int(ms[i])
+
+
+def ergodic_level_length(model, n, step, t_mult):
+    """(m_{j+1}, density bound) of the strictly ergodic level plan by one
+    full window scan per multiple t_mult, t_mult + 1, ... of step: the
+    first length step * t whose windows all hold fewer than t points of
+    S.  None when no length up to n passes."""
+    while step * t_mult <= n:
+        cand = step * t_mult
+        count, _ = max_window_count(model, n, cand)
+        if count * step < cand:
+            return cand, Fraction(count, cand)
+        t_mult += 1
+    return None
 
 
 # -- totally minimal: split-point DP ------------------------------------------

@@ -517,9 +517,11 @@ def test_construct_minimal_broken_plan_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_construct_ergodic_broken_plan_exit_3(tmp_path, capsys, monkeypatch):
-    # a density scan that sees no point of S lets blocks full of S through
+    # a density scan that sees no point of S lets a block full of S
+    # through; S is one clump, too small on average over [1, N] for the
+    # tiling bound to rule the level length out before the scan
     monkeypatch.setattr(construct, "max_window_count",
                         lambda model, n, length: (0, 1))
-    fault = _broken_plan_fault(tmp_path, capsys, "ergodic", "kind=ap a=1 b=0",
-                               500)
+    fault = _broken_plan_fault(tmp_path, capsys, "ergodic",
+                               "kind=explicit elements=1,2,3,4,5,6", 500)
     assert "too crowded" in fault["message"]

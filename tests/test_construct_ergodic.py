@@ -5,11 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interpsets import construct as K
 from interpsets import intsets as S
 from interpsets.words import SymbolWord
 
+import oracles
 from oracles import is_ergodic_member
 
 CUBES = S.IntegerSetModel.explicit_window([n ** 3 for n in range(1, 13)])
@@ -36,6 +38,46 @@ def test_level_schedule(two_level):
     assert trace.levels[1].density_bound < 1
     count, _ = S.max_window_count(CUBES, 2000, m2)
     assert count * 4 * m1 < m2
+
+
+@given(st.sets(st.integers(1, 300), min_size=1, max_size=150),
+       st.integers(8, 300), st.integers(2, 4))
+@settings(max_examples=80, deadline=None)
+def test_level_length_matches_scan(members, n, k):
+    # the plan skips a length whose tiling average already fails; its
+    # m_1, density bound and refusal are those of one scan per length
+    model = S.IntegerSetModel.explicit_window(sorted(members))
+    problem = K.random_problem(model, k, n, seed=1)
+    want = oracles.ergodic_level_length(model, n, 2, k + 1)
+    try:
+        lvl = K.strictly_ergodic_construct(problem, levels=1).levels[1]
+    except K.LevelWindowError as exc:
+        assert want is None
+        past = 2 * max(k + 1, n // 2 + 1)     # the first length past N
+        assert str(exc) == (f"level 1: window {n} cannot satisfy the density "
+                            f"bound 1/2 at level length {past}")
+    else:
+        assert (lvl.m, lvl.density_bound) == want
+
+
+def test_dense_refusal_scans_no_ruled_out_length(monkeypatch):
+    # 2t consecutive integers hold t evens, so the tiling average rules
+    # out every length 2t: the refusal makes no window scan at all, where
+    # one scan per length took minutes at this N
+    scanned = []
+    real = K.max_window_count
+
+    def counted(model, n, length):
+        scanned.append(length)
+        return real(model, n, length)
+
+    monkeypatch.setattr(K, "max_window_count", counted)
+    problem = K.random_problem(S.IntegerSetModel.arithmetic_progression(2, 0),
+                               2, 2 ** 17, seed=1)
+    with pytest.raises(K.LevelWindowError,
+                       match="1/2 at level length 131074$"):
+        K.strictly_ergodic_construct(problem, levels=1)
+    assert scanned == []
 
 
 def test_structure(two_level):

@@ -15,7 +15,6 @@ from interpsets import construct as K
 from interpsets import intsets as S
 from interpsets.words import SymbolWord
 
-import oracles
 from oracles import is_member_level
 
 POW = S.IntegerSetModel.lacunary_powers
@@ -321,15 +320,34 @@ def test_residues_count_at_level_three():
 
 
 def test_deep_verify_does_not_search(one_level, two_levels, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("verify_trace searched for a parse")
+    # deep verify proves every anchor once and then reads the recorded
+    # parses; parse_member, which proves the anchors again on each call,
+    # is never its route
+    calls = {"parse_member": 0, "_proven": 0}
+    for name in calls:
+        real = getattr(K, name)
 
-    monkeypatch.setattr(oracles, "_member", refuse)
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(K, name, counted)
     for problem, trace in (one_level, two_levels):
         checks = K.verify_trace(trace, problem)
         assert [c.predicate for c in checks][-2:] == ["anchor-membership",
                                                       "block-membership"]
         assert all(c.holds for c in checks)
+    assert calls == {"parse_member": 0, "_proven": 2}
+    # a search would still find the split of a block whose parse is gone;
+    # deep verify has only the record, so block-membership fails
+    problem, trace = two_levels
+    subs = dict(trace.parse.subs)
+    del subs[min(subs)]
+    cut = dataclasses.replace(
+        trace, parse=dataclasses.replace(trace.parse, subs=subs))
+    checks = {c.predicate: c.holds for c in K.verify_trace(cut, problem)}
+    assert checks.pop("block-membership") is False
+    assert all(checks.values()), checks
 
 
 def test_parse_member_refuses_other_shapes(one_level):

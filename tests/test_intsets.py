@@ -14,6 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from interpsets import intsets as S
 
+import oracles
+
 AP = S.IntegerSetModel.arithmetic_progression
 POW = S.IntegerSetModel.lacunary_powers
 EXPL = S.IntegerSetModel.explicit_window
@@ -334,6 +336,13 @@ def test_banach_start_tie_break():
     assert S.max_window_count(model, 9, 2) == (2, 2)
     assert S.max_window_count(EXPL([9]), 9, 3) == (1, 7)
     assert S.max_window_count(EXPL([20]), 9, 3) == (0, 1)
+    # every member past 7 shares the window [7, 9], which wins only when
+    # no earlier start holds as many
+    assert S.max_window_count(EXPL([8, 9]), 9, 3) == (2, 7)
+    assert S.max_window_count(EXPL([2, 3, 8, 9]), 9, 3) == (2, 2)
+    assert S.max_window_count(EXPL([2, 8, 9]), 9, 3) == (2, 7)
+    assert S.max_window_count(EXPL([]), 9, 3) == (0, 1)
+    assert S.max_window_count(EXPL([1, 5, 9]), 9, 9) == (3, 1)
 
 
 @given(small_sets, st.integers(1, 130), st.integers(1, 40))
@@ -342,6 +351,18 @@ def test_max_window_count_matches_brute(members, n, length):
     length = min(length, n)
     got = S.max_window_count(EXPL(sorted(members)), n, length)
     assert got == brute_window_count(members, n, length)
+
+
+@given(st.sets(st.integers(1, 160), max_size=40), st.integers(1, 130),
+       st.integers(0, 30), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_max_window_count_matches_scan(members, n, back, near_n):
+    # L near N puts most or all starts at the clamp; an empty set or one
+    # past N gives the empty window
+    length = max(n - back, 1) if near_n else min(back + 1, n)
+    model = EXPL(sorted(members))
+    assert S.max_window_count(model, n, length) == \
+        oracles.max_window_count(model, n, length)
 
 
 @given(small_sets, st.integers(1, 12), st.integers(1, 12))
