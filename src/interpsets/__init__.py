@@ -16,7 +16,6 @@ _PUBLIC = {
         "ConstructionTrace",
         "DomainError",
         "InterpolationProblem",
-        "LevelWindowError",
         "MixingExtension",
         "density_coloring_witness",
         "extend_zero",

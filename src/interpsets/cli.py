@@ -213,51 +213,39 @@ def cmd_construct(args):
         certs.append(construct.restriction_identity(problem, w.symbols, len(w),
                                                     scale))
 
-    if args.kind == "zero":
-        w, profile = construct.extend_zero(problem, args.profile_max)
-        emit_word(w)
-        est = words.entropy_estimate(profile)
-        certs.append(Certificate.from_bool(
-            "entropy-estimate", True, {**scale, "n_max": est.n_max},
-            {"h_at_max": est.at_n_max}))
-    elif args.kind == "sturmian":
-        w = construct.sturmian_interpolate(problem)
-        emit_word(w)
-        delta = problem.model.delta()
-        m_max = min(20, len(w) // 2)
-        counts = words.factor_counts(w, m_max) if m_max else []
-        bound_ok = all(count <= (m + 1) * problem.k ** math.ceil(m * delta)
-                       for m, count in enumerate(counts, 1))
-        certs.append(Certificate.from_bool(
-            "sturmian-factor-bound", bound_ok, {**scale, "m_max": m_max},
-            {"p": counts}))
-    elif args.kind == "mixing":
-        try:
-            ext = construct.mixing_extend(problem, args.l_target)
-        except construct.ConstructionRefused as exc:
+    try:
+        if args.kind == "zero":
+            w, profile = construct.extend_zero(problem, args.profile_max)
+            emit_word(w)
+            est = words.entropy_estimate(profile)
             certs.append(Certificate.from_bool(
-                "mixing-precondition", False, {**scale, "l_target": args.l_target},
-                {"required_run": exc.required, "available_run": exc.available,
-                 "certificate": exc.certificate.to_json()}))
-        else:
+                "entropy-estimate", True, {**scale, "n_max": est.n_max},
+                {"h_at_max": est.at_n_max}))
+        elif args.kind == "sturmian":
+            w = construct.sturmian_interpolate(problem)
+            emit_word(w)
+            delta = problem.model.delta()
+            m_max = min(20, len(w) // 2)
+            counts = words.factor_counts(w, m_max) if m_max else []
+            bound_ok = all(count <= (m + 1) * problem.k ** math.ceil(m * delta)
+                           for m, count in enumerate(counts, 1))
+            certs.append(Certificate.from_bool(
+                "sturmian-factor-bound", bound_ok, {**scale, "m_max": m_max},
+                {"p": counts}))
+        elif args.kind == "mixing":
+            ext = construct.mixing_extend(problem, args.l_target)
             emit_word(ext.word)
             certs.append(Certificate.from_bool(
                 "factor-coverage", ext.l_cover == ext.l_target,
                 {**scale, "l_target": ext.l_target}, {"l_cover": ext.l_cover}))
-    else:
-        builder = (construct.totally_minimal_construct if args.kind == "minimal"
-                   else construct.strictly_ergodic_construct)
-        try:
-            trace = builder(problem, levels=args.levels)
-        except construct.LevelWindowError as exc:
-            blocking = exc.certificate.to_json() if exc.certificate else None
-            certs.append(Certificate.from_bool(
-                "level-window", False, {**scale, "levels": args.levels},
-                {"level": exc.level, "required_gap": exc.required_gap,
-                 "reason": str(exc), "certificate": blocking}))
         else:
+            builder = (construct.totally_minimal_construct if args.kind == "minimal"
+                       else construct.strictly_ergodic_construct)
+            trace = builder(problem, levels=args.levels)
             outputs.extend(_write_trace(args.out_dir, trace))
             certs.extend(construct.verify_trace(trace, problem))
+    except construct.ConstructionRefused as exc:
+        certs.append(exc.certificate)
     params = {"kind": args.kind, "problem": args.problem,
               "problem_spec": data.get("set_spec")}
     return _report("construct", params, outputs, certs, seed=seed,
@@ -277,7 +265,10 @@ def _parse_m_values(args):
             lo, hi, step = (int(x) for x in args.m_range.split(":"))
         except ValueError as exc:
             raise UsageError("m-range must be LO:HI:STEP") from exc
-        return list(range(lo, hi + 1, step))
+        ms = list(range(lo, hi + 1, step))
+        if not ms:
+            raise UsageError(f"m-range {args.m_range} yields no m")
+        return ms
     raise UsageError("pass --m, --m-list, or --m-range")
 
 

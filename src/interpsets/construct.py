@@ -57,22 +57,11 @@ class DomainError(ValueError):
 
 
 class ConstructionRefused(Exception):
-    """The set is syndetic at scale; the mixing extension cannot run."""
+    """The window [1, N] cannot host the construction; `certificate` is the
+    failing `mixing-precondition` or `level-window` verdict that says why."""
 
-    def __init__(self, message, certificate, required, available):
+    def __init__(self, message, certificate):
         super().__init__(message)
-        self.certificate = certificate
-        self.required = required
-        self.available = available
-
-
-class LevelWindowError(Exception):
-    """The window cannot host the next level of a leveled construction."""
-
-    def __init__(self, level, reason, required_gap=None, certificate=None):
-        super().__init__(f"level {level}: {reason}")
-        self.level = level
-        self.required_gap = required_gap
         self.certificate = certificate
 
 
@@ -172,7 +161,7 @@ class MixingExtension:
     l_target: int
     l_cover: int
     placements: tuple            # (start position, prefix length) per record run
-    universal: SymbolWord
+    universal: SymbolWord        # the prefixes placed are prefixes of this word
 
 
 def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtension:
@@ -181,19 +170,31 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
     The first S-free run of each record length receives the longest
     universal prefix it can hold, so every n <= l_target has a gap
     carrying the length-n prefix.  Refuses when the window has no run of
-    length l_target, attaching the blocking syndetic certificate.
+    length l_target, with a failing `mixing-precondition` certificate that
+    nests the blocking syndetic one.
     """
-    if l_target < 1:
-        raise ValueError("l_target must be >= 1")
-    runs = free_runs(problem.model, problem.n)
+    k, n = problem.k, problem.n
+    if not 1 <= l_target <= n:
+        raise ValueError(f"l_target must lie in [1, N = {n}], got {l_target}")
+    runs = free_runs(problem.model, n)
     max_run = max((v - u + 1 for (u, v) in runs), default=0)
     if max_run < l_target:
-        cert = syndetic_certificate(problem.model, problem.n, max_run + 1)
+        # S meets the window, so g = max_run + 1 <= l_target <= N
+        blocking = syndetic_certificate(problem.model, n, max_run + 1)
         raise ConstructionRefused(
-            f"no S-free run of length {l_target} in [1, {problem.n}]; "
+            f"no S-free run of length {l_target} in [1, {n}]; "
             f"S is syndetic at scale with gap bound {max_run + 1}",
-            cert, l_target, max_run)
-    y = universal_word(problem.k, l_target)
+            Certificate.from_bool(
+                "mixing-precondition", False, {"N": n, "l_target": l_target},
+                {"required_run": l_target, "available_run": max_run,
+                 "certificate": blocking.to_json()}))
+    # no run takes more than max_run symbols: the universal word of the
+    # least order whose length reaches it is a prefix of the full one
+    order, size = 0, 0
+    while size < max_run and order < l_target:
+        order += 1
+        size += k ** order + min(order - 1, k ** order)
+    y = universal_word(k, order)
     sym = problem.base_word(0)
     placements = []
     record = 0
@@ -206,9 +207,9 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
             placements.append((u, take))
             if record >= len(y):
                 break
-    w = SymbolWord(problem.k, sym)
+    w = SymbolWord(k, sym)
     del sym     # w holds its own copy: free the int64 cells before factor_counts
-    full = [count == problem.k ** m
+    full = [count == k ** m
             for m, count in enumerate(factor_counts(w, l_target), 1)]
     l_cover = (full + [False]).index(False)
     return MixingExtension(w, l_target, l_cover, tuple(placements), y)
@@ -301,13 +302,14 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
     """The leveled block scheme both constructions share.
 
     Level 0 holds f on S and -1 elsewhere.  For each j,
-    next_level(problem, j, cur, elems) plans level j+1 from cur, the
-    LevelData of level j, and elems, the window S intersect [1, N]; it
-    returns the LevelData of level j+1 and a block filler.  The filling of
-    level j+1 starts as a copy of level j; each aligned block of length
-    m_{j+1} that meets S splits into aligned sub-blocks of length m_j, every
-    one fully free or full, and the filler writes the free ones.  A filler
-    that returns the block's parse has it kept in `filled` of level j+1.
+    next_level(problem, j, cur, elems, levels) plans level j+1 from cur,
+    the LevelData of level j, and elems, the window S intersect [1, N]; it
+    returns the LevelData of level j+1 and a block filler, or raises a
+    _level_window refusal.  The filling of level j+1 starts as a copy of
+    level j; each aligned block of length m_{j+1} that meets S splits into
+    aligned sub-blocks of length m_j, every one fully free or full, and the
+    filler writes the free ones.  A filler that returns the block's parse
+    has it kept in `filled` of level j+1.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -326,7 +328,7 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
 
     for j in range(levels):
         m = level_data[j].m
-        nxt, fill_block = next_level(problem, j, level_data[j], elems)
+        nxt, fill_block = next_level(problem, j, level_data[j], elems, levels)
         level_data.append(nxt)
         m_next = nxt.m
         fill = fillings[j].copy()
@@ -339,6 +341,17 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
         fillings.append(fill)
 
     return _finish_trace(kind, problem, level_data, fillings)
+
+
+def _level_window(n: int, levels: int, level: int, reason: str,
+                  required_gap=None, blocking=None) -> ConstructionRefused:
+    """The refusal of a level that [1, n] cannot host, at scale {N, levels};
+    `blocking` is the gap-syndeticity certificate that decided it, if any."""
+    reason = f"level {level}: {reason}"
+    return ConstructionRefused(reason, Certificate.from_bool(
+        "level-window", False, {"N": n, "levels": levels},
+        {"level": level, "required_gap": required_gap, "reason": reason,
+         "certificate": blocking and blocking.to_json()}))
 
 
 def _free_rows(rows, what: str) -> np.ndarray:
@@ -390,7 +403,7 @@ def totally_minimal_construct(problem: InterpolationProblem,
     return _leveled("totally-minimal", problem, levels, _minimal_level)
 
 
-def _minimal_level(problem, j, cur, elems):
+def _minimal_level(problem, j, cur, elems, levels):
     """Level j+1 of the totally minimal construction.  Its filler puts the
     repeated coverage block, aligned to m_j, into the first S-free run of
     length G_j of the block and w_j into every other free sub-block, and
@@ -407,16 +420,14 @@ def _minimal_level(problem, j, cur, elems):
     gap_needed = 4 * m * m * (len(t_enum) + len(tp_enum))
     cert = gap_syndeticity_table(model, n, gap_needed)
     if not cert.holds:
-        raise LevelWindowError(
-            j + 1, f"no S-free run of length {gap_needed} in [1, {n}]",
-            gap_needed, cert)
+        raise _level_window(n, levels, j + 1, f"no S-free run of length "
+                            f"{gap_needed} in [1, {n}]", gap_needed, cert)
     spacing = cert.witness["spacing_bound"]
     step = m * math.factorial(j + 1)
     m_next = ((spacing + step - 1) // step) * step
     if m_next > n:
-        raise LevelWindowError(
-            j + 1, f"m_{j + 1} = {m_next} exceeds the window {n}",
-            gap_needed, cert)
+        raise _level_window(n, levels, j + 1, f"m_{j + 1} = {m_next} exceeds "
+                            f"the window {n}", gap_needed, cert)
     u_pieces = t_enum + tp_enum + [pieces[n_t]]
     u_len = sum(len(w) for w, _ in u_pieces)
     if u_len % rho != 1 % rho:
@@ -592,7 +603,7 @@ def strictly_ergodic_construct(problem: InterpolationProblem,
     return _leveled("strictly-ergodic", problem, levels, _ergodic_level)
 
 
-def _ergodic_level(problem, j, cur, elems):
+def _ergodic_level(problem, j, cur, elems, levels):
     """Level j+1 of the strictly ergodic construction.  Its filler gives
     the first `overwrite` free sub-blocks of a block w_j, the next |T_j|
     the anchors of T_j in order, and the rest w_j."""
@@ -603,10 +614,8 @@ def _ergodic_level(problem, j, cur, elems):
     while True:
         cand = step * t_mult
         if cand > n:
-            raise LevelWindowError(
-                j + 1,
-                f"window {n} cannot satisfy the density bound "
-                f"1/{step} at level length {cand}")
+            raise _level_window(n, levels, j + 1, f"window {n} cannot satisfy the "
+                                f"density bound 1/{step} at level length {cand}")
         # q disjoint windows of length cand tile [1, q cand] and one holds
         # at least the average, so an average of t_mult fails unscanned
         q = n // cand

@@ -345,11 +345,12 @@ def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certi
 
     The holds witness carries spacing_bound D: the least L such that every
     length-L subinterval of [1, n] contains a full gap_len-run disjoint
-    from S.  Fails when no such run exists at all in the window.
+    from S.  Fails when no such run exists at all in the window.  When S
+    misses the window, [1, n] is one run and D = gap_len.
     """
     if gap_len < 1:
         raise ValueError("gap length must be >= 1")
-    starts, ends = _free_runs(_nonempty_window(model, n), 1, n)
+    starts, ends = _free_runs(window(model, n), 1, n)
     scale = {"N": n, "n": gap_len}
     keep = ends - starts + 1 >= gap_len
     if not keep.any():

@@ -73,8 +73,8 @@ def factor_counts(w: SymbolWord, n_max: int) -> list:
     symbols}.  That is T = ceil(log2 n_max) sorts of |w| keys (one when
     n_max = 1), each key built from ranks below 2^31.
     """
-    if w.alphabet_size > 256:
-        raise ValueError("factor_counts needs alphabet_size <= 256")
+    if w.alphabet_size > 2 ** 31 - 1:     # the rank k of symbol k - 1 is an int32
+        raise ValueError("factor_counts needs alphabet_size <= 2^31 - 1")
     sym = w.symbols
     size = sym.size
     if not 1 <= n_max <= size:

@@ -136,7 +136,7 @@ def test_criterion_05_mixing():
     evens = S.IntegerSetModel.arithmetic_progression(2, 0)
     with pytest.raises(K.ConstructionRefused) as err:
         K.mixing_extend(K.random_problem(evens, 2, 100, seed=0), 4)
-    cert = err.value.certificate
+    cert = S.Certificate.from_json(err.value.certificate.witness["certificate"])
     assert cert.predicate == "syndetic" and cert.holds and cert.scale["g"] == 2
     assert S.replay_certificate(evens, cert)
     report(5, "20 seeded mixing runs cover all 2^4 words; 2N refused", t0)

@@ -12,6 +12,7 @@ from interpsets.cli import main
 from interpsets.intsets import (
     Certificate,
     IntegerSetModel,
+    parse_set_spec,
     replay_certificate,
     window,
 )
@@ -302,6 +303,119 @@ def test_construct_level_window_failure(tmp_path, capsys):
     assert witness["level"] == 1 and witness["certificate"] is None
 
 
+def _gap_syndetic(n, gap_len, verdict, witness):
+    return {"predicate": "gap-syndetic", "scale": {"N": n, "n": gap_len},
+            "verdict": verdict, "witness": witness}
+
+
+_THIRTIES = ",".join(str(30 * i) for i in range(1, 14))
+
+# One input per refusal site, with the failing certificate the CLI printed
+# for it before the refusal carried its own (recorded, not recomputed).
+PINNED_REFUSALS = {
+    "minimal-gap": ("minimal", "kind=powers base=2", 262144, 5, 3, {
+        "predicate": "level-window", "scale": {"N": 262144, "levels": 3},
+        "verdict": "fails-at-scale",
+        "witness": {
+            "certificate": _gap_syndetic(
+                262144, 214583885824, "fails-at-scale",
+                {"longest_free_run": 131071, "stretch": [1, 262144]}),
+            "level": 3, "required_gap": 214583885824,
+            "reason": "level 3: no S-free run of length 214583885824 in "
+                      "[1, 262144]"}}),
+    "minimal-m-next": ("minimal", f"kind=explicit elements={_THIRTIES}",
+                       37254, 1, 2, {
+        "predicate": "level-window", "scale": {"N": 37254, "levels": 2},
+        "verdict": "fails-at-scale",
+        "witness": {
+            "certificate": _gap_syndetic(
+                37254, 36864, "holds-at-scale",
+                {"first_gap_start": 391, "gap_start_count": 1,
+                 "spacing_bound": 37254}),
+            "level": 2, "required_gap": 36864,
+            "reason": "level 2: m_2 = 37344 exceeds the window 37254"}}),
+    "ergodic-density": ("ergodic", "kind=ap a=2 b=0", 4096, 1, 1, {
+        "predicate": "level-window", "scale": {"N": 4096, "levels": 1},
+        "verdict": "fails-at-scale",
+        "witness": {
+            "certificate": None, "level": 1, "required_gap": None,
+            "reason": "level 1: window 4096 cannot satisfy the density "
+                      "bound 1/2 at level length 4098"}}),
+    "mixing": ("mixing", "kind=ap a=2 b=0", 100, 1, 3, {
+        "predicate": "mixing-precondition",
+        "scale": {"N": 100, "l_target": 4}, "verdict": "fails-at-scale",
+        "witness": {
+            "available_run": 1, "required_run": 4,
+            "certificate": {"predicate": "syndetic", "scale": {"N": 100, "g": 2},
+                            "verdict": "holds-at-scale",
+                            "witness": {"length": 2, "max_gap": [0, 2],
+                                        "pending_tail": 0}}}}),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PINNED_REFUSALS))
+def test_refusal_certificate_pinned(tmp_path, capsys, site):
+    kind, spec, n, seed, levels, pinned = PINNED_REFUSALS[site]
+    problem = construct.random_problem(parse_set_spec(spec), 2, n, seed)
+    with pytest.raises(construct.ConstructionRefused) as err:
+        if kind == "mixing":
+            construct.mixing_extend(problem, 4)
+        elif kind == "minimal":
+            construct.totally_minimal_construct(problem, levels)
+        else:
+            construct.strictly_ergodic_construct(problem, levels)
+    assert err.value.certificate.to_json() == pinned
+    if kind != "mixing":
+        assert str(err.value) == pinned["witness"]["reason"]
+    prob = tmp_path / "p.json"
+    _write_problem(prob, spec, 2, n, seed=seed)
+    code, out = run(capsys, "construct", "--kind", kind, "--problem", str(prob),
+                    "--out-dir", str(tmp_path / "o"), "--levels", str(levels))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["outputs"] == []
+    assert rep["verdicts"] == [{"name": pinned["predicate"], "ok": False,
+                                "certificate": pinned}]
+
+
+def test_construct_mixing_l_target_past_the_window_exit_2(tmp_path, capsys):
+    # S = {8, 64, ...} misses [1, 7], and N < l_target is refused as usage
+    # before any certificate is built; a run longer than N cannot exist
+    prob = tmp_path / "p.json"
+    for spec, n, l_target in (("kind=powers base=8", 7, 9),
+                              ("kind=ap a=2 b=0", 3, 4)):
+        _write_problem(prob, spec, 2, n, seed=1)
+        code = main(["construct", "--kind", "mixing", "--problem", str(prob),
+                     "--out-dir", str(tmp_path / "o"),
+                     "--l-target", str(l_target)])
+        assert code == 2
+        assert (f"l_target must lie in [1, N = {n}], got {l_target}"
+                in capsys.readouterr().err)
+
+
+def test_construct_on_an_empty_window(tmp_path, capsys):
+    # S = {8192, ...} misses [1, 4096]: every kind runs on it
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=8192", 2, 4096, pairs=[])
+    for kind in ("zero", "mixing", "ergodic", "minimal"):
+        code, out = run(capsys, "construct", "--kind", kind, "--problem",
+                        str(prob), "--out-dir", str(tmp_path / kind),
+                        "--levels", "1")
+        assert code == 0, kind
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) == 8 and all(v["ok"] for v in verdicts)
+    # two levels need a free run of 9216 > N, and that refusal replays
+    code, out = run(capsys, "construct", "--kind", "minimal", "--problem",
+                    str(prob), "--out-dir", str(tmp_path / "m2"), "--levels", "2")
+    assert code == 1
+    witness = json.loads(out)["verdicts"][0]["certificate"]["witness"]
+    assert witness["level"] == 2 and witness["required_gap"] == 9216
+    blocking = Certificate.from_json(witness["certificate"])
+    assert not blocking.holds
+    assert blocking.witness == {"stretch": [1, 4096], "longest_free_run": 4096}
+    assert replay_certificate(IntegerSetModel.lacunary_powers(8192), blocking)
+
+
 def test_construct_internal_fault_exit_3(tmp_path, capsys, monkeypatch):
     def broken(problem, levels):
         raise AssertionError("partially filled sub-block")
@@ -374,13 +488,17 @@ def test_word_stats_csv_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("m_args", [["--m-range", "3:9"],
-                                    ["--m-range", "a:b:c"], []])
+                                    ["--m-range", "a:b:c"], [],
+                                    ["--m-range", "5:1:1"]])
 def test_count_m_option_malformed_or_missing_exit_2(capsys, m_args):
     code = main(["count", "--delta", "1/3", "--k", "2", *m_args])
     assert code == 2
     err = capsys.readouterr().err
-    assert ("m-range must be LO:HI:STEP" if m_args
-            else "pass --m, --m-list, or --m-range") in err
+    if m_args[1:] == ["5:1:1"]:     # well formed, but no m in the range
+        assert "m-range 5:1:1 yields no m" in err
+    else:
+        assert ("m-range must be LO:HI:STEP" if m_args
+                else "pass --m, --m-list, or --m-range") in err
 
 
 def test_reproducibility_bytes(tmp_path, capsys):

@@ -122,9 +122,10 @@ def test_mixing_refuses_even_numbers():
     problem = K.random_problem(AP(2, 0), 2, 100, seed=1)
     with pytest.raises(K.ConstructionRefused) as err:
         K.mixing_extend(problem, 4)
-    cert = err.value.certificate
+    witness = err.value.certificate.witness
+    cert = S.Certificate.from_json(witness["certificate"])
     assert cert.holds and cert.predicate == "syndetic" and cert.scale["g"] == 2
-    assert err.value.available == 1
+    assert witness["available_run"] == 1
 
 
 def test_mixing_powers_cover_all_4_words():
@@ -162,6 +163,40 @@ def test_mixing_placements_are_record_runs():
     powers = set(POW(2).elements(2 ** 12))
     for start, take in ext.placements:
         assert not powers & set(range(start, start + take))
+
+
+def _mixing_with_the_full_word(problem, l_target):
+    """Word and placements of the mixing extension with the universal word
+    of order l_target built whole."""
+    y = W.universal_word(problem.k, l_target)
+    sym = problem.base_word(0)
+    placements, record = [], 0
+    for u, v in S.free_runs(problem.model, problem.n):
+        if v - u + 1 > record:
+            record = v - u + 1
+            take = min(record, len(y))
+            sym[u - 1:u - 1 + take] = y.symbols[:take]
+            placements.append((u, take))
+            if record >= len(y):
+                break
+    return W.SymbolWord(problem.k, sym), tuple(placements)
+
+
+def test_mixing_builds_only_the_universal_prefix_it_places():
+    models = (POW(2), POW(3), AP(7, 3),
+              S.IntegerSetModel.union_of([POW(5), AP(97, 0)]))
+    for model, k, n, l_target in itertools.product(
+            models, (1, 2, 3, 5), (50, 300, 4096), (1, 2, 3, 4, 6)):
+        problem = K.random_problem(model, k, n, seed=k + n)
+        ext = K.mixing_extend(problem, l_target)
+        full = W.universal_word(k, l_target)
+        assert np.array_equal(ext.universal.symbols,
+                              full.symbols[:len(ext.universal)])
+        assert (ext.word, ext.placements) \
+            == _mixing_with_the_full_word(problem, l_target)
+    # the largest run of 2047 takes 8 423 of the 3 368 430 symbols of order 5
+    ext = K.mixing_extend(K.random_problem(POW(2), 20, 4096, seed=1), 5)
+    assert ext.placements[-1][1] == 2047 and len(ext.universal) == 8423
 
 
 # -- witness generators --------------------------------------------------------
@@ -463,7 +498,7 @@ def test_leveled_refuses_a_partially_filled_sub_block():
     # refuse it as a top block, and with three level 3 must refuse to split it.
     problem = K.InterpolationProblem.from_pairs(EXPL([13], 16), 2, 16, [(13, 1)])
 
-    def stub_level(problem, j, cur, elems):
+    def stub_level(problem, j, cur, elems, levels):
         m_next = 2 ** (j + 1)
         nxt = K.LevelData(j + 1, m_next, (W.SymbolWord(2, (0,) * m_next),))
 

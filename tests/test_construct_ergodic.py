@@ -51,7 +51,7 @@ def test_level_length_matches_scan(members, n, k):
     want = oracles.ergodic_level_length(model, n, 2, k + 1)
     try:
         lvl = K.strictly_ergodic_construct(problem, levels=1).levels[1]
-    except K.LevelWindowError as exc:
+    except K.ConstructionRefused as exc:
         assert want is None
         past = 2 * max(k + 1, n // 2 + 1)     # the first length past N
         assert str(exc) == (f"level 1: window {n} cannot satisfy the density "
@@ -74,7 +74,7 @@ def test_dense_refusal_scans_no_ruled_out_length(monkeypatch):
     monkeypatch.setattr(K, "max_window_count", counted)
     problem = K.random_problem(S.IntegerSetModel.arithmetic_progression(2, 0),
                                2, 2 ** 17, seed=1)
-    with pytest.raises(K.LevelWindowError,
+    with pytest.raises(K.ConstructionRefused,
                        match="1/2 at level length 131074$"):
         K.strictly_ergodic_construct(problem, levels=1)
     assert scanned == []
@@ -167,9 +167,9 @@ def test_array_check_matches_recursion(two_level):
 def test_density_failure_is_structured():
     dense = S.IntegerSetModel.arithmetic_progression(1, 0)
     problem = K.random_problem(dense, 2, 500, seed=1)
-    with pytest.raises(K.LevelWindowError) as err:
+    with pytest.raises(K.ConstructionRefused) as err:
         K.strictly_ergodic_construct(problem, levels=1)
-    assert err.value.level == 1
+    assert err.value.certificate.witness["level"] == 1
 
 
 def test_deterministic():

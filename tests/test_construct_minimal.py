@@ -101,20 +101,22 @@ def test_membership_length_error(one_level):
 
 def test_window_too_small_is_structured():
     problem = K.random_problem(POW(2), 2, 100, seed=1)
-    with pytest.raises(K.LevelWindowError) as err:
+    with pytest.raises(K.ConstructionRefused) as err:
         K.totally_minimal_construct(problem, levels=2)
-    assert err.value.level == 2
-    assert err.value.required_gap == 4 * 56 * 56 * 4
+    witness = err.value.certificate.witness
+    assert witness["level"] == 2
+    assert witness["required_gap"] == 4 * 56 * 56 * 4
 
 
 def test_no_gap_at_all_is_structured():
     problem = K.random_problem(S.IntegerSetModel.arithmetic_progression(7, 0),
                                2, 5000, seed=1)
-    with pytest.raises(K.LevelWindowError) as err:
+    with pytest.raises(K.ConstructionRefused) as err:
         K.totally_minimal_construct(problem, levels=1)
-    assert err.value.level == 1
-    assert err.value.certificate is not None
-    assert not err.value.certificate.holds
+    witness = err.value.certificate.witness
+    assert witness["level"] == 1
+    assert witness["certificate"] is not None
+    assert not S.Certificate.from_json(witness["certificate"]).holds
 
 
 def test_deterministic_traces():

@@ -212,7 +212,7 @@ def test_gap_table_brute_agreement():
     assert cert.witness["spacing_bound"] == brute_spacing(model.elements(300), 300, 5)
 
 
-@given(st.sets(st.integers(1, 60), min_size=1, max_size=25), st.integers(1, 6))
+@given(st.sets(st.integers(1, 60), max_size=25), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_gap_table_matches_brute(members, gap_len):
     n = 60
@@ -228,6 +228,20 @@ def test_gap_table_matches_brute(members, gap_len):
         free = [x for x in range(1, n + 1) if x not in members]
         assert cert.witness["longest_free_run"] == max(
             (ln for _, ln in brute_runs(free, n)), default=0)
+
+
+def test_gap_table_empty_window():
+    # S misses [1, 100], so the window is one free run and D = gap_len
+    model = EXPL([200], 300)
+    cert = S.gap_syndeticity_table(model, 100, 7)
+    assert cert.holds and cert.witness == {
+        "spacing_bound": 7, "first_gap_start": 1, "gap_start_count": 94}
+    assert cert.witness["spacing_bound"] == brute_spacing([], 100, 7)
+    assert S.replay_certificate(model, cert)
+    cert = S.gap_syndeticity_table(model, 100, 101)
+    assert not cert.holds
+    assert cert.witness == {"stretch": [1, 100], "longest_free_run": 100}
+    assert S.replay_certificate(model, cert)
 
 
 def test_gap_table_even_no_2gap():

@@ -73,9 +73,20 @@ def test_factors_out_of_range():
         W.factor_counts(wd([0, 1]), 3)
     with pytest.raises(ValueError):
         W.factor_counts(wd([0, 1]), 0)
-    with pytest.raises(ValueError):
-        W.factor_counts(W.SymbolWord(257, (256,)), 1)   # factor_counts needs k <= 256
     assert W.factor_counts(W.SymbolWord(256, (255, 0, 255, 0)), 4) == [2, 2, 2, 1]
+    # symbol s ranks as the int32 s + 1, so any alphabet up to 2^31 - 1
+    # counts exactly, and one past it is refused
+    rng = np.random.default_rng(3)
+    for k in (257, 1000, 70000):
+        sym = rng.integers(0, 3, 120) * (k // 2 - 1) + rng.integers(0, 2, 120)
+        w = W.SymbolWord(k, np.append(sym, k - 1))
+        assert W.factor_counts(w, 121) == [len(slice_factors(w, n))
+                                           for n in range(1, 122)], k
+    top = 2 ** 31 - 1
+    assert W.factor_counts(W.SymbolWord(top, (top - 1, 0, top - 1, 0)), 4) \
+        == [2, 2, 2, 1]
+    with pytest.raises(ValueError, match="alphabet_size <= 2\\^31 - 1"):
+        W.factor_counts(W.SymbolWord(top + 1, (top,)), 1)
 
 
 def _symbols(k):
