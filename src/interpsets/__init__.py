@@ -38,7 +38,6 @@ _PUBLIC = {
         "sandwich_bounds",
     ),
     "intsets": (
-        "EmptyWindowError",
         "IntegerSetModel",
         "SpecGrammarError",
         "banach_density_profile",

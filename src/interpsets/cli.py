@@ -416,9 +416,10 @@ def build_parser():
     p = sub.add_parser("count", help="exact low-weight word counts")
     p.add_argument("--delta", required=True, help="exact rational like 1/3")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--m-list")
-    p.add_argument("--m-range", metavar="LO:HI:STEP")
+    m_opts = p.add_mutually_exclusive_group()
+    m_opts.add_argument("--m", type=int)
+    m_opts.add_argument("--m-list")
+    m_opts.add_argument("--m-range", metavar="LO:HI:STEP")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the enumeration oracle")
     p.add_argument("--csv", help="write CSV here instead of stdout")
@@ -451,7 +452,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
-        # ValueError covers spec, domain, empty-window and JSON errors too
+        # ValueError covers spec, domain and JSON errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -34,7 +34,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .certificate import Certificate
 from .intsets import (
     IntegerSetModel,
-    _free_runs,
     free_runs,
     gap_syndeticity_table,
     max_window_count,
@@ -53,7 +52,7 @@ ANCHOR_CAP = 64      # the level-0 anchor families keep at most this many words
 
 
 class DomainError(ValueError):
-    """f is not defined on exactly S intersect [1, N]."""
+    """N < 1, or f is not defined on exactly S intersect [1, N]."""
 
 
 class ConstructionRefused(Exception):
@@ -79,6 +78,8 @@ class InterpolationProblem:
     f: SymbolWord
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DomainError(f"the window [1, N] needs N >= 1, got N = {self.n}")
         size = window(self.model, self.n).size
         if len(self.f) != size:
             raise DomainError(f"f has {len(self.f)} values for the {size} "
@@ -176,8 +177,9 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
     k, n = problem.k, problem.n
     if not 1 <= l_target <= n:
         raise ValueError(f"l_target must lie in [1, N = {n}], got {l_target}")
-    runs = free_runs(problem.model, n)
-    max_run = max((v - u + 1 for (u, v) in runs), default=0)
+    starts, ends = free_runs(window(problem.model, n), 1, n)
+    lengths = ends - starts + 1
+    max_run = int(lengths.max(initial=0))
     if max_run < l_target:
         # S meets the window, so g = max_run + 1 <= l_target <= N
         blocking = syndetic_certificate(problem.model, n, max_run + 1)
@@ -198,8 +200,7 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
     sym = problem.base_word(0)
     placements = []
     record = 0
-    for (u, v) in runs:
-        length = v - u + 1
+    for u, length in zip(starts.tolist(), lengths.tolist()):
         if length > record:
             record = length
             take = min(length, len(y))
@@ -279,7 +280,7 @@ def _first_free_run(arr, lo: int, hi: int, need: int):
     """First [u, v] inside positions [lo, hi] with v-u+1 >= need and no
     element of the ascending array arr."""
     inside = arr[arr.searchsorted(lo):arr.searchsorted(hi, "right")]
-    starts, ends = _free_runs(inside, lo, hi)
+    starts, ends = free_runs(inside, lo, hi)
     fits = ends - starts + 1 >= need
     if not fits.any():
         return None

@@ -19,10 +19,6 @@ import numpy as np
 from .certificate import FAILS, HOLDS, Certificate, atomic_write_text
 
 
-class EmptyWindowError(ValueError):
-    """The operation needs S to meet [1, N] and it does not."""
-
-
 class SpecGrammarError(ValueError):
     """Malformed generator spec string."""
 
@@ -262,19 +258,12 @@ def _materialize(model: IntegerSetModel, n: int):
 # -- certificates ---------------------------------------------------------
 
 
-def _nonempty_window(model: IntegerSetModel, n: int) -> np.ndarray:
-    arr = window(model, n)
-    if not arr.size:
-        raise EmptyWindowError(f"{model.spec_string()} is empty on [1, {n}]")
-    return arr
-
-
 def gap_sequence(model: IntegerSetModel, n: int) -> list:
     """Differences between consecutive members of S in [1, n]."""
-    return np.diff(_nonempty_window(model, n)).tolist()
+    return np.diff(window(model, n)).tolist()
 
 
-def _free_runs(arr: np.ndarray, lo: int, hi: int):
+def free_runs(arr: np.ndarray, lo: int, hi: int):
     """(starts, ends) of the maximal S-free runs inside [lo, hi], where arr
     holds the members of S in [lo, hi]."""
     prev = np.concatenate(([lo - 1], arr))
@@ -283,31 +272,27 @@ def _free_runs(arr: np.ndarray, lo: int, hi: int):
     return prev[keep] + 1, nxt[keep] - 1
 
 
-def free_runs(model: IntegerSetModel, n: int) -> list:
-    """Maximal intervals [u, v] inside [1, n] disjoint from S."""
-    starts, ends = _free_runs(window(model, n), 1, n)
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 def syndetic_certificate(model: IntegerSetModel, n: int, g: int) -> Certificate:
     """Does every length-g subwindow of [1, n] meet S?
 
     Equivalent to all gaps (counting a virtual element at 0) being <= g
     and the pending tail gap being < g.  The fails witness is the first
     largest completed gap when it exceeds g, else the pending tail if it
-    violates.
+    violates: [0, n + 1] when S misses [1, n].
     """
     if g < 1:
         raise ValueError("gap bound g must be >= 1")
     if n < g:
         raise ValueError("window must satisfy N >= g")
-    arr = _nonempty_window(model, n)
+    arr = window(model, n)
     scale = {"N": n, "g": g}
-    gaps = np.diff(arr, prepend=0)
-    i = int(gaps.argmax())
-    hi = int(arr[i])
-    lo = hi - int(gaps[i])
-    last = int(arr[-1])
+    lo = hi = last = 0      # only the virtual element when S misses [1, n]
+    if arr.size:
+        gaps = np.diff(arr, prepend=0)
+        i = int(gaps.argmax())
+        hi = int(arr[i])
+        lo = hi - int(gaps[i])
+        last = int(arr[-1])
     pending = n - last
     if hi - lo > g:
         witness = {"gap": [lo, hi], "length": hi - lo, "kind": "completed"}
@@ -324,8 +309,11 @@ def thick_certificate(model: IntegerSetModel, n: int, run_len: int) -> Certifica
     """Does [1, n] contain run_len consecutive members of S?"""
     if run_len < 1:
         raise ValueError("run length must be >= 1")
-    arr = _nonempty_window(model, n)
+    arr = window(model, n)
     scale = {"N": n, "L": run_len}
+    if not arr.size:
+        return Certificate("thick", scale, FAILS,
+                           {"longest_run_start": None, "longest_run": 0})
     # maximal runs of consecutive members, as index ranges into arr
     first = np.flatnonzero(np.diff(arr, prepend=arr[0] - 2) != 1)
     lengths = np.diff(first, append=arr.size)
@@ -350,7 +338,7 @@ def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certi
     """
     if gap_len < 1:
         raise ValueError("gap length must be >= 1")
-    starts, ends = _free_runs(window(model, n), 1, n)
+    starts, ends = free_runs(window(model, n), 1, n)
     scale = {"N": n, "n": gap_len}
     keep = ends - starts + 1 >= gap_len
     if not keep.any():
@@ -378,7 +366,7 @@ def piecewise_syndetic_certificate(model: IntegerSetModel, n: int, g: int,
         raise ValueError("need run length L >= g >= 1")
     if run_len > n:
         raise ValueError("window must satisfy N >= L")
-    starts, ends = _free_runs(_nonempty_window(model, n), 1, n)
+    starts, ends = free_runs(window(model, n), 1, n)
     scale = {"N": n, "g": g, "L": run_len}
     # violation positions x: [x, x+g-1] misses S; they form intervals
     keep = ends - starts + 1 >= g
@@ -500,7 +488,8 @@ def _witness_consistent(model: IntegerSetModel, cert: Certificate) -> bool:
                 return False
             return ((lo == 0 or member(lo)) and member(hi)
                     and not _members_in(model, n, lo + 1, hi - 1).size)
-        return member(lo) and not _members_in(model, n, lo + 1, n).size
+        return ((lo == 0 or member(lo))
+                and not _members_in(model, n, lo + 1, n).size)
     if cert.predicate == "thick" and cert.verdict == HOLDS:
         a, length = w["run_start"], w["length"]
         return _members_in(model, n, a, a + length - 1).size == max(length, 0)

@@ -416,6 +416,41 @@ def test_construct_on_an_empty_window(tmp_path, capsys):
     assert replay_certificate(IntegerSetModel.lacunary_powers(8192), blocking)
 
 
+@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize("kind", ["zero", "sturmian", "mixing", "minimal",
+                                  "ergodic"])
+def test_construct_window_below_one_exit_2(tmp_path, capsys, kind, n):
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=ap a=2 b=0", 2, n, seed=1)
+    code = main(["construct", "--kind", kind, "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert f"needs N >= 1, got N = {n}" in capsys.readouterr().err
+
+
+def test_analyze_on_an_empty_window(tmp_path, capsys):
+    # S = {8192, ...} misses [1, 4096]: each predicate answers, none refuses
+    spec = "kind=powers base=8192"
+    report = tmp_path / "r.json"
+    code, out = run(capsys, "analyze", "--set", spec, "--n", "4096",
+                    "--syndetic", "3", "--thick", "2", "--pw-syndetic", "2", "8",
+                    "--out", str(report))
+    assert code == 1
+    verdicts = json.loads(out)["verdicts"]
+    assert [(v["name"], v["ok"]) for v in verdicts] == [
+        ("syndetic", False), ("thick", False), ("piecewise-syndetic", False)]
+    assert [v["certificate"]["witness"] for v in verdicts] == [
+        {"gap": [0, 4097], "length": 4097, "kind": "pending-tail"},
+        {"longest_run_start": None, "longest_run": 0},
+        {"best_stretch": 0, "best_start": None, "needed": 7}]
+    model = parse_set_spec(spec)
+    for v in json.loads(report.read_text())["verdicts"]:
+        assert replay_certificate(model, Certificate.from_json(v["certificate"]))
+    code, out = run(capsys, "analyze", "--set", spec, "--n", "4096", "--gaps")
+    assert code == 0
+    assert json.loads(out)["results"]["gap_histogram"] == {}
+
+
 def test_construct_internal_fault_exit_3(tmp_path, capsys, monkeypatch):
     def broken(problem, levels):
         raise AssertionError("partially filled sub-block")
@@ -489,13 +524,17 @@ def test_word_stats_csv_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("m_args", [["--m-range", "3:9"],
                                     ["--m-range", "a:b:c"], [],
-                                    ["--m-range", "5:1:1"]])
+                                    ["--m-range", "5:1:1"],
+                                    ["--m", "4", "--m-list", "5,6"],
+                                    ["--m-list", "5,6", "--m-range", "1:3:1"]])
 def test_count_m_option_malformed_or_missing_exit_2(capsys, m_args):
     code = main(["count", "--delta", "1/3", "--k", "2", *m_args])
     assert code == 2
     err = capsys.readouterr().err
     if m_args[1:] == ["5:1:1"]:     # well formed, but no m in the range
         assert "m-range 5:1:1 yields no m" in err
+    elif len(m_args) > 2:           # two m options conflict
+        assert "not allowed with argument" in err
     else:
         assert ("m-range must be LO:HI:STEP" if m_args
                 else "pass --m, --m-list, or --m-range") in err

@@ -171,7 +171,8 @@ def _mixing_with_the_full_word(problem, l_target):
     y = W.universal_word(problem.k, l_target)
     sym = problem.base_word(0)
     placements, record = [], 0
-    for u, v in S.free_runs(problem.model, problem.n):
+    starts, ends = S.free_runs(S.window(problem.model, problem.n), 1, problem.n)
+    for u, v in zip(starts.tolist(), ends.tolist()):
         if v - u + 1 > record:
             record = v - u + 1
             take = min(record, len(y))
