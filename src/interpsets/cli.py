@@ -85,8 +85,8 @@ def cmd_analyze(args):
     certs = []
     extra = {}
     if args.gaps:
-        gaps = intsets.gap_sequence(model, n)
-        extra["gap_histogram"] = {str(g): gaps.count(g) for g in sorted(set(gaps))}
+        extra["gap_histogram"] = {
+            str(g): c for g, c in intsets.gap_histogram(model, n).items()}
     if args.syndetic is not None:
         certs.append(intsets.syndetic_certificate(model, n, args.syndetic))
     if args.thick is not None:

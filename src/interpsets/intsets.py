@@ -258,18 +258,80 @@ def _materialize(model: IntegerSetModel, n: int):
 # -- certificates ---------------------------------------------------------
 
 
+_CHUNK = 1 << 16   # members per slice of a streamed scan
+
+
 def gap_sequence(model: IntegerSetModel, n: int) -> list:
     """Differences between consecutive members of S in [1, n]."""
     return np.diff(window(model, n)).tolist()
 
 
-def free_runs(arr: np.ndarray, lo: int, hi: int):
+def gap_histogram(model: IntegerSetModel, n: int) -> dict:
+    """{gap: count} over gap_sequence(model, n), in ascending order of gap,
+    read one slice of _CHUNK gaps at a time."""
+    arr = window(model, n)
+    hist = {}
+    for i in range(1, arr.size, _CHUNK):
+        gaps, counts = np.unique(np.diff(arr[i - 1:i + _CHUNK]), return_counts=True)
+        for gap, count in zip(gaps.tolist(), counts.tolist()):
+            hist[gap] = hist.get(gap, 0) + count
+    return dict(sorted(hist.items()))
+
+
+def free_run_chunks(arr: np.ndarray, lo: int, hi: int):
     """(starts, ends) of the maximal S-free runs inside [lo, hi], where arr
-    holds the members of S in [lo, hi]."""
-    prev = np.concatenate(([lo - 1], arr))
-    nxt = np.concatenate((arr, [hi + 1]))
-    keep = nxt - prev >= 2
-    return prev[keep] + 1, nxt[keep] - 1
+    holds the members of S in [lo, hi], one pair per slice of at most
+    _CHUNK members, in order.  A slice's runs end just before its members
+    (the last slice's also run up to hi), and each slice carries the
+    member before it, so no array beside arr is longer than a slice."""
+    prev = lo - 1
+    for i in range(0, arr.size + 1, _CHUNK):
+        nxt = arr[i:i + _CHUNK]
+        if i + _CHUNK > arr.size:
+            nxt = np.append(nxt, hi + 1)
+        starts = np.concatenate(([prev], nxt[:-1])) + 1
+        keep = starts < nxt
+        prev = nxt[-1]
+        starts = starts[keep]       # let go of the full slice before yielding
+        yield starts, nxt[keep] - 1
+
+
+def free_runs(arr: np.ndarray, lo: int, hi: int):
+    """(starts, ends) of all the maximal S-free runs inside [lo, hi]."""
+    starts, ends = zip(*free_run_chunks(arr, lo, hi))
+    return np.concatenate(starts), np.concatenate(ends)
+
+
+def _stretches(arr: np.ndarray, n: int, m: int):
+    """Yield (lo, length, longest) per slice of free_run_chunks(arr, 1, n):
+    the maximal stretches [lo, lo+length) of the starts x <= n-m+1 whose
+    window [x, x+m-1] meets S, in order (empty ones included), and the
+    length of the slice's longest S-free run.  The stretches lie between
+    the free runs of length >= m, so with m = 1 they are the runs of
+    members; the last one ends at n-m+2, after every slice."""
+    cur = 1
+    for starts, ends in free_run_chunks(arr, 1, n):
+        longest = int((ends - starts).max(initial=-1)) + 1
+        keep = ends - starts + 1 >= m
+        lo = np.append(cur, ends[keep] - m + 2)
+        cur = lo[-1]
+        yield lo[:-1], starts[keep] - lo[:-1], longest
+    yield np.array([cur]), np.array([n - m + 2 - cur]), 0
+
+
+def _first_stretch(arr: np.ndarray, n: int, m: int, need: int):
+    """(lo, length) of the first stretch of _stretches at least need long,
+    else of the first longest one; lo is None when every stretch is empty."""
+    best_lo, best = None, 0
+    for lo, length, _ in _stretches(arr, n, m):
+        hit = length >= need
+        if hit.any():
+            i = int(hit.argmax())
+            return int(lo[i]), int(length[i])
+        if length.max(initial=0) > best:
+            i = int(length.argmax())
+            best_lo, best = int(lo[i]), int(length[i])
+    return best_lo, best
 
 
 def syndetic_certificate(model: IntegerSetModel, n: int, g: int) -> Certificate:
@@ -286,13 +348,17 @@ def syndetic_certificate(model: IntegerSetModel, n: int, g: int) -> Certificate:
         raise ValueError("window must satisfy N >= g")
     arr = window(model, n)
     scale = {"N": n, "g": g}
-    lo = hi = last = 0      # only the virtual element when S misses [1, n]
-    if arr.size:
-        gaps = np.diff(arr, prepend=0)
-        i = int(gaps.argmax())
-        hi = int(arr[i])
-        lo = hi - int(gaps[i])
-        last = int(arr[-1])
+    # a gap [lo, hi] spans the free run [lo+1, hi-1]; with no completed run
+    # the largest gap is [0, 1] (1 is in S), or [0, 0] when S misses [1, n]
+    lo, hi, last = 0, min(arr.size, 1), n
+    for starts, ends in free_run_chunks(arr, 1, n):
+        if ends.size and ends[-1] == n:     # the pending tail [last+1, n]
+            last = int(starts[-1]) - 1
+            starts, ends = starts[:-1], ends[:-1]
+        if starts.size:
+            i = int((ends - starts).argmax())
+            if ends[i] - starts[i] + 2 > hi - lo:
+                lo, hi = int(starts[i]) - 1, int(ends[i]) + 1
     pending = n - last
     if hi - lo > g:
         witness = {"gap": [lo, hi], "length": hi - lo, "kind": "completed"}
@@ -309,23 +375,13 @@ def thick_certificate(model: IntegerSetModel, n: int, run_len: int) -> Certifica
     """Does [1, n] contain run_len consecutive members of S?"""
     if run_len < 1:
         raise ValueError("run length must be >= 1")
-    arr = window(model, n)
     scale = {"N": n, "L": run_len}
-    if not arr.size:
-        return Certificate("thick", scale, FAILS,
-                           {"longest_run_start": None, "longest_run": 0})
-    # maximal runs of consecutive members, as index ranges into arr
-    first = np.flatnonzero(np.diff(arr, prepend=arr[0] - 2) != 1)
-    lengths = np.diff(first, append=arr.size)
-    long_enough = lengths >= run_len
-    if long_enough.any():
-        start = int(arr[first[long_enough.argmax()]])
+    start, longest = _first_stretch(window(model, n), n, 1, run_len)
+    if longest >= run_len:
         return Certificate("thick", scale, HOLDS,
                            {"run_start": start, "length": run_len})
-    best = int(lengths.argmax())
     return Certificate("thick", scale, FAILS,
-                       {"longest_run_start": int(arr[first[best]]),
-                        "longest_run": int(lengths[best])})
+                       {"longest_run_start": start, "longest_run": longest})
 
 
 def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certificate:
@@ -338,20 +394,23 @@ def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certi
     """
     if gap_len < 1:
         raise ValueError("gap length must be >= 1")
-    starts, ends = free_runs(window(model, n), 1, n)
     scale = {"N": n, "n": gap_len}
-    keep = ends - starts + 1 >= gap_len
-    if not keep.any():
-        longest = int((ends - starts).max()) + 1 if starts.size else 0
+    # the starts of gap_len-runs are the positions of [1, n-gap_len+1] off
+    # the stretches, the first one where the first stretch ends; a stretch
+    # of length s needs D = s + gap_len
+    longest = widest = total = 0
+    first = None
+    for lo, length, runs in _stretches(window(model, n), n, gap_len):
+        if first is None and lo.size:
+            first = int(lo[0] + length[0])
+        longest = max(longest, runs)
+        widest = max(widest, int(length.max(initial=0)))
+        total += int(length.sum())
+    if first > n - gap_len + 1:     # no gap_len-run starts in the window
         witness = {"stretch": [1, n], "longest_free_run": longest}
         return Certificate("gap-syndetic", scale, FAILS, witness)
-    # start positions of gap_len-gaps within run [u, v] are u .. v-gap_len+1
-    u = starts[keep]
-    last = ends[keep] - gap_len + 1
-    d = max(int(u[0]) + gap_len - 1, n - int(last[-1]) + 1,
-            int((u[1:] - last[:-1]).max(initial=0)) + gap_len - 1)
-    witness = {"spacing_bound": d, "first_gap_start": int(u[0]),
-               "gap_start_count": int((last - u + 1).sum())}
+    witness = {"spacing_bound": widest + gap_len, "first_gap_start": first,
+               "gap_start_count": n - gap_len + 1 - total}
     return Certificate("gap-syndetic", scale, HOLDS, witness)
 
 
@@ -360,30 +419,20 @@ def piecewise_syndetic_certificate(model: IntegerSetModel, n: int, g: int,
     """Does some length-run_len subinterval of [1, n] have all S-gaps <= g?
 
     A window [a, a+L-1] qualifies when every length-g subwindow of it
-    meets S.  Scan is linear in the number of S-free runs.
+    meets S, so when its start is in a stretch of _stretches with m = g at
+    least L-g+1 long.  Scan is linear in the number of S-free runs.
     """
     if g < 1 or run_len < g:
         raise ValueError("need run length L >= g >= 1")
     if run_len > n:
         raise ValueError("window must satisfy N >= L")
-    starts, ends = free_runs(window(model, n), 1, n)
     scale = {"N": n, "g": g, "L": run_len}
-    # violation positions x: [x, x+g-1] misses S; they form intervals
-    keep = ends - starts + 1 >= g
-    viol_lo = np.append(starts[keep], n - g + 2)
-    # good positions between violations: [cur, viol_lo - 1]
-    cur = np.concatenate(([1], ends[keep] - g + 2))
-    stretch = viol_lo - cur
     need = run_len - g + 1
-    hit = stretch >= need
-    if hit.any():
-        a = int(cur[hit.argmax()])
+    a, best = _first_stretch(window(model, n), n, g, need)
+    if best >= need:
         return Certificate("piecewise-syndetic", scale, HOLDS,
                            {"interval": [a, a + run_len - 1]})
-    i = int(stretch.argmax())
-    best = int(stretch[i])
-    witness = {"best_stretch": best,
-               "best_start": int(cur[i]) if best > 0 else None, "needed": need}
+    witness = {"best_stretch": best, "best_start": a, "needed": need}
     return Certificate("piecewise-syndetic", scale, FAILS, witness)
 
 
@@ -414,18 +463,27 @@ def max_window_count(model: IntegerSetModel, n: int, length: int):
     Candidate starts are the members of S clamped to [1, n-length+1]; the
     first maximizing one is returned, (0, 1) when S misses [1, n].  A
     member at or below the clamp is its own left index, so one search per
-    length counts those windows; every clamped member shares one window.
+    slice of _CHUNK such members counts their windows; every clamped
+    member shares one window.
     """
     arr = window(model, n)
     if not arr.size:
         return 0, 1
     top = max(n - length + 1, 1)
     own = int(arr.searchsorted(top, "right"))     # members at or below top
-    counts = arr.searchsorted(arr[:own] + (length - 1), "right") - np.arange(own)
+    best, start = 0, top
+    for i in range(0, own, _CHUNK):
+        starts = arr[i:min(i + _CHUNK, own)]
+        counts = (arr.searchsorted(starts + (length - 1), "right")
+                  - np.arange(i, i + starts.size))
+        j = int(counts.argmax())
+        if counts[j] > best:
+            best, start = int(counts[j]), int(starts[j])
     if own < arr.size:       # every member past top starts its window at top
-        counts = np.append(counts, arr.size - arr.searchsorted(top, "left"))
-    i = int(counts.argmax())
-    return int(counts[i]), int(arr[i]) if i < own else top
+        count = arr.size - int(arr.searchsorted(top, "left"))
+        if count > best:
+            best, start = count, top
+    return best, start
 
 
 def banach_density_profile(model: IntegerSetModel, n: int, n_max: int = None,

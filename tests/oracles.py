@@ -5,7 +5,9 @@ constructions by search from its definition, with no use of the parses or
 array checks that construct.verify_trace runs, so the tests can hold those
 checks against them on small traces.  The window-count oracles are the
 direct scans that intsets.max_window_count and the strictly ergodic level
-plan replaced.
+plan replaced.  The certificate oracles are the whole-window diff scans
+that the streamed free-run scan of intsets replaced: each builds arrays
+as long as S intersect [1, N].
 """
 
 import math
@@ -13,8 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from interpsets.certificate import FAILS, HOLDS, Certificate
 from interpsets.construct import ConstructionTrace
-from interpsets.intsets import window
+from interpsets.intsets import IntegerSetModel, window
 from interpsets.words import SymbolWord
 
 
@@ -47,6 +50,133 @@ def ergodic_level_length(model, n, step, t_mult):
             return cand, Fraction(count, cand)
         t_mult += 1
     return None
+
+
+# -- set certificates: whole-window diff scans ---------------------------------
+
+
+def free_runs(arr: np.ndarray, lo: int, hi: int):
+    """(starts, ends) of the maximal S-free runs inside [lo, hi], where arr
+    holds the members of S in [lo, hi]."""
+    prev = np.concatenate(([lo - 1], arr))
+    nxt = np.concatenate((arr, [hi + 1]))
+    keep = nxt - prev >= 2
+    return prev[keep] + 1, nxt[keep] - 1
+
+
+def syndetic_certificate(model: IntegerSetModel, n: int, g: int) -> Certificate:
+    """Does every length-g subwindow of [1, n] meet S?
+
+    Equivalent to all gaps (counting a virtual element at 0) being <= g
+    and the pending tail gap being < g.  The fails witness is the first
+    largest completed gap when it exceeds g, else the pending tail if it
+    violates: [0, n + 1] when S misses [1, n].
+    """
+    if g < 1:
+        raise ValueError("gap bound g must be >= 1")
+    if n < g:
+        raise ValueError("window must satisfy N >= g")
+    arr = window(model, n)
+    scale = {"N": n, "g": g}
+    lo = hi = last = 0      # only the virtual element when S misses [1, n]
+    if arr.size:
+        gaps = np.diff(arr, prepend=0)
+        i = int(gaps.argmax())
+        hi = int(arr[i])
+        lo = hi - int(gaps[i])
+        last = int(arr[-1])
+    pending = n - last
+    if hi - lo > g:
+        witness = {"gap": [lo, hi], "length": hi - lo, "kind": "completed"}
+        return Certificate("syndetic", scale, FAILS, witness)
+    if pending >= g:
+        witness = {"gap": [last, n + 1], "length": pending + 1,
+                   "kind": "pending-tail"}
+        return Certificate("syndetic", scale, FAILS, witness)
+    witness = {"max_gap": [lo, hi], "length": hi - lo, "pending_tail": pending}
+    return Certificate("syndetic", scale, HOLDS, witness)
+
+
+def thick_certificate(model: IntegerSetModel, n: int, run_len: int) -> Certificate:
+    """Does [1, n] contain run_len consecutive members of S?"""
+    if run_len < 1:
+        raise ValueError("run length must be >= 1")
+    arr = window(model, n)
+    scale = {"N": n, "L": run_len}
+    if not arr.size:
+        return Certificate("thick", scale, FAILS,
+                           {"longest_run_start": None, "longest_run": 0})
+    # maximal runs of consecutive members, as index ranges into arr
+    first = np.flatnonzero(np.diff(arr, prepend=arr[0] - 2) != 1)
+    lengths = np.diff(first, append=arr.size)
+    long_enough = lengths >= run_len
+    if long_enough.any():
+        start = int(arr[first[long_enough.argmax()]])
+        return Certificate("thick", scale, HOLDS,
+                           {"run_start": start, "length": run_len})
+    best = int(lengths.argmax())
+    return Certificate("thick", scale, FAILS,
+                       {"longest_run_start": int(arr[first[best]]),
+                        "longest_run": int(lengths[best])})
+
+
+def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certificate:
+    """Do S-free runs of length gap_len recur across the whole window?
+
+    The holds witness carries spacing_bound D: the least L such that every
+    length-L subinterval of [1, n] contains a full gap_len-run disjoint
+    from S.  Fails when no such run exists at all in the window.  When S
+    misses the window, [1, n] is one run and D = gap_len.
+    """
+    if gap_len < 1:
+        raise ValueError("gap length must be >= 1")
+    starts, ends = free_runs(window(model, n), 1, n)
+    scale = {"N": n, "n": gap_len}
+    keep = ends - starts + 1 >= gap_len
+    if not keep.any():
+        longest = int((ends - starts).max()) + 1 if starts.size else 0
+        witness = {"stretch": [1, n], "longest_free_run": longest}
+        return Certificate("gap-syndetic", scale, FAILS, witness)
+    # start positions of gap_len-gaps within run [u, v] are u .. v-gap_len+1
+    u = starts[keep]
+    last = ends[keep] - gap_len + 1
+    d = max(int(u[0]) + gap_len - 1, n - int(last[-1]) + 1,
+            int((u[1:] - last[:-1]).max(initial=0)) + gap_len - 1)
+    witness = {"spacing_bound": d, "first_gap_start": int(u[0]),
+               "gap_start_count": int((last - u + 1).sum())}
+    return Certificate("gap-syndetic", scale, HOLDS, witness)
+
+
+def piecewise_syndetic_certificate(model: IntegerSetModel, n: int, g: int,
+                                   run_len: int) -> Certificate:
+    """Does some length-run_len subinterval of [1, n] have all S-gaps <= g?
+
+    A window [a, a+L-1] qualifies when every length-g subwindow of it
+    meets S.  Scan is linear in the number of S-free runs.
+    """
+    if g < 1 or run_len < g:
+        raise ValueError("need run length L >= g >= 1")
+    if run_len > n:
+        raise ValueError("window must satisfy N >= L")
+    starts, ends = free_runs(window(model, n), 1, n)
+    scale = {"N": n, "g": g, "L": run_len}
+    # violation positions x: [x, x+g-1] misses S; they form intervals
+    keep = ends - starts + 1 >= g
+    viol_lo = np.append(starts[keep], n - g + 2)
+    # good positions between violations: [cur, viol_lo - 1]
+    cur = np.concatenate(([1], ends[keep] - g + 2))
+    stretch = viol_lo - cur
+    need = run_len - g + 1
+    hit = stretch >= need
+    if hit.any():
+        a = int(cur[hit.argmax()])
+        return Certificate("piecewise-syndetic", scale, HOLDS,
+                           {"interval": [a, a + run_len - 1]})
+    i = int(stretch.argmax())
+    best = int(stretch[i])
+    witness = {"best_stretch": best,
+               "best_start": int(cur[i]) if best > 0 else None, "needed": need}
+    return Certificate("piecewise-syndetic", scale, FAILS, witness)
 
 
 # -- totally minimal: split-point DP ------------------------------------------

@@ -5,6 +5,7 @@ Derived expected values were computed with the brute-force oracles below
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,6 +508,74 @@ def test_witness_replay_matches_loop(members, n, g, extra, shifts):
                              _shifted_witness(cert.witness, shifts))
         assert (S._witness_consistent(model, bent)
                 == loop_witness_consistent(model, bent))
+
+
+# windows of [1, n]: any subset, one with a free run ending at n, one with
+# tied largest gaps and runs, the empty window and the whole of [1, n]
+streamed_windows = st.integers(1, 70).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.one_of(st.sets(st.integers(1, n)),
+              st.sets(st.integers(1, n)).map(lambda ms: ms - {n}),
+              tied_gap_sets.map(lambda ms: {x for x in ms if x <= n}),
+              st.just(set()), st.just(set(range(1, n + 1))))))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, S._CHUNK])
+@given(streamed_windows, st.integers(1, 8), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_streamed_scan_matches_diff_oracles(chunk, case, g, extra):
+    n, members = case
+    model = EXPL(sorted(members), n)
+    arr = S.window(model, n)
+    gaps = S.gap_sequence(model, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "_CHUNK", chunk)
+        pairs = [(S.thick_certificate(model, n, g),
+                  oracles.thick_certificate(model, n, g)),
+                 (S.gap_syndeticity_table(model, n, g),
+                  oracles.gap_syndeticity_table(model, n, g))]
+        if g <= n:
+            pairs.append((S.syndetic_certificate(model, n, g),
+                          oracles.syndetic_certificate(model, n, g)))
+            assert S.max_window_count(model, n, g) == \
+                oracles.max_window_count(model, n, g)
+        run_len = g + extra
+        if run_len <= n:
+            pairs.append((S.piecewise_syndetic_certificate(model, n, g, run_len),
+                          oracles.piecewise_syndetic_certificate(model, n, g, run_len)))
+        runs = S.free_runs(arr, 1, n)
+        histogram = S.gap_histogram(model, n)
+    for got, want in pairs:
+        assert got.to_json() == want.to_json(), got.predicate
+    for got, want in zip(runs, oracles.free_runs(arr, 1, n)):
+        assert got.tolist() == want.tolist()
+    assert list(histogram.items()) == \
+        [(gap, gaps.count(gap)) for gap in sorted(set(gaps))]
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_streamed_queries_hold_the_window_and_one_chunk(a):
+    # the whole-window scans these replaced peak at 15 to 48 MiB on these windows
+    n = 2 * 10 ** 6
+    model = AP(a, 0)
+    S.window(model, n)
+    queries = {
+        "syndetic": lambda: S.syndetic_certificate(model, n, 3),
+        "thick": lambda: S.thick_certificate(model, n, 1000),
+        "piecewise": lambda: S.piecewise_syndetic_certificate(model, n, 4, 64),
+        "gap-table": lambda: S.gap_syndeticity_table(model, n, 1),
+        "banach-row": lambda: S.max_window_count(model, n, 64),
+        "gap-histogram": lambda: S.gap_histogram(model, n),
+    }
+    peaks = {}
+    for name, query in queries.items():
+        tracemalloc.start()
+        try:
+            query()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 4 * 2 ** 20, peaks
 
 
 def test_witness_edges_are_checked():
