@@ -55,7 +55,6 @@ _PUBLIC = {
         "FSetModel",
         "build_F",
         "digit_enumerate",
-        "digit_membership",
         "ip_closure",
         "verify_shift_ip",
         "verify_sum_free",
@@ -67,7 +66,6 @@ _PUBLIC = {
         "complexity_profile",
         "entropy_estimate",
         "factor_counts",
-        "mechanical_word",
         "universal_word",
     ),
 }

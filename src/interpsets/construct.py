@@ -126,12 +126,6 @@ def random_problem(model: IntegerSetModel, k: int, n: int,
     return InterpolationProblem(model, n, SymbolWord(k, f))
 
 
-def constant_problem(model: IntegerSetModel, k: int, n: int,
-                     value: int) -> InterpolationProblem:
-    return InterpolationProblem(
-        model, n, SymbolWord(k, np.full(window(model, n).size, value)))
-
-
 # -- simple constructors ------------------------------------------------------
 
 

@@ -36,19 +36,6 @@ def continued_fraction_value(cf) -> Fraction:
     return value
 
 
-def continued_fraction(delta) -> list:
-    """delta as a continued fraction [a0; a1, ...]: a list or tuple is taken
-    as one already, any other exact rational is expanded (Euclid)."""
-    if isinstance(delta, (list, tuple)):
-        return list(delta)
-    p, q = Fraction(delta).as_integer_ratio()
-    cf = []
-    while q:
-        cf.append(p // q)
-        p, q = q, p % q
-    return cf
-
-
 @dataclass(frozen=True)
 class IntegerSetModel:
     """A subset of N given by a generator or an explicit window.
@@ -132,31 +119,6 @@ class IntegerSetModel:
     def elements(self, n: int) -> list:
         """Sorted members of S in [1, n], as a list view of window()."""
         return window(self, n).tolist()
-
-    def contains(self, x: int) -> bool:
-        if x < 1:
-            return False
-        if self.kind == "ap":
-            return x % self.a == self.b
-        if self.kind == "powers":
-            v = self.base
-            while v < x:
-                v *= self.base
-            return v == x
-        if self.kind == "sturmian":
-            d = self.delta()
-            # x in S iff some integer m satisfies x*d <= m < (x+1)*d
-            lo = x * d
-            m = -((-lo.numerator) // lo.denominator)  # ceil(lo)
-            return m < (x + 1) * d or lo == m
-        if self.kind == "union":
-            return any(p.contains(x) for p in self.parts)
-        if self.kind == "shift":
-            return self.inner.contains(x - self.t)
-        if self.kind not in ("explicit", "sums"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        arr = window(self, x)   # refuses x beyond an explicit window_bound
-        return arr.size > 0 and int(arr[-1]) == x
 
     def exact_density(self):
         """Exact upper Banach density where the generator has a closed form."""

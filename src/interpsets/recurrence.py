@@ -78,21 +78,6 @@ class FSetModel:
         return IntegerSetModel.explicit_window(self.elements, self.bound)
 
 
-def _digit_positions(y: int):
-    """(ok, positions) where positions lists the decimal places of 1-digits;
-    ok is False when any digit exceeds 1."""
-    pos = []
-    p = 0
-    while y:
-        y, d = divmod(y, 10)
-        if d > 1:
-            return False, []
-        if d == 1:
-            pos.append(p)
-        p += 1
-    return True, pos
-
-
 def build_F(n_bound: int) -> FSetModel:
     """Materialize F = union(J_n + n) on [1, n_bound] by subset sums."""
     if n_bound < 11:
@@ -162,18 +147,6 @@ def verify_shift_ip(f_model: FSetModel, n: int, depth: int) -> ShiftIPReport:
     member = set(f_model.elements)
     missing = tuple(j for j in required if j + n not in member)
     return ShiftIPReport(n, depth, not missing, tuple(required), missing)
-
-
-def digit_membership(x: int):
-    """(member, n) via the sparse-digit oracle: x in F iff for some n the
-    decimal digits of x - n are all 0/1 with 1s exactly at places in I_n."""
-    n = 1
-    while 10 ** (1 << (n - 1)) + n <= x:
-        ok, pos = _digit_positions(x - n)
-        if ok and pos and all(in_index_set(p, n) for p in pos):
-            return True, n
-        n += 1
-    return False, None
 
 
 def _place_masks(count: int) -> np.ndarray:

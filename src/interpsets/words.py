@@ -1,6 +1,5 @@
-"""Finite words over {0, ..., k-1}: factor languages, complexity profiles,
-entropy estimates, and the two special generators every construction leans
-on (mechanical words and universal words).
+"""Finite words over {0, ..., k-1}: factor counts, complexity profiles,
+entropy estimates, universal words and word files.
 
 Words stand in for one-sided sequences; position p of the modeled
 sequence (positions start at 1) lives at symbols[p-1].
@@ -10,12 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .certificate import atomic_write_text
-from .intsets import IntegerSetModel, continued_fraction, window
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,30 +119,19 @@ class ComplexityProfile:
     h_est: dict
 
     def violations(self) -> list:
-        """Invariant check: p(n) <= k^n, submultiplicativity, monotone head."""
+        """Each p(n) above min(k^n, |w| - n + 1), the two counts no word can
+        exceed, named by the bound it breaks.  k^n is built only while
+        k^(n-1) <= |w|; past that |w| - n + 1 is the smaller bound."""
         out = []
-        k = self.alphabet_size
-        ns = sorted(self.p)
-        for n in ns:
-            if self.p[n] > k ** n:
-                out.append(f"p({n}) = {self.p[n]} exceeds k^n")
-        peak = max(ns, key=lambda n: (self.p[n], -n))
-        prev = 0
-        for n in ns:
-            if n > peak:
-                break
-            if self.p[n] < prev:
-                out.append(f"p not nondecreasing at n = {n}")
-            prev = self.p[n]
-        # p(n) <= |w|, so every product fits int64; one compare per n over
-        # the m with n + m <= max n, O(len(p)^2) elements in all
-        at = np.array(ns, dtype=np.int64)
-        pv = np.array([self.p[n] for n in ns], dtype=np.int64)
-        for n, pn in zip(ns, pv):
-            ms = at[:at.searchsorted(ns[-1] - n, "right")]
-            i = at.searchsorted(n + ms)
-            bad = (at[i] == n + ms) & (pv[i] > pn * pv[:len(ms)])
-            out.extend(f"p({n + m}) > p({n}) p({m})" for m in ms[bad].tolist())
+        k, size = self.alphabet_size, self.word_length
+        power, at = 1, 0            # k^at, raised to k^n until it passes |w|
+        for n in sorted(self.p):
+            while at < n and power <= size:
+                power, at = power * k, at + 1
+            span = size - n + 1     # below power whenever at < n
+            bound, name = (power, "k^n") if power < span else (span, "|w| - n + 1")
+            if self.p[n] > bound:
+                out.append(f"p({n}) = {self.p[n]} exceeds {name}")
         return out
 
 
@@ -180,23 +166,6 @@ def entropy_estimate(profile: ComplexityProfile) -> EntropyEstimate:
         raise ValueError("empty profile")
     n_max = max(profile.p)
     return EntropyEstimate(n_max, profile.h_est[n_max], min(profile.h_est.values()))
-
-
-def mechanical_word(delta, length: int) -> SymbolWord:
-    """Indicator word of S = {floor(m/delta) : m in N} on positions 1..length.
-
-    delta is an exact rational in (0, 1/2], given as a Fraction or as a
-    truncated continued fraction.  Every length-m factor carries at most
-    ceil(m*delta) ones.
-    """
-    model = IntegerSetModel.sturmian_floor(continued_fraction(delta))
-    if not 0 < model.delta() <= Fraction(1, 2):
-        raise ValueError("delta must lie in (0, 1/2]")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    sym = np.zeros(length, dtype=np.uint8)
-    sym[window(model, length) - 1] = 1
-    return SymbolWord(2, sym)
 
 
 def _de_bruijn(k: int, n: int) -> list:

@@ -8,6 +8,15 @@ direct scans that intsets.max_window_count and the strictly ergodic level
 plan replaced.  The certificate oracles are the whole-window diff scans
 that the streamed free-run scan of intsets replaced: each builds arrays
 as long as S intersect [1, N].
+
+The second deciders answer a question the package answers once:
+`contains` decides one integer of a set model, beside intsets.window;
+`digit_membership` decides one integer of F from its digits, beside
+recurrence.digit_enumerate; `mechanical_word` is the indicator word of a
+Sturmian window; `constant_problem` is a constant f on S.  The profile
+oracle is the double loop over the theorems every factor count obeys
+(p(n) <= k^n, a nondecreasing head, p(n+m) <= p(n) p(m)), which
+ComplexityProfile.violations() no longer runs.
 """
 
 import math
@@ -16,9 +25,128 @@ from fractions import Fraction
 import numpy as np
 
 from interpsets.certificate import FAILS, HOLDS, Certificate
-from interpsets.construct import ConstructionTrace
+from interpsets.construct import ConstructionTrace, InterpolationProblem
 from interpsets.intsets import IntegerSetModel, window
+from interpsets.recurrence import in_index_set
 from interpsets.words import SymbolWord
+
+
+# -- second deciders -----------------------------------------------------------
+
+
+def contains(model: IntegerSetModel, x: int) -> bool:
+    """Is x in S?  Decided from the generator, one integer at a time."""
+    if x < 1:
+        return False
+    if model.kind == "ap":
+        return x % model.a == model.b
+    if model.kind == "powers":
+        v = model.base
+        while v < x:
+            v *= model.base
+        return v == x
+    if model.kind == "sturmian":
+        d = model.delta()
+        # x in S iff some integer m satisfies x*d <= m < (x+1)*d
+        lo = x * d
+        m = -((-lo.numerator) // lo.denominator)  # ceil(lo)
+        return m < (x + 1) * d or lo == m
+    if model.kind == "union":
+        return any(contains(p, x) for p in model.parts)
+    if model.kind == "shift":
+        return contains(model.inner, x - model.t)
+    if model.kind not in ("explicit", "sums"):
+        raise ValueError(f"unknown kind {model.kind!r}")
+    arr = window(model, x)   # refuses x beyond an explicit window_bound
+    return arr.size > 0 and int(arr[-1]) == x
+
+
+def _digit_positions(y: int):
+    """(ok, positions) where positions lists the decimal places of 1-digits;
+    ok is False when any digit exceeds 1."""
+    pos = []
+    p = 0
+    while y:
+        y, d = divmod(y, 10)
+        if d > 1:
+            return False, []
+        if d == 1:
+            pos.append(p)
+        p += 1
+    return True, pos
+
+
+def digit_membership(x: int):
+    """(member, n) via the sparse-digit oracle: x in F iff for some n the
+    decimal digits of x - n are all 0/1 with 1s exactly at places in I_n."""
+    n = 1
+    while 10 ** (1 << (n - 1)) + n <= x:
+        ok, pos = _digit_positions(x - n)
+        if ok and pos and all(in_index_set(p, n) for p in pos):
+            return True, n
+        n += 1
+    return False, None
+
+
+def continued_fraction(delta) -> list:
+    """delta as a continued fraction [a0; a1, ...]: a list or tuple is taken
+    as one already, any other exact rational is expanded (Euclid)."""
+    if isinstance(delta, (list, tuple)):
+        return list(delta)
+    p, q = Fraction(delta).as_integer_ratio()
+    cf = []
+    while q:
+        cf.append(p // q)
+        p, q = q, p % q
+    return cf
+
+
+def mechanical_word(delta, length: int) -> SymbolWord:
+    """Indicator word of S = {floor(m/delta) : m in N} on positions 1..length.
+
+    delta is an exact rational in (0, 1/2], given as a Fraction or as a
+    truncated continued fraction.  Every length-m factor carries at most
+    ceil(m*delta) ones.
+    """
+    model = IntegerSetModel.sturmian_floor(continued_fraction(delta))
+    if not 0 < model.delta() <= Fraction(1, 2):
+        raise ValueError("delta must lie in (0, 1/2]")
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    sym = np.zeros(length, dtype=np.uint8)
+    sym[window(model, length) - 1] = 1
+    return SymbolWord(2, sym)
+
+
+def constant_problem(model: IntegerSetModel, k: int, n: int,
+                     value: int) -> InterpolationProblem:
+    return InterpolationProblem(
+        model, n, SymbolWord(k, np.full(window(model, n).size, value)))
+
+
+# -- complexity profiles: the theorem checks -----------------------------------
+
+
+def profile_violations(profile):
+    """The plain double loop over (n, m): p(n) <= k^n, p nondecreasing up
+    to its first maximum, and p(n+m) <= p(n) p(m) wherever n + m is a key."""
+    out = []
+    p, k = profile.p, profile.alphabet_size
+    ns = sorted(p)
+    out += [f"p({n}) = {p[n]} exceeds k^n" for n in ns if p[n] > k ** n]
+    peak = max(ns, key=lambda n: (p[n], -n))
+    prev = 0
+    for n in ns:
+        if n > peak:
+            break
+        if p[n] < prev:
+            out.append(f"p not nondecreasing at n = {n}")
+        prev = p[n]
+    for n in ns:
+        for m in ns:
+            if n + m in p and p[n + m] > p[n] * p[m]:
+                out.append(f"p({n + m}) > p({n}) p({m})")
+    return out
 
 
 # -- Banach rows and the ergodic density loop ---------------------------------

@@ -21,7 +21,7 @@ from interpsets import recurrence as R
 from interpsets import words as W
 from interpsets.cli import main as cli_main
 
-from oracles import is_member_level
+from oracles import is_member_level, mechanical_word
 
 POW2 = S.IntegerSetModel.lacunary_powers(2)
 CF_SQRT2M1 = [0] + [2] * 9          # 985/2378, denominator >= 1000
@@ -96,7 +96,7 @@ def test_criterion_04_sturmian():
     t0 = time.monotonic()
     delta = S.continued_fraction_value(CF_SQRT2M1)
     assert delta.denominator >= 1000
-    w = W.mechanical_word(delta, 10 ** 4)
+    w = mechanical_word(delta, 10 ** 4)
     q = delta.denominator               # the word has period q = 2378
     profile = W.complexity_profile(w, len(w) // 2)
     assert all(profile.p[n] == min(n + 1, q) for n in range(1, len(w) // 2 + 1))

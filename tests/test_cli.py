@@ -16,6 +16,7 @@ from interpsets.intsets import (
     replay_certificate,
     window,
 )
+from oracles import mechanical_word
 
 
 def run(capsys, *argv):
@@ -497,7 +498,7 @@ def test_word_stats(tmp_path, capsys):
     from interpsets import words as W
     from fractions import Fraction
     path = tmp_path / "w.word"
-    W.write_word_file(path, W.mechanical_word(Fraction(2, 5), 400))
+    W.write_word_file(path, mechanical_word(Fraction(2, 5), 400))
     code, out = run(capsys, "word-stats", "--word", str(path), "--n-max", "10")
     assert code == 0
 
@@ -505,7 +506,7 @@ def test_word_stats(tmp_path, capsys):
 def test_word_stats_csv_file(tmp_path, capsys):
     from interpsets import words as W
     path = tmp_path / "w.word"
-    W.write_word_file(path, W.mechanical_word(Fraction(2, 5), 400))
+    W.write_word_file(path, mechanical_word(Fraction(2, 5), 400))
     code, out = run(capsys, "word-stats", "--word", str(path), "--n-max", "3")
     assert code == 0
     stdout_csv = out[:out.index("{")]
@@ -520,6 +521,29 @@ def test_word_stats_csv_file(tmp_path, capsys):
         b"n,p,h_est\n"
         b"1,2,%.12f\n2,3,%.12f\n3,4,%.12f\n"
         % tuple(math.log(n + 1) / n for n in (1, 2, 3)))
+
+
+def test_word_stats_overcount_fails_the_verdict(tmp_path, capsys, monkeypatch):
+    # the profile check is a theorem on true counts, so only a wrong
+    # factor_counts can fail it: p(3) = 4 + 5 breaks 2^3
+    from interpsets import words as W
+    path = tmp_path / "w.word"
+    W.write_word_file(path, mechanical_word(Fraction(2, 5), 400))
+    counts = W.factor_counts
+
+    def overcount(w, n_max):
+        p = counts(w, n_max)
+        p[2] += 5
+        return p
+
+    monkeypatch.setattr(W, "factor_counts", overcount)
+    code, out = run(capsys, "word-stats", "--word", str(path), "--n-max", "10")
+    assert code == 1
+    assert out.startswith("n,p,h_est\n1,2,") and "\n3,9," in out
+    (verdict,) = json.loads(out[out.index("{"):])["verdicts"]
+    assert verdict["name"] == "profile-invariants" and verdict["ok"] is False
+    assert verdict["certificate"]["witness"]["violations"] == [
+        "p(3) = 9 exceeds k^n"]
 
 
 @pytest.mark.parametrize("m_args", [["--m-range", "3:9"],
@@ -590,7 +614,7 @@ def test_every_verdict_is_a_certificate(tmp_path, capsys):
                    seed=4)
     _write_problem(tmp_path / "cubes.json", "kind=explicit elements=" +
                    ",".join(str(i ** 3) for i in range(1, 13)), 2, 2000, seed=3)
-    W.write_word_file(tmp_path / "w.word", W.mechanical_word(Fraction(2, 5), 400))
+    W.write_word_file(tmp_path / "w.word", mechanical_word(Fraction(2, 5), 400))
 
     def build(kind, problem, *extra):
         return ["construct", "--kind", kind, "--problem", str(tmp_path / problem),

@@ -13,6 +13,7 @@ from interpsets import construct as K
 from interpsets import counting as C
 from interpsets import intsets as S
 from interpsets import words as W
+from oracles import constant_problem, continued_fraction
 
 AP = S.IntegerSetModel.arithmetic_progression
 POW = S.IntegerSetModel.lacunary_powers
@@ -35,7 +36,7 @@ def f_dict(problem):
 
 def test_extend_zero_powers_ones():
     model = POW(2)
-    problem = K.constant_problem(model, 2, 2 ** 14, 1)
+    problem = constant_problem(model, 2, 2 ** 14, 1)
     w, _ = K.extend_zero(problem, 16)
     powers = set(model.elements(2 ** 14))
     assert all((w.at(p) == 1) == (p in powers) for p in range(1, 2 ** 14 + 1))
@@ -73,7 +74,7 @@ def test_extend_zero_entropy_control_bridge():
 
 def test_sturmian_constant_two():
     model = S.IntegerSetModel.sturmian_floor([0, 2])
-    w = K.sturmian_interpolate(K.constant_problem(model, 3, 12, 2))
+    w = K.sturmian_interpolate(constant_problem(model, 3, 12, 2))
     assert tuple(w.symbols) == (0, 2) * 6
     assert W.factor_counts(w, 2) == [2, 2]
 
@@ -111,8 +112,8 @@ def test_sturmian_needs_a_sturmian_set():
 def test_sturmian_delta_range():
     with pytest.raises(ValueError):
         model = S.IntegerSetModel.sturmian_floor(
-            S.continued_fraction(Fraction(3, 5)))
-        K.sturmian_interpolate(K.constant_problem(model, 2, 10, 0))
+            continued_fraction(Fraction(3, 5)))
+        K.sturmian_interpolate(constant_problem(model, 2, 10, 0))
 
 
 # -- mixing --------------------------------------------------------------------

@@ -58,7 +58,7 @@ COMMANDS = {
                  "--syndetic", "3"], {"intsets"}),
     "construct": (["construct", "--kind", "zero", "--problem", "p.json",
                    "--out-dir", "out"], {"construct", "intsets", "words"}),
-    "word-stats": (["word-stats", "--word", "w.word"], {"words", "intsets"}),
+    "word-stats": (["word-stats", "--word", "w.word"], {"words"}),
     "verify-f": (["verify-f", "--n", "1000", "--depth", "2", "--shifts", "1",
                   "1"], {"recurrence", "intsets"}),
     "count": (["count", "--delta", "1/3", "--k", "2", "--m", "6"],

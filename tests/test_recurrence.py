@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interpsets import recurrence as R
+from oracles import digit_membership
 
 
 def test_index_sets_dyadic():
@@ -101,11 +102,11 @@ def test_shift_ip_depth_two():
 
 
 def test_digit_membership_scalar():
-    assert R.digit_membership(11) == (True, 1)
-    assert R.digit_membership(102) == (True, 2)
-    assert R.digit_membership(1011) == (True, 1)
-    assert R.digit_membership(113) == (False, None)
-    assert R.digit_membership(12) == (False, None)
+    assert digit_membership(11) == (True, 1)
+    assert digit_membership(102) == (True, 2)
+    assert digit_membership(1011) == (True, 1)
+    assert digit_membership(113) == (False, None)
+    assert digit_membership(12) == (False, None)
 
 
 def test_digit_oracle_agrees_to_1e6():
@@ -117,7 +118,7 @@ def test_digit_oracle_agrees_to_1e6():
 def scalar_members():
     """Members of F up to 10^6 + 3 by the scalar digit oracle, one per x;
     membership does not depend on the bound, so each N takes a prefix."""
-    return [x for x in range(1, 10 ** 6 + 4) if R.digit_membership(x)[0]]
+    return [x for x in range(1, 10 ** 6 + 4) if digit_membership(x)[0]]
 
 
 @pytest.mark.parametrize("n_bound", [

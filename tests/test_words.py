@@ -11,11 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from interpsets import construct as K
 from interpsets import words as W
-from interpsets.intsets import (
-    IntegerSetModel,
-    continued_fraction,
-    continued_fraction_value,
-)
+from interpsets.intsets import IntegerSetModel, continued_fraction_value
+from oracles import continued_fraction, mechanical_word, profile_violations
 
 CF_SQRT2M1 = [0] + [2] * 9          # convergent 985/2378 of sqrt(2) - 1
 
@@ -160,7 +157,7 @@ def test_factor_of_factor_is_factor(sym, n, m):
 
 def test_profile_sturmian_n_plus_one():
     delta = continued_fraction_value(CF_SQRT2M1)
-    w = W.mechanical_word(delta, 10 ** 4)
+    w = mechanical_word(delta, 10 ** 4)
     profile = W.complexity_profile(w, 100)
     assert all(profile.p[n] == n + 1 for n in range(1, 101))
     assert profile.violations() == []
@@ -173,47 +170,52 @@ def test_profile_periodic_saturates():
     assert profile.violations() == []
 
 
-def _violations_oracle(profile):
-    """The plain double loop over (n, m) that violations() vectorizes."""
-    out = []
-    p, k = profile.p, profile.alphabet_size
-    ns = sorted(p)
-    out += [f"p({n}) = {p[n]} exceeds k^n" for n in ns if p[n] > k ** n]
-    peak = max(ns, key=lambda n: (p[n], -n))
-    prev = 0
-    for n in ns:
-        if n > peak:
-            break
-        if p[n] < prev:
-            out.append(f"p not nondecreasing at n = {n}")
-        prev = p[n]
-    for n in ns:
-        for m in ns:
-            if n + m in p and p[n + m] > p[n] * p[m]:
-                out.append(f"p({n + m}) > p({n}) p({m})")
-    return out
-
-
 def test_profile_violation_messages():
-    # k = 2: p(2) = 5 exceeds 2^2, p dips at n = 3 before its peak at
-    # n = 5, and p(2), p(4), p(5) exceed products of smaller counts
-    p = {1: 2, 2: 5, 3: 4, 4: 9, 5: 30, 6: 8}
-    profile = W.ComplexityProfile(2, 100, p, {})
-    got = profile.violations()
-    assert got == _violations_oracle(profile)
-    assert got == ["p(2) = 5 exceeds k^n", "p not nondecreasing at n = 3",
-                   "p(2) > p(1) p(1)", "p(4) > p(1) p(3)", "p(5) > p(1) p(4)",
-                   "p(5) > p(2) p(3)", "p(4) > p(3) p(1)", "p(5) > p(3) p(2)",
-                   "p(5) > p(4) p(1)"]
+    # |w| = 10, k = 2: 2^n binds at n = 1, 2 and 10 - n + 1 from n = 4 on;
+    # the two tie at n = 3, where the span is named; keys 5, 9 are absent
+    p = {1: 2, 2: 5, 3: 9, 4: 8, 6: 5, 7: 4, 8: 4, 10: 2}
+    profile = W.ComplexityProfile(2, 10, p, {})
+    assert profile.violations() == ["p(2) = 5 exceeds k^n",
+                                    "p(3) = 9 exceeds |w| - n + 1",
+                                    "p(4) = 8 exceeds |w| - n + 1",
+                                    "p(8) = 4 exceeds |w| - n + 1",
+                                    "p(10) = 2 exceeds |w| - n + 1"]
+    # k = 3 at |w| = 100: 3^n binds through n = 4, and 3^5 = 243 is built
+    # (3^4 = 81 <= |w|) but |w| - 5 + 1 = 96 is the smaller bound
+    p = {1: 4, 3: 27, 4: 82, 5: 97, 7: 94}
+    assert W.ComplexityProfile(3, 100, p, {}).violations() == [
+        "p(1) = 4 exceeds k^n", "p(4) = 82 exceeds k^n",
+        "p(5) = 97 exceeds |w| - n + 1"]
+    # k = 1: every p(n) is at most 1, however deep the keys run
+    p = {1: 1, 50: 2, 99: 1, 100: 1}
+    assert W.ComplexityProfile(1, 100, p, {}).violations() == [
+        "p(50) = 2 exceeds k^n"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.dictionaries(st.integers(1, 20), st.integers(1, 40), min_size=1),
-       st.integers(1, 3))
-def test_profile_violations_match_the_double_loop(p, k):
-    # keys with holes too: a sum n + m off the profile is no check
-    profile = W.ComplexityProfile(k, 100, p, {})
-    assert profile.violations() == _violations_oracle(profile)
+@st.composite
+def profile_words(draw):
+    """Random words and near-periodic ones (a short block repeated, with a
+    few symbols changed) over k in {1, ..., 4}, of length at most 300."""
+    k = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        sym = draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+    else:
+        block = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8))
+        sym = (block * size)[:size]
+        for _ in range(draw(st.integers(0, 3))):
+            sym[draw(st.integers(0, size - 1))] = draw(st.integers(0, k - 1))
+    return W.SymbolWord(k, sym)
+
+
+@given(profile_words())
+@settings(max_examples=100, deadline=None)
+def test_factor_counts_obey_the_profile_theorems(w):
+    # every n <= |w|: p(n) <= k^n, a nondecreasing head, p(n+m) <= p(n) p(m)
+    p = dict(enumerate(W.factor_counts(w, len(w)), 1))
+    profile = W.ComplexityProfile(w.alphabet_size, len(w), p, {})
+    assert profile_violations(profile) == []
+    assert profile.violations() == []
 
 
 def test_profile_universal_full_growth():
@@ -248,19 +250,19 @@ def test_profile_submultiplicative(sym):
 
 
 def test_mechanical_half():
-    w = W.mechanical_word(Fraction(1, 2), 12)
+    w = mechanical_word(Fraction(1, 2), 12)
     assert tuple(w.symbols) == (0, 1) * 6
 
 
 def test_mechanical_two_fifths():
     # S = {floor(5n/2)} = {2, 5, 7, 10, ...}
-    w = W.mechanical_word(Fraction(2, 5), 10)
+    w = mechanical_word(Fraction(2, 5), 10)
     assert tuple(w.symbols) == (0, 1, 0, 0, 1, 0, 1, 0, 0, 1)
 
 
 def test_mechanical_weight_bound():
     delta = continued_fraction_value(CF_SQRT2M1)
-    w = W.mechanical_word(delta, 5000)
+    w = mechanical_word(delta, 5000)
     ones = [0]
     for s in w.symbols.tolist():
         ones.append(ones[-1] + s)
@@ -271,7 +273,7 @@ def test_mechanical_weight_bound():
 
 def test_mechanical_balance():
     delta = continued_fraction_value([0, 2, 2, 2, 2, 2])
-    w = W.mechanical_word(delta, 2000)
+    w = mechanical_word(delta, 2000)
     ones = [0]
     for s in w.symbols.tolist():
         ones.append(ones[-1] + s)
@@ -287,14 +289,14 @@ def test_continued_fraction_inverts_its_value(delta):
     cf = continued_fraction(delta)
     assert continued_fraction_value(cf) == delta
     assert continued_fraction(cf) == cf
-    assert W.mechanical_word(cf, 50) == W.mechanical_word(delta, 50)
+    assert mechanical_word(cf, 50) == mechanical_word(delta, 50)
 
 
 def test_mechanical_range_errors():
     with pytest.raises(ValueError):
-        W.mechanical_word(Fraction(2, 3), 10)
+        mechanical_word(Fraction(2, 3), 10)
     with pytest.raises(ValueError):
-        W.mechanical_word(Fraction(0), 10)
+        mechanical_word(Fraction(0), 10)
 
 
 # -- universal words -----------------------------------------------------------
@@ -335,7 +337,7 @@ def test_entropy_universal_log2():
 
 def test_entropy_sturmian_near_zero():
     delta = continued_fraction_value(CF_SQRT2M1)
-    w = W.mechanical_word(delta, 10 ** 4)
+    w = mechanical_word(delta, 10 ** 4)
     est = W.entropy_estimate(W.complexity_profile(w, 100))
     assert est.at_n_max == pytest.approx(math.log(101) / 100)
     assert est.at_n_max < 0.05
@@ -346,7 +348,7 @@ def test_entropy_sturmian_near_zero():
 
 
 def test_word_file_roundtrip(tmp_path):
-    w = W.mechanical_word(Fraction(2, 5), 500)
+    w = mechanical_word(Fraction(2, 5), 500)
     path = tmp_path / "w.word"
     W.write_word_file(path, w)
     assert W.read_word_file(path) == w
