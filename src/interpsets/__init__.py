@@ -42,7 +42,6 @@ _PUBLIC = {
         "SpecGrammarError",
         "banach_density_profile",
         "continued_fraction_value",
-        "gap_sequence",
         "gap_syndeticity_table",
         "parse_set_spec",
         "piecewise_syndetic_certificate",
@@ -61,10 +60,8 @@ _PUBLIC = {
     ),
     "words": (
         "ComplexityProfile",
-        "EntropyEstimate",
         "SymbolWord",
         "complexity_profile",
-        "entropy_estimate",
         "factor_counts",
         "universal_word",
     ),

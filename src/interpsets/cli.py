@@ -215,12 +215,12 @@ def cmd_construct(args):
 
     try:
         if args.kind == "zero":
-            w, profile = construct.extend_zero(problem, args.profile_max)
+            w, profile = construct.extend_zero(problem)
             emit_word(w)
-            est = words.entropy_estimate(profile)
+            n_max = max(profile.p)
             certs.append(Certificate.from_bool(
-                "entropy-estimate", True, {**scale, "n_max": est.n_max},
-                {"h_at_max": est.at_n_max}))
+                "entropy-estimate", True, {**scale, "n_max": n_max},
+                {"h_at_max": profile.h_est[n_max]}))
         elif args.kind == "sturmian":
             w = construct.sturmian_interpolate(problem)
             emit_word(w)
@@ -360,7 +360,6 @@ def cmd_word_stats(args):
     w = words.read_word_file(args.word)
     n_max = args.n_max or min(64, len(w) // 2)   # the type rules out 0
     profile = words.complexity_profile(w, n_max)
-    est = words.entropy_estimate(profile)
     lines = ["n,p,h_est"]
     for n in sorted(profile.p):
         lines.append(f"{n},{profile.p[n]},{profile.h_est[n]:.12f}")
@@ -374,7 +373,8 @@ def cmd_word_stats(args):
     violations = profile.violations()
     cert = Certificate.from_bool(
         "profile-invariants", not violations, {"length": len(w), "n_max": n_max},
-        {"h_at_max": est.at_n_max, "h_inf": est.infimum, "violations": violations})
+        {"h_at_max": profile.h_est[n_max], "h_inf": min(profile.h_est.values()),
+         "violations": violations})
     return _report("word-stats", {"word": args.word, "n_max": n_max},
                    outputs, [cert], started=started)
 
@@ -410,7 +410,6 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--l-target", type=int, default=4)
-    p.add_argument("--profile-max", type=int, default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("count", help="exact low-weight word counts")

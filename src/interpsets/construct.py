@@ -129,12 +129,11 @@ def random_problem(model: IntegerSetModel, k: int, n: int,
 # -- simple constructors ------------------------------------------------------
 
 
-def extend_zero(problem: InterpolationProblem, profile_max: int = None):
-    """Extend f by zero off S.  Returns (word, complexity profile)."""
+def extend_zero(problem: InterpolationProblem):
+    """Extend f by zero off S.  Returns (word, complexity profile to
+    n_max = min(64, N/2))."""
     w = SymbolWord(problem.k, problem.base_word(0))
-    if profile_max is None:
-        profile_max = min(64, problem.n // 2)
-    return w, complexity_profile(w, profile_max)
+    return w, complexity_profile(w, min(64, problem.n // 2))
 
 
 def sturmian_interpolate(problem: InterpolationProblem) -> SymbolWord:

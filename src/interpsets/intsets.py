@@ -223,14 +223,9 @@ def _materialize(model: IntegerSetModel, n: int):
 _CHUNK = 1 << 16   # members per slice of a streamed scan
 
 
-def gap_sequence(model: IntegerSetModel, n: int) -> list:
-    """Differences between consecutive members of S in [1, n]."""
-    return np.diff(window(model, n)).tolist()
-
-
 def gap_histogram(model: IntegerSetModel, n: int) -> dict:
-    """{gap: count} over gap_sequence(model, n), in ascending order of gap,
-    read one slice of _CHUNK gaps at a time."""
+    """{gap: count} over the differences of consecutive members of S in
+    [1, n], ascending in gap, read one slice of _CHUNK gaps at a time."""
     arr = window(model, n)
     hist = {}
     for i in range(1, arr.size, _CHUNK):
@@ -412,12 +407,6 @@ class DensityProfile:
     rows: tuple
     exact: Fraction | None
 
-    def value(self, length: int) -> Fraction:
-        for row in self.rows:
-            if row.length == length:
-                return row.value
-        raise KeyError(length)
-
 
 def max_window_count(model: IntegerSetModel, n: int, length: int):
     """(count, start) maximizing |S intersect [m, m+length)| over [1, n].
@@ -448,23 +437,17 @@ def max_window_count(model: IntegerSetModel, n: int, length: int):
     return best, start
 
 
-def banach_density_profile(model: IntegerSetModel, n: int, n_max: int = None,
-                           lengths=None) -> DensityProfile:
+def banach_density_profile(model: IntegerSetModel, n: int,
+                           n_max: int) -> DensityProfile:
     """Best window densities d_L = max_m |S intersect [m, m+L)| / L.
 
-    Computes d_L for L = 1..n_max (or an explicit list of lengths) and
-    attaches the exact density when the generator has one.
+    Computes d_L for L = 1..n_max and attaches the exact density when the
+    generator has one; max_window_count gives a single length.
     """
-    if lengths is None:
-        if n_max is None:
-            raise ValueError("pass n_max or lengths")
-        if n_max > n // 2:
-            raise ValueError("n_max must be <= N/2")
-        lengths = range(1, n_max + 1)
+    if n_max > n // 2:
+        raise ValueError("n_max must be <= N/2")
     rows = []
-    for length in lengths:
-        if not 1 <= length <= n:
-            raise ValueError(f"window length {length} out of range")
+    for length in range(1, n_max + 1):
         count, start = max_window_count(model, n, length)
         rows.append(DensityRow(length, count, start, Fraction(count, length)))
     return DensityProfile(n, tuple(rows), model.exact_density())
@@ -579,6 +562,8 @@ def parse_set_spec(text: str) -> IntegerSetModel:
         if "=" not in tok:
             raise SpecGrammarError(f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
+        if key in fields:
+            raise SpecGrammarError(f"key {key!r} repeated in {text!r}")
         fields[key] = value
     kind = fields.pop("kind", None)
     if kind is None:
@@ -600,7 +585,11 @@ def parse_set_spec(text: str) -> IntegerSetModel:
             parts = [parse_set_spec(g) for g in _split_groups(fields.pop("of"))]
             model = IntegerSetModel.union_of(parts)
         elif kind == "shift":
-            inner = parse_set_spec(_split_groups(fields.pop("of"))[0])
+            groups = _split_groups(fields.pop("of"))
+            if len(groups) != 1:
+                raise SpecGrammarError(
+                    f"shift needs exactly one of= group, got {len(groups)}")
+            inner = parse_set_spec(groups[0])
             model = IntegerSetModel.shifted(inner, int(fields.pop("t")))
         elif kind == "sums":
             gens = [int(x) for x in fields.pop("gens").split(",")]

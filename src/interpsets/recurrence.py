@@ -16,23 +16,9 @@ import numpy as np
 from .intsets import IntegerSetModel
 
 
-def canonical_index(n: int, i: int) -> int:
-    """i-th element (1-based) of I_n = {2^(n-1) (2i-1)}."""
-    if n < 1 or i < 1:
-        raise ValueError("need n >= 1 and i >= 1")
-    return (1 << (n - 1)) * (2 * i - 1)
-
-
 def index_set(n: int, upto: int) -> list:
-    """Elements of I_n that are <= upto."""
-    out = []
-    i = 1
-    while True:
-        v = canonical_index(n, i)
-        if v > upto:
-            return out
-        out.append(v)
-        i += 1
+    """Elements of I_n = {2^(n-1) (2i-1) : i >= 1} that are <= upto."""
+    return list(range(1 << (n - 1), upto + 1, 1 << n))
 
 
 def in_index_set(k: int, n: int) -> bool:

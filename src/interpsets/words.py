@@ -1,5 +1,5 @@
-"""Finite words over {0, ..., k-1}: factor counts, complexity profiles,
-entropy estimates, universal words and word files.
+"""Finite words over {0, ..., k-1}: factor counts, complexity profiles
+with entropy estimates log p(n) / n, universal words and word files.
 
 Words stand in for one-sided sequences; position p of the modeled
 sequence (positions start at 1) lives at symbols[p-1].
@@ -153,21 +153,6 @@ def complexity_profile(w: SymbolWord, n_max: int) -> ComplexityProfile:
     return ComplexityProfile(w.alphabet_size, len(w), p, h)
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
-    n_max: int
-    at_n_max: float
-    infimum: float
-
-
-def entropy_estimate(profile: ComplexityProfile) -> EntropyEstimate:
-    """log p(n)/n at the deepest computed n, and the infimum over all n."""
-    if not profile.p:
-        raise ValueError("empty profile")
-    n_max = max(profile.p)
-    return EntropyEstimate(n_max, profile.h_est[n_max], min(profile.h_est.values()))
-
-
 def _de_bruijn(k: int, n: int) -> list:
     """Cyclic de Bruijn sequence of order n over {0..k-1} (FKM algorithm)."""
     if k == 1:
@@ -236,7 +221,11 @@ def read_word_file(path) -> SymbolWord:
         k = int(header[2:])
         body = [line.strip() for line in fh]
     if k <= 10:
-        sym = np.frombuffer(b"".join(body), np.uint8) - ord("0")
+        text = b"".join(body)
+        bad = text.translate(None, b"0123456789")[:1]    # the first non-digit byte
+        if bad:
+            raise ValueError(f"{path}: symbol {bad!r} is not an ASCII decimal")
+        sym = np.frombuffer(text, np.uint8) - ord("0")
     else:
         tokens = [x for line in body if line for x in line.split(b",")]
         bad = next((x for x in tokens if not x.isdigit()), None)

@@ -254,11 +254,10 @@ def test_criterion_10_entropy_control():
     squares = S.IntegerSetModel.explicit_window([i * i for i in range(1, 101)])
     n = 10 ** 4
     problem = K.random_problem(squares, 3, n, seed=7)
-    w, _profile = K.extend_zero(problem, 64)
-    density = S.banach_density_profile(squares, n, lengths=[16, 32, 64])
+    w, _profile = K.extend_zero(problem)
     counts = W.factor_counts(w, 64)
     for m in (16, 32, 64):
-        eta = density.value(m)
+        eta = Fraction(S.max_window_count(squares, n, m)[0], m)
         cap = C.count_low_weight(m, eta, 3).count
         assert counts[m - 1] <= cap, m
     report(10, "p(m) <= |S(m, eta, 3)| at certified density eta", t0)

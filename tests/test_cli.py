@@ -71,6 +71,19 @@ def test_malformed_spec_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, named", [
+    ("kind=ap a=3 b=0 a=4", "key 'a' repeated"),
+    ("kind=shift t=2 of=(kind=ap a=2 b=0)(kind=powers base=3)",
+     "exactly one of= group, got 2"),
+    ("kind=shift t=2 of=", "exactly one of= group, got 0"),
+])
+def test_spec_repeated_key_or_extra_shift_group_exit_2(capsys, spec, named):
+    code = main(["analyze", "--set", spec, "--n", "20", "--syndetic", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert named in err
+
+
 def test_missing_subcommand_exit_2(capsys):
     assert main([]) == 2
 
@@ -124,6 +137,26 @@ def test_construct_zero(tmp_path, capsys):
     assert rep["seed"] == 7
 
 
+@pytest.mark.parametrize("n", [4096, 40])
+def test_construct_zero_entropy_estimate_at_fixed_depth(tmp_path, capsys, n):
+    from interpsets import words as W
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, n, seed=7)
+    out_dir = tmp_path / "out"
+    code, out = run(capsys, "construct", "--kind", "zero",
+                    "--problem", str(prob), "--out-dir", str(out_dir))
+    assert code == 0
+    cert = json.loads(out)["verdicts"][1]["certificate"]
+    n_max = min(64, n // 2)
+    profile = W.complexity_profile(W.read_word_file(out_dir / "x.word"), n_max)
+    assert cert["predicate"] == "entropy-estimate"
+    assert cert["scale"] == {"N": n, "n_max": n_max}
+    assert cert["witness"] == {"h_at_max": profile.h_est[n_max]}
+    code = main(["construct", "--kind", "zero", "--problem", str(prob),
+                 "--out-dir", str(out_dir), "--profile-max", "16"])
+    assert code == 2
+
+
 def test_construct_zero_with_explicit_pairs(tmp_path, capsys):
     prob = tmp_path / "p.json"
     _write_problem(prob, "kind=explicit elements=3,7,11", 2, 20,
@@ -154,8 +187,8 @@ def test_construct_word_off_f_exit_1(tmp_path, capsys, monkeypatch):
     from interpsets import words as W
     real = construct.extend_zero
 
-    def flipped(problem, profile_max):
-        w, profile = real(problem, profile_max)
+    def flipped(problem):
+        w, profile = real(problem)
         sym = list(w.symbols)
         sym[int(window(problem.model, problem.n)[0]) - 1] ^= 1
         return W.SymbolWord(w.alphabet_size, tuple(sym)), profile
@@ -602,6 +635,10 @@ def test_bare_banach_picks_half_the_window(capsys):
                     "--n", "40", "--banach")
     assert code == 0
     assert len(json.loads(out)["results"]["banach"]["rows"]) == 20
+    code, out = run(capsys, "analyze", "--set", "kind=ap a=3 b=0",
+                    "--n", "1", "--banach")
+    assert code == 0
+    assert json.loads(out)["results"]["banach"]["rows"] == []
 
 
 def test_every_verdict_is_a_certificate(tmp_path, capsys):
@@ -657,7 +694,20 @@ def test_word_file_non_ascii_digit_exit_2(tmp_path, capsys):
     path = tmp_path / "u.word"
     path.write_text("k=4\n01٣\n", encoding="utf-8")
     assert main(["word-stats", "--word", str(path), "--n-max", "1"]) == 2
-    assert "outside alphabet" in capsys.readouterr().err
+    assert "symbol b'\\xd9' is not an ASCII decimal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, named", [
+    ("01a0", "symbol b'a' is not an ASCII decimal"),
+    ("01 0", "symbol b' ' is not an ASCII decimal"),
+    ("0120", "symbols outside alphabet 2"),
+])
+def test_word_file_names_the_first_non_digit_byte_exit_2(tmp_path, capsys,
+                                                          body, named):
+    path = tmp_path / "d.word"
+    path.write_text(f"k=2\n{body}\n", encoding="ascii")
+    assert main(["word-stats", "--word", str(path), "--n-max", "1"]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_word_file_non_digit_token_exit_2(tmp_path, capsys):

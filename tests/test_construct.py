@@ -37,14 +37,14 @@ def f_dict(problem):
 def test_extend_zero_powers_ones():
     model = POW(2)
     problem = constant_problem(model, 2, 2 ** 14, 1)
-    w, _ = K.extend_zero(problem, 16)
+    w, _ = K.extend_zero(problem)
     powers = set(model.elements(2 ** 14))
     assert all((w.at(p) == 1) == (p in powers) for p in range(1, 2 ** 14 + 1))
 
 
 def test_extend_zero_empty_set():
     problem = K.InterpolationProblem.from_pairs(EXPL([], 100), 2, 100, [])
-    w, profile = K.extend_zero(problem, 10)
+    w, profile = K.extend_zero(problem)
     assert set(w.symbols) == {0}
     assert all(profile.p[n] == 1 for n in profile.p)
 
@@ -52,7 +52,7 @@ def test_extend_zero_empty_set():
 def test_extend_zero_squares_entropy():
     model = EXPL([n * n for n in range(1, 101)])
     problem = K.random_problem(model, 3, 10 ** 4, seed=7)
-    w, profile = K.extend_zero(problem, 64)
+    w, profile = K.extend_zero(problem)
     assert all(w.at(s) == v for s, v in f_dict(problem).items())
     assert profile.h_est[64] < 0.15
 
@@ -63,9 +63,8 @@ def test_extend_zero_entropy_control_bridge():
     model = EXPL([n * n for n in range(1, 101)])
     n = 10 ** 4
     problem = K.random_problem(model, 3, n, seed=13)
-    w, _ = K.extend_zero(problem, 16)
-    profile = S.banach_density_profile(model, n, lengths=[16])
-    eta = profile.value(16)
+    w, _ = K.extend_zero(problem)
+    eta = Fraction(S.max_window_count(model, n, 16)[0], 16)
     assert W.factor_counts(w, 16)[-1] <= C.count_low_weight(16, eta, 3).count
 
 

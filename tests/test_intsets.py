@@ -99,21 +99,21 @@ def brute_first_largest_gap(members, n):
 small_sets = st.sets(st.integers(1, 120), min_size=1, max_size=40)
 
 
-# -- gap_sequence --------------------------------------------------------------
+# -- gaps: consecutive differences of the window --------------------------------
 
 
 def test_gap_sequence_even():
-    assert S.gap_sequence(AP(2, 0), 10) == [2, 2, 2, 2]
+    assert np.diff(S.window(AP(2, 0), 10)).tolist() == [2, 2, 2, 2]
 
 
 def test_gap_sequence_powers():
-    assert S.gap_sequence(POW(2), 64) == [2, 4, 8, 16, 32]
+    assert np.diff(S.window(POW(2), 64)).tolist() == [2, 4, 8, 16, 32]
 
 
 def test_gap_sequence_sturmian():
     # delta = [0;2,2,2] = 5/12, a convergent of sqrt(2)-1
     model = S.IntegerSetModel.sturmian_floor([0, 2, 2, 2])
-    gaps = S.gap_sequence(model, 50)
+    gaps = np.diff(S.window(model, 50)).tolist()
     assert set(gaps) <= {2, 3}
     elems = model.elements(50)
     assert elems[:6] == [2, 4, 7, 9, 12, 14]
@@ -121,7 +121,7 @@ def test_gap_sequence_sturmian():
 
 
 def test_gap_sequence_empty_window():
-    assert S.gap_sequence(EXPL([200], 300), 100) == []
+    assert np.diff(S.window(EXPL([200], 300), 100)).tolist() == []
 
 
 # -- syndetic ------------------------------------------------------------------
@@ -322,7 +322,7 @@ def test_syndetic_witness_matches_brute(members, g, tail):
 def test_banach_ap_exact():
     profile = S.banach_density_profile(AP(3, 0), 600, n_max=30)
     assert profile.exact == Fraction(1, 3)
-    assert profile.value(30) == Fraction(10, 30)
+    assert profile.rows[29].value == Fraction(10, 30)
 
 
 def test_banach_sturmian_exact_is_delta():
@@ -330,13 +330,13 @@ def test_banach_sturmian_exact_is_delta():
     profile = S.banach_density_profile(model, 400, n_max=24)
     assert profile.exact == Fraction(5, 12)
     # observed density at the computed scales brackets delta
-    assert abs(profile.value(24) - Fraction(5, 12)) <= Fraction(1, 24)
+    assert abs(profile.rows[23].value - Fraction(5, 12)) <= Fraction(1, 24)
 
 
 def test_banach_powers_sparse():
-    profile = S.banach_density_profile(POW(2), 2 ** 20, lengths=[1024])
-    assert profile.rows[0].count == 10
-    assert profile.rows[0].value <= Fraction(11, 1024)
+    count, _ = S.max_window_count(POW(2), 2 ** 20, 1024)
+    assert count == 10
+    assert Fraction(count, 1024) <= Fraction(11, 1024)
 
 
 def test_banach_rejects_deep_windows():
@@ -528,7 +528,7 @@ def test_streamed_scan_matches_diff_oracles(chunk, case, g, extra):
     n, members = case
     model = EXPL(sorted(members), n)
     arr = S.window(model, n)
-    gaps = S.gap_sequence(model, n)
+    gaps = np.diff(arr).tolist()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(S, "_CHUNK", chunk)
         pairs = [(S.thick_certificate(model, n, g),
@@ -725,7 +725,13 @@ def test_spec_roundtrip():
 
 def test_spec_errors():
     for bad in ["", "a=3", "kind=ap a=3", "kind=nope x=1",
-                "kind=ap a=3 b=0 c=9", "kind=union of=(kind=ap a=2"]:
+                "kind=ap a=3 b=0 c=9", "kind=union of=(kind=ap a=2",
+                # a repeated key, at the top or inside a group
+                "kind=ap a=3 b=0 a=4", "kind=ap kind=ap a=3 b=0",
+                "kind=union of=(kind=ap a=2 b=0 b=1)(kind=powers base=3)",
+                # a shift's of= holds exactly one group
+                "kind=shift t=2 of=", "kind=shift t=2 of=(kind=ap a=2 b=0)()",
+                "kind=shift t=2 of=(kind=ap a=2 b=0)(kind=powers base=3)"]:
         with pytest.raises(S.SpecGrammarError):
             S.parse_set_spec(bad)
 

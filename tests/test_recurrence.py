@@ -11,19 +11,18 @@ def test_index_sets_dyadic():
     assert R.index_set(1, 9) == [1, 3, 5, 7, 9]
     assert R.index_set(2, 10) == [2, 6, 10]
     assert R.index_set(3, 20) == [4, 12, 20]
-    assert R.canonical_index(4, 1) == 8
+    assert R.index_set(4, 8) == [8]
 
 
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 50), st.integers(1, 50))
-@settings(max_examples=100, deadline=None)
-def test_index_sets_pairwise_disjoint(n, m, i, j):
-    if n != m:
-        assert R.canonical_index(n, i) != R.canonical_index(m, j)
-
-
-def test_min_index_at_least_n():
-    for n in range(1, 12):
-        assert R.canonical_index(n, 1) == 2 ** (n - 1) >= n
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 10 ** 4))
+@settings(max_examples=60, deadline=None)
+def test_index_set_is_the_valuation_class(n, m, upto):
+    got = R.index_set(n, upto)
+    assert all(a < b for a, b in zip(got, got[1:]))
+    assert got == [k for k in range(1, upto + 1) if R.in_index_set(k, n)]
+    if m != n:
+        assert not set(got) & set(R.index_set(m, upto))
+    assert R.index_set(n, 2 ** (n - 1))[0] == 2 ** (n - 1) >= n
 
 
 def test_in_index_set_by_valuation():

@@ -325,8 +325,8 @@ def test_universal_single_letter_alphabet():
 
 
 def test_entropy_constant_word_zero():
-    est = W.entropy_estimate(W.complexity_profile(wd([0] * 64), 20))
-    assert est.at_n_max == 0.0 and est.infimum == 0.0
+    h = W.complexity_profile(wd([0] * 64), 20).h_est
+    assert h[20] == 0.0 and min(h.values()) == 0.0
 
 
 def test_entropy_universal_log2():
@@ -338,10 +338,10 @@ def test_entropy_universal_log2():
 def test_entropy_sturmian_near_zero():
     delta = continued_fraction_value(CF_SQRT2M1)
     w = mechanical_word(delta, 10 ** 4)
-    est = W.entropy_estimate(W.complexity_profile(w, 100))
-    assert est.at_n_max == pytest.approx(math.log(101) / 100)
-    assert est.at_n_max < 0.05
-    assert est.infimum <= est.at_n_max
+    h = W.complexity_profile(w, 100).h_est
+    assert h[100] == pytest.approx(math.log(101) / 100)
+    assert h[100] < 0.05
+    assert min(h.values()) <= h[100]
 
 
 # -- word files ----------------------------------------------------------------
