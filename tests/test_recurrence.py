@@ -14,15 +14,26 @@ def test_index_sets_dyadic():
     assert R.index_set(4, 8) == [8]
 
 
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 10 ** 4))
+@given(st.integers(1, 8), st.integers(0, 10 ** 4))
 @settings(max_examples=60, deadline=None)
-def test_index_set_is_the_valuation_class(n, m, upto):
+def test_index_set_is_the_valuation_class(n, upto):
     got = R.index_set(n, upto)
     assert all(a < b for a, b in zip(got, got[1:]))
     assert got == [k for k in range(1, upto + 1) if R.in_index_set(k, n)]
-    if m != n:
-        assert not set(got) & set(R.index_set(m, upto))
-    assert R.index_set(n, 2 ** (n - 1))[0] == 2 ** (n - 1) >= n
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 50), st.integers(1, 50))
+@settings(max_examples=100, deadline=None)
+def test_index_sets_pairwise_disjoint(n, m, i, j):
+    if n != m:
+        upto = 2 ** 5 * 99
+        assert R.index_set(n, upto)[i - 1] != R.index_set(m, upto)[j - 1]
+        assert not set(R.index_set(n, upto)) & set(R.index_set(m, upto))
+
+
+def test_min_index_at_least_n():
+    for n in range(1, 12):
+        assert min(R.index_set(n, 2 ** (n + 1))) == 2 ** (n - 1) >= n
 
 
 def test_in_index_set_by_valuation():
