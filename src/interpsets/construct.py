@@ -13,12 +13,12 @@ a set S inside a window [1, N]:
 
 The two leveled constructions share one block skeleton and differ only
 in their level plan and in how they fill the free sub-blocks.  They return
-a ConstructionTrace holding every intermediate partial filling as an int64
-array (-1 = unfilled) so the structural claims can be re-verified from the
-outside; the totally minimal one also records the parse of every word it
-builds, which verify_trace checks in place of searching for one.  All
-choices are first-fit and deterministic: identical inputs give
-bit-identical traces.
+a ConstructionTrace holding every intermediate partial filling as an array
+of the narrowest signed dtype that holds -1..k-1 (-1 = unfilled) so the
+structural claims can be re-verified from the outside; the totally
+minimal one also records the parse of every word it builds, which
+verify_trace checks in place of searching for one.  All choices are
+first-fit and deterministic: identical inputs give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -111,9 +111,11 @@ class InterpolationProblem:
         return cls(model, n, SymbolWord(k, vals))
 
     def base_word(self, fill: int) -> np.ndarray:
-        """Length-N int64 word holding f on S intersect [1, N] and `fill`
-        everywhere else; index = position-1."""
-        out = np.full(self.n, fill, dtype=np.int64)
+        """Length-N word holding f on S intersect [1, N] and `fill` (0 or
+        UNFILLED) everywhere else; index = position-1.  Its dtype is the
+        narrowest signed one that holds -1..k-1: int8 for k <= 128, int16
+        for k <= 2^15."""
+        out = np.full(self.n, fill, dtype=np.min_scalar_type(-self.k))
         out[window(self.model, self.n) - 1] = self.f.symbols
         return out
 
@@ -202,7 +204,7 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
             if record >= len(y):
                 break
     w = SymbolWord(k, sym)
-    del sym     # w holds its own copy: free the int64 cells before factor_counts
+    del sym     # w holds its own copy: free the N cells before factor_counts
     full = [count == k ** m
             for m, count in enumerate(factor_counts(w, l_target), 1)]
     l_cover = (full + [False]).index(False)
@@ -252,7 +254,7 @@ class ConstructionTrace:
     window: int
     set_spec: str
     levels: list
-    fillings: list               # per level: int64 array, -1 = unfilled, index = position-1
+    fillings: list               # per level: base_word's dtype, -1 = unfilled, index = position-1
     result: SymbolWord
     closing_blocks: tuple
     parse: Parse | None = None   # totally minimal: the result as level-J blocks

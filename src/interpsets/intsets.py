@@ -191,11 +191,27 @@ def _materialize(model: IntegerSetModel, n: int):
             v *= model.base
         return out
     if model.kind == "sturmian":
-        # x_m = floor(m / delta); q/p >= 1, so the x_m strictly increase.
-        # Python ints: m*q may exceed int64 for long continued fractions.
+        # x_m = floor(m / delta) = floor(m q / p); q/p >= 1, so the x_m
+        # strictly increase.  m q may pass int64, so with q = a p + r,
+        # m = m0 + i and m0 q = x_{m0} p + R_0 each chunk computes
+        # x_m = x_{m0} + a i + floor((R_0 + i r) / p), exact in int64 while
+        # R_0 + i r < 2^63, which a chunk of at most (2^63 - 1 - p) / r
+        # members keeps; one Python-int divmod per chunk start, and at most
+        # _CHUNK members per chunk, so the temporaries stay one slice.
         d = model.delta()
         p, q = d.numerator, d.denominator
-        return [(m * q) // p for m in range(1, ((n + 1) * p - 1) // q + 1)]
+        count = ((n + 1) * p - 1) // q
+        a, r = divmod(q, p)
+        step = max(1, min(_CHUNK, (2 ** 63 - 1 - p) // max(r, 1)))
+        out = np.empty(count, np.int64)
+        for m0 in range(1, count + 1, step):
+            x, r0 = divmod(m0 * q, p)
+            out[m0 - 1] = x
+            length = min(step, count + 1 - m0)
+            if length > 1:
+                i = np.arange(1, length, dtype=np.int64)
+                out[m0:m0 - 1 + length] = x + a * i + (r0 + i * r) // p
+        return out
     if model.kind == "union":
         return np.unique(np.concatenate([window(part, n) for part in model.parts]))
     if model.kind == "shift":

@@ -58,53 +58,62 @@ class SymbolWord:
 def factor_counts(w: SymbolWord, n_max: int) -> list:
     """[p(1), ..., p(n_max)]: the number of distinct length-n factors of w.
 
-    Prefix doubling (Manber & Myers 1993) over int32 ranks: the word is
+    Prefix doubling (Manber & Myers 1993) over dense ranks: the word is
     padded past its end with a 0 that sorts below every symbol (symbol s
     has rank s + 1), and the rank of the length-2h factor at i is the
     dense id of the pair (rank_h[i], rank_h[i + h]), numbered by one
-    argsort of an int64 key.  Doubling stops at the first power of two
-    2^T >= max(n_max, 2), whose sort puts equal length-n factors next to
-    each other for every n <= n_max.  The common prefix of each adjacent
-    pair, capped at n_max, comes from a binary descent over the T stored
-    rank arrays, and p(n) = (|w| - n + 1) - #{adjacent pairs sharing n
-    symbols}.  That is T = ceil(log2 n_max) sorts of |w| keys (one when
-    n_max = 1), each key built from ranks below 2^31.
+    argsort of the key rank_h[i] (top + 1) + rank_h[i + h], where top is
+    the largest rank_h.  Each rank array and each key is held in the
+    narrowest unsigned dtype its largest value fits, and a key of at most
+    16 bits is sorted by radix ("stable"), a wider one by the default
+    sort, which is the faster of the two at each width.  Doubling stops at
+    the first power of two 2^T >= max(n_max, 2), whose sort puts equal
+    length-n factors next to each other for every n <= n_max.  The common
+    prefix of each adjacent pair, capped at n_max, comes from a binary
+    descent over the T stored rank arrays, and p(n) = (|w| - n + 1) -
+    #{adjacent pairs sharing n symbols}.  That is T = ceil(log2 n_max)
+    sorts of |w| keys (one when n_max = 1).
     """
-    if w.alphabet_size > 2 ** 31 - 1:     # the rank k of symbol k - 1 is an int32
+    if w.alphabet_size > 2 ** 31 - 1:     # keeps the level-0 key below 2^62
         raise ValueError("factor_counts needs alphabet_size <= 2^31 - 1")
     sym = w.symbols
     size = sym.size
     if not 1 <= n_max <= size:
         raise ValueError(f"factor length {n_max} out of range for |w| = {size}")
-    rank = np.zeros(size + 1, np.int32)
+    top = w.alphabet_size                   # the rank of symbol k - 1
+    rank = np.zeros(size + 1, np.min_scalar_type(top))
     rank[:size] = sym
     rank[:size] += 1
     ranks, h = [], 1
     while True:
         ranks.append(rank)
-        key = rank[:size].astype(np.int64)
-        key <<= 32
-        key[:size - h] |= rank[h:size]
-        order = np.argsort(key).astype(np.int32)
+        key = rank[:size].astype(np.min_scalar_type((top + 1) ** 2 - 1))
+        key *= top + 1
+        key[:size - h] += rank[h:size]
+        order = np.argsort(key, kind="stable" if key.itemsize <= 2 else None)
+        order = order.astype(np.int32)
         key = key[order]
-        new = np.ones(size, np.int32)       # 1 where a sorted key differs from the one before
+        new = np.empty(size, bool)          # where a sorted key differs from the one before
+        new[0] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
         del key
         h *= 2
         if h >= n_max:
             break
-        rank = np.zeros(size + 1, np.int32)
-        rank[order] = np.cumsum(new, out=new)
+        top = int(np.count_nonzero(new))
+        rank = np.zeros(size + 1, np.min_scalar_type(top))
+        rank[order] = np.cumsum(new, dtype=rank.dtype)
         del order, new                      # before the next level allocates its own
     # A common prefix never runs past the shorter suffix, so a + lcp <= |w|.
     a, b = order[:-1], order[1:]
-    lcp = np.where(new[1:], 0, h).astype(np.int32)
+    lcp = np.where(new[1:], np.int32(0), np.int32(h))
     del new
     while ranks:
         rank = ranks.pop()
         h //= 2
         np.add(lcp, h, out=lcp, where=rank[a + lcp] == rank[b + lcp])
-    hist = np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)
+    del a, b, order, rank                   # before bincount's intp copy of lcp
+    hist = np.bincount(np.minimum(lcp, n_max, out=lcp), minlength=n_max + 1)
     shared = hist[::-1].cumsum()[::-1]      # shared[n] = #{adjacent pairs with lcp >= n}
     return (np.arange(size, size - n_max, -1) - shared[1:]).tolist()
 

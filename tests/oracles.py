@@ -12,8 +12,10 @@ as long as S intersect [1, N].
 The second deciders answer a question the package answers once:
 `contains` decides one integer of a set model, beside intsets.window;
 `digit_membership` decides one integer of F from its digits, beside
-recurrence.digit_enumerate; `mechanical_word` is the indicator word of a
-Sturmian window; `constant_problem` is a constant f on S.  The profile
+recurrence.digit_enumerate; `sturmian_window` lists a Sturmian window as
+Python ints, beside the chunked int64 one of intsets.window;
+`mechanical_word` is the indicator word of a Sturmian window;
+`constant_problem` is a constant f on S.  The profile
 oracle is the double loop over the theorems every factor count obeys
 (p(n) <= k^n, a nondecreasing head, p(n+m) <= p(n) p(m)), which
 ComplexityProfile.violations() no longer runs.
@@ -99,6 +101,14 @@ def continued_fraction(delta) -> list:
         cf.append(p // q)
         p, q = q, p % q
     return cf
+
+
+def sturmian_window(model: IntegerSetModel, n: int) -> list:
+    """S intersect [1, n] for a Sturmian model, x_m = floor(m q / p) for
+    delta = p/q, one Python int per member, exact at any size of p and q."""
+    d = model.delta()
+    p, q = d.numerator, d.denominator
+    return [(m * q) // p for m in range(1, ((n + 1) * p - 1) // q + 1)]
 
 
 def mechanical_word(delta, length: int) -> SymbolWord:

@@ -418,6 +418,47 @@ def test_base_word_puts_f_on_fill():
     assert problem.base_word(-1).tolist() == [f.get(p, -1) for p in range(1, 21)]
 
 
+@pytest.mark.parametrize("k, dtype", [(128, np.int8), (129, np.int16)])
+def test_base_word_callers_at_the_int8_edge(k, dtype):
+    # f takes k - 1, which wraps to -128 as an int8 at k = 129; each caller
+    # of base_word is held against an int64 word built here
+    def problem_on(model, n):
+        size = S.window(model, n).size
+        return K.InterpolationProblem(
+            model, n, W.SymbolWord(k, [(k - 1 - i) % k for i in range(size)]))
+
+    def int64_word(problem, fill):
+        out = np.full(problem.n, fill, np.int64)
+        out[S.window(problem.model, problem.n) - 1] = problem.f.symbols
+        return out
+
+    def restricts(problem, cells):
+        return K.restriction_identity(problem, cells, problem.n, {}).holds
+
+    problem = problem_on(POW(2), 4096)
+    assert problem.base_word(K.UNFILLED).dtype == dtype
+    w, _ = K.extend_zero(problem)
+    assert np.array_equal(w.symbols, int64_word(problem, 0))
+    assert restricts(problem, w.symbols)
+
+    sturmian = problem_on(S.IntegerSetModel.sturmian_floor([0, 3]), 300)
+    w = K.sturmian_interpolate(sturmian)
+    assert np.array_equal(w.symbols, int64_word(sturmian, 0))
+    assert restricts(sturmian, w.symbols)
+
+    ext = K.mixing_extend(problem, 2)
+    want = int64_word(problem, 0)
+    for u, take in ext.placements:
+        want[u - 1:u - 1 + take] = ext.universal.symbols[:take]
+    assert np.array_equal(ext.word.symbols, want)
+    assert restricts(problem, ext.word.symbols)
+
+    for build in (K.totally_minimal_construct, K.strictly_ergodic_construct):
+        trace = build(problem, levels=1)
+        assert np.array_equal(trace.fillings[0], int64_word(problem, K.UNFILLED))
+        assert all(c.holds for c in K.verify_trace(trace, problem)), build
+
+
 def test_random_problem_deterministic():
     a = K.random_problem(POW(2), 3, 1000, seed=42)
     b = K.random_problem(POW(2), 3, 1000, seed=42)

@@ -673,6 +673,37 @@ def test_sturmian_window_exact_past_int64():
     assert elems == [x for x in range(1, 5001) if contains(model, x)]
 
 
+FIB_CF_NEAR_2_62 = [0] + [1] * 91     # F_91 / F_92: p ~ 2^62.02, r = F_90
+
+
+@given(st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=60).map(
+        lambda tail: [0] + tail),
+    st.lists(st.integers(1, 300), min_size=1, max_size=12).map(
+        lambda tail: [0] + tail),
+    st.just(FIB_CF_NEAR_2_62)), st.integers(1, 3000))
+@settings(max_examples=150, deadline=None)
+def test_sturmian_window_matches_python_ints(cf, n):
+    model = S.IntegerSetModel.sturmian_floor(cf)
+    got = S.window(model, n)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracles.sturmian_window(model, n)
+
+
+def test_sturmian_window_chunk_edges():
+    # near 2^62, (2^63 - 1 - p) // r = 1, so every member is its own chunk
+    model = S.IntegerSetModel.sturmian_floor(FIB_CF_NEAR_2_62)
+    d = model.delta()
+    p, q = d.numerator, d.denominator
+    assert 2 ** 62 < p < 2 ** 63 and (2 ** 63 - 1 - p) // (q % p) == 1
+    assert S.window(model, 10 ** 4).tolist() == oracles.sturmian_window(model, 10 ** 4)
+    # 165 685 members: the window crosses two slices of 2^16 members
+    model = S.IntegerSetModel.sturmian_floor([0] + [2] * 9)
+    got = S.window(model, 4 * 10 ** 5)
+    assert got.size > 2 * 2 ** 16
+    assert got.tolist() == oracles.sturmian_window(model, 4 * 10 ** 5)
+
+
 def test_finite_sums_closure():
     model = S.IntegerSetModel.finite_sums([1, 2, 4])
     assert model.elements(100) == [1, 2, 3, 4, 5, 6, 7]

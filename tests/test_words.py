@@ -71,8 +71,9 @@ def test_factors_out_of_range():
     with pytest.raises(ValueError):
         W.factor_counts(wd([0, 1]), 0)
     assert W.factor_counts(W.SymbolWord(256, (255, 0, 255, 0)), 4) == [2, 2, 2, 1]
-    # symbol s ranks as the int32 s + 1, so any alphabet up to 2^31 - 1
-    # counts exactly, and one past it is refused
+    # symbol s ranks as s + 1 in the narrowest unsigned dtype holding k, and
+    # the level-0 key (k + 1)^2 - 1 stays below 2^62, so any alphabet up to
+    # 2^31 - 1 counts exactly, and one past it is refused
     rng = np.random.default_rng(3)
     for k in (257, 1000, 70000):
         sym = rng.integers(0, 3, 120) * (k // 2 - 1) + rng.integers(0, 2, 120)
@@ -87,12 +88,14 @@ def test_factors_out_of_range():
 
 
 def _symbols(k):
-    # Repeats of 0 and k - 1 give long shared factors even at k = 256,
-    # where the rank 255 + 1 = 256 must not wrap to the pad's 0 as a uint8.
+    # Repeats of 0 and k - 1 give long shared factors at every k, and the
+    # alphabets sit on each side of a dtype edge: the rank k of symbol k - 1
+    # needs uint16 from k = 256 and uint32 from k = 65 536, and the level-0
+    # key (k + 1)^2 - 1 needs uint32 from k = 256 and uint64 from k = 65 536.
     return st.one_of(st.sampled_from(sorted({0, k - 1})), st.integers(0, k - 1))
 
 
-@given(st.sampled_from([1, 2, 3, 5, 256]).flatmap(
+@given(st.sampled_from([1, 2, 3, 5, 255, 256, 257, 65535, 65536, 65537]).flatmap(
     lambda k: st.tuples(st.just(k), st.lists(_symbols(k), min_size=1,
                                              max_size=80))), st.data())
 @settings(max_examples=200, deadline=None)
@@ -126,9 +129,19 @@ def test_factor_counts_structured_word():
     assert W.factor_counts(w, 64) == refinement_counts(w, 64)
 
 
+def test_factor_counts_rank_widths():
+    # the distinct factors per level pass 255 at n = 8 and 65 535 at n = 32,
+    # so the ranks step from uint8 to uint16 to uint32 within one call
+    w = W.SymbolWord(2, np.random.default_rng(17).integers(0, 2, 2 ** 17))
+    counts = W.factor_counts(w, 40)
+    assert counts[7] > 255 and counts[31] > 65535
+    assert counts == refinement_counts(w, 40)
+
+
 def test_factor_counts_memory_budget():
-    # tracemalloc peak 8.46 MB with NumPy 2.4; the refinement pass
-    # peaked at 9.70 MB on the same word.
+    # tracemalloc peak 4.53 MB with NumPy 2.4, with narrow ranks and keys;
+    # int32 ranks and an int64 key peaked at 8.46 MB, and the refinement
+    # pass at 9.70 MB, on the same word.
     w = W.SymbolWord(2, np.random.default_rng(2018).integers(0, 2, 2 ** 18))
     tracemalloc.start()
     try:
@@ -136,7 +149,7 @@ def test_factor_counts_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9.0e6, peak
+    assert peak <= 6.5e6, peak
 
 
 @given(st.lists(st.integers(0, 2), min_size=4, max_size=40),
