@@ -54,6 +54,17 @@ def _cert_verdict(cert):
     return {"name": cert.predicate, "ok": cert.holds, "certificate": cert.to_json()}
 
 
+def _emit_csv(lines, path) -> list:
+    """Write the CSV rows atomically to `path` and return [path] for the
+    report's outputs, or, with no path, print them and return []."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        _atomic_write(path, text)
+        return [path]
+    print(text, end="")
+    return []
+
+
 def _report(command, parameters, outputs, certs, seed=None, started=None,
             results=None):
     """Print the stdout report of one command; exit 0 iff every verdict holds."""
@@ -296,13 +307,7 @@ def cmd_count(args):
             certs.append(Certificate.from_bool(
                 f"oracle-m{row.m}", oracle == row.count, {**params, "m": row.m},
                 {"count": row.count, "oracle": oracle}))
-    csv_text = "\n".join(lines) + "\n"
-    outputs = []
-    if args.csv:
-        _atomic_write(args.csv, csv_text)
-        outputs.append(args.csv)
-    else:
-        print(csv_text, end="")
+    outputs = _emit_csv(lines, args.csv)
     if not certs:
         certs = [Certificate.from_bool("count", True, params, {})]
     return _report("count", params, outputs, certs, started=started)
@@ -363,13 +368,7 @@ def cmd_word_stats(args):
     lines = ["n,p,h_est"]
     for n in sorted(profile.p):
         lines.append(f"{n},{profile.p[n]},{profile.h_est[n]:.12f}")
-    csv_text = "\n".join(lines) + "\n"
-    outputs = []
-    if args.csv:
-        _atomic_write(args.csv, csv_text)
-        outputs.append(args.csv)
-    else:
-        print(csv_text, end="")
+    outputs = _emit_csv(lines, args.csv)
     violations = profile.violations()
     cert = Certificate.from_bool(
         "profile-invariants", not violations, {"length": len(w), "n_max": n_max},

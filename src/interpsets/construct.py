@@ -646,51 +646,29 @@ def _ergodic_level(problem, j, cur, elems, levels):
     return nxt, fill_block
 
 
-def _frequency_rows(blocks: np.ndarray, prev: LevelData):
-    """For blocks of shape (count, R, m_{j-1}): per block, the number of its
-    sub-blocks other than w_{j-1}, and whether every anchor of T_{j-1} is
-    one of them."""
-    non_anchor = (blocks != prev.w.symbols).any(axis=2).sum(axis=1)
-    covered = np.ones(len(blocks), dtype=bool)
-    for t in prev.t_sample:
-        covered &= (blocks == t.symbols).all(axis=2).any(axis=1)
-    return non_anchor, covered
-
-
-def ergodic_block_report(trace: ConstructionTrace, level: int) -> list:
-    """Per fully-defined block of the given level (1-based): block index,
-    non-anchor fraction bound satisfied, anchor sample covered, count."""
-    if trace.kind != "strictly-ergodic":
-        raise ValueError("block report is defined for strictly-ergodic traces")
-    if not 1 <= level < len(trace.levels):
-        raise ValueError(f"no level {level} in this trace")
-    prev = trace.levels[level - 1]
-    m, m_prev = trace.levels[level].m, prev.m
-    big_r = m // m_prev
-    count = trace.window // m
-    blocks = trace.fillings[level][:count * m].reshape(count, big_r, m_prev)
-    done = (blocks != UNFILLED).all(axis=(1, 2))
-    non_anchor, covered = _frequency_rows(blocks, prev)
-    return [(b, int(non_anchor[b]) * level <= big_r, bool(covered[b]),
-             int(non_anchor[b])) for b in np.flatnonzero(done).tolist()]
-
-
-def _frequency_member(w: SymbolWord, level: int, trace: ConstructionTrace) -> bool:
-    """Frequency-family membership for the strictly ergodic construction:
-    |w| = m_level, and for every i <= level each aligned block of length
-    m_i holds every anchor of T_{i-1} and at most m_i / (i m_{i-1})
-    sub-blocks other than w_{i-1}."""
-    lv = trace.levels
-    if len(w) != lv[level].m:
+def _frequency_member(sym: np.ndarray, level: int, levels) -> bool:
+    """Is every aligned block of length m_level in sym a member of the
+    strictly ergodic frequency family?  sym must hold a positive multiple
+    of m_level symbols, and for every i <= level each aligned block of
+    length m_i must hold every anchor of T_{i-1} and at most
+    m_i / (i m_{i-1}) sub-blocks other than w_{i-1}.  One call decides an
+    anchor word w_j at level j, and the whole result at the top level.  A
+    level length that does not divide the next, or that the level's
+    anchors do not have, makes no member."""
+    if not sym.size or sym.size % levels[level].m:
         return False
     for i in range(1, level + 1):
-        big_r = lv[i].m // lv[i - 1].m
-        if lv[i].m % lv[i - 1].m or lv[level].m % lv[i].m:
+        m, prev = levels[i].m, levels[i - 1]
+        if (m % prev.m or sym.size % m
+                or any(len(t) != prev.m for t in prev.t_sample)):
             return False
-        non_anchor, covered = _frequency_rows(
-            w.symbols.reshape(-1, big_r, lv[i - 1].m), lv[i - 1])
-        if not (covered.all() and (non_anchor * i <= big_r).all()):
+        blocks = sym.reshape(-1, m // prev.m, prev.m)
+        non_anchor = (blocks != prev.w.symbols).any(axis=2).sum(axis=1)
+        if (non_anchor * i > m // prev.m).any():
             return False
+        for t in prev.t_sample:
+            if not (blocks == t.symbols).all(axis=2).any(axis=1).all():
+                return False
     return True
 
 
@@ -819,13 +797,13 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem) -> lis
         out.append(check("block-membership", ok,
                          "every aligned result block is a level member"))
     if trace.kind == "strictly-ergodic":
-        ok = all(_frequency_member(lv[j].w, j, trace) for j in range(1, len(lv)))
+        ok = all(_frequency_member(lv[j].w.symbols, j, lv)
+                 for j in range(1, len(lv)))
         out.append(check("anchor-membership", ok,
                          "w_j satisfies the frequency conditions"))
         top = len(lv) - 1
-        report = ergodic_block_report(trace, top)
-        ok = all(f and c for (_b, f, c, _n) in report)
+        ok = _frequency_member(res.symbols, top, lv)
         out.append(check("block-frequencies", ok,
-                         f"{len(report)} blocks: non-anchor fraction <= 1/{top}, "
-                         "anchor sample covered"))
+                         f"{len(res) // trace.final_m} blocks: non-anchor "
+                         f"fraction <= 1/{top}, anchor sample covered"))
     return out

@@ -29,6 +29,12 @@ def in_index_set(k: int, n: int) -> bool:
     return v == n - 1
 
 
+def _generators(n: int, top: int) -> list:
+    """{10^k : k in I_n, 10^k <= top}, the generators of J_n that fit
+    below `top`, ascending."""
+    return [10 ** k for k in index_set(n, len(str(max(top, 1))) - 1)]
+
+
 def ip_closure(generators, depth: int, bound: int) -> list:
     """All sums of at most `depth` distinct generators, up to `bound`."""
     gens = sorted(set(int(g) for g in generators))
@@ -72,10 +78,7 @@ def build_F(n_bound: int) -> FSetModel:
     provenance = {}
     n = 1
     while 10 ** (1 << (n - 1)) + n <= n_bound:
-        max_power = 1
-        while 10 ** (max_power + 1) <= n_bound - n:
-            max_power += 1
-        gens = [10 ** k for k in index_set(n, max_power)]
+        gens = _generators(n, n_bound - n)
         for j in ip_closure(gens, depth=len(gens) if gens else 1,
                             bound=n_bound - n):
             x = j + n
@@ -125,10 +128,7 @@ def verify_shift_ip(f_model: FSetModel, n: int, depth: int) -> ShiftIPReport:
     {10^k : k in I_n}, for every materialized element within the bound."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    max_power = 0
-    while 10 ** (max_power + 1) <= f_model.bound - n:
-        max_power += 1
-    gens = [10 ** k for k in index_set(n, max_power)]
+    gens = _generators(n, f_model.bound - n)
     required = ip_closure(gens, depth, f_model.bound - n) if gens else []
     member = set(f_model.elements)
     missing = tuple(j for j in required if j + n not in member)

@@ -18,8 +18,10 @@ from .certificate import atomic_write_text
 @dataclass(frozen=True, eq=False)
 class SymbolWord:
     """Immutable finite word over the alphabet {0, ..., alphabet_size-1}:
-    `symbols` is a read-only copy of the input, uint8 for alphabet_size
-    <= 256 and int64 above, and equality ignores the input's container."""
+    `symbols` is a read-only copy of the input in the narrowest unsigned
+    dtype that holds alphabet_size - 1 (uint8 for alphabet_size <= 256,
+    uint16 up to 2^16, at most uint64, which holds every integer array
+    numpy accepts), and equality ignores the input's container."""
 
     alphabet_size: int
     symbols: np.ndarray
@@ -32,7 +34,7 @@ class SymbolWord:
             raise ValueError("symbols must be a flat sequence of integers")
         if sym.size and not 0 <= sym.min() <= sym.max() < self.alphabet_size:
             raise ValueError(f"symbols outside alphabet {self.alphabet_size}")
-        sym = sym.astype(np.uint8 if self.alphabet_size <= 256 else np.int64)
+        sym = sym.astype(np.min_scalar_type(min(self.alphabet_size, 2 ** 64) - 1))
         sym.flags.writeable = False
         object.__setattr__(self, "symbols", sym)
 

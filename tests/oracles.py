@@ -3,7 +3,9 @@
 The membership oracles decide a level family of the two leveled
 constructions by search from its definition, with no use of the parses or
 array checks that construct.verify_trace runs, so the tests can hold those
-checks against them on small traces.  The window-count oracles are the
+checks against them on small traces: is_member_level against
+parse_member, and is_ergodic_member against construct._frequency_member,
+the one array decider of the strictly ergodic family.  The window-count oracles are the
 direct scans that intsets.max_window_count and the strictly ergodic level
 plan replaced.  The certificate oracles are the whole-window diff scans
 that the streamed free-run scan of intsets replaced: each builds arrays
@@ -437,7 +439,8 @@ def _ergodic_member(trace, level, syms, memo):
 
 def is_ergodic_member(w, level, trace):
     """Frequency-family membership by recursion over tuples: the oracle for
-    the array check verify_trace runs."""
+    construct._frequency_member, which verify_trace runs on each anchor
+    word and on the whole result."""
     if not 0 <= level < len(trace.levels):
         raise ValueError(f"no level {level} in this trace")
     if len(w) != trace.levels[level].m:

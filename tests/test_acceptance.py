@@ -194,10 +194,13 @@ def test_criterion_07_strictly_ergodic():
     assert all(checks.values()), checks
     assert all(trace.result.at(s) == v for s, v in f_dict(problem).items()
                if s <= len(trace.result))
-    rep = K.ergodic_block_report(trace, 2)
-    big_r = trace.levels[2].m // trace.levels[1].m
-    assert rep and all(f and c for _b, f, c, _n in rep)
-    assert max(nn for *_x, nn in rep) * 2 <= big_r
+    # the level-2 blocks of the result, each as R rows of length m_1
+    w1 = trace.levels[1].w.symbols
+    big_r = trace.levels[2].m // len(w1)
+    blocks = trace.result.symbols.reshape(-1, big_r, len(w1))
+    assert len(blocks) and all((blocks == t.symbols).all(axis=2).any(axis=1).all()
+                               for t in trace.levels[1].t_sample)
+    assert (blocks != w1).any(axis=2).sum(axis=1).max() * 2 <= big_r
     prefix = W.SymbolWord(2, trace.result.symbols[:10 ** 4])
     profile = W.complexity_profile(prefix, 64)
     assert profile.h_est[64] < 0.2

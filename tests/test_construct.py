@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import pathlib
+import runpy
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +49,14 @@ def test_extend_zero_empty_set():
     w, profile = K.extend_zero(problem)
     assert set(w.symbols) == {0}
     assert all(profile.p[n] == 1 for n in profile.p)
+
+
+def test_extend_zero_wide_alphabet_width():
+    # a word over k = 300 keeps the two bytes a symbol needs
+    problem = K.random_problem(POW(2), 300, 2 ** 18, seed=1)
+    w, _ = K.extend_zero(problem)
+    assert w.symbols.dtype == np.uint16 and w.symbols.nbytes == 524_288
+    assert all(w.at(s) == v for s, v in f_dict(problem).items())
 
 
 def test_extend_zero_squares_entropy():
@@ -491,6 +501,17 @@ def _copy(trace):
 def test_shallow_checks_hold(leveled):
     problem, trace = leveled
     assert _failing_checks(trace, problem) == set()
+
+
+def test_verdict_lists_pinned(leveled):
+    # the verdict names and their order that the benchmark's construct
+    # jobs expect, read from the benchmark's own workload definitions
+    problem, trace = leveled
+    expect = runpy.run_path(str(pathlib.Path(__file__).parents[1]
+                                / "perfbench" / "workloads.py"))
+    want = expect["MINIMAL_VERDICTS" if trace.kind == "totally-minimal"
+                  else "ERGODIC_VERDICTS"]
+    assert [(c.predicate, c.holds) for c in K.verify_trace(trace, problem)] == want
 
 
 def test_changed_filled_cell_fails_monotone_filling(leveled):

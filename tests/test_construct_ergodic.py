@@ -86,14 +86,36 @@ def test_structure(two_level):
     assert all(checks.values()), checks
 
 
+def _filled_blocks(trace, level):
+    """Each aligned level block with no unfilled cell in fillings[level],
+    as a word."""
+    m = trace.levels[level].m
+    fill = trace.fillings[level]
+    return [SymbolWord(trace.alphabet_size, fill[b * m:(b + 1) * m])
+            for b in range(trace.window // m)
+            if (fill[b * m:(b + 1) * m] != K.UNFILLED).all()]
+
+
+def _member(w, level, trace):
+    return K._frequency_member(w.symbols, level, trace.levels)
+
+
 def test_block_conditions(two_level):
     _, trace = two_level
-    report = K.ergodic_block_report(trace, 2)
-    assert report, "no fully defined blocks"
-    big_r = trace.levels[2].m // trace.levels[1].m
-    for _b, frac_ok, cover_ok, non_anchor in report:
-        assert frac_ok and cover_ok
+    blocks = _filled_blocks(trace, 2)
+    assert blocks, "no fully defined blocks"
+    w1 = trace.levels[1].w.symbols
+    m1 = len(w1)
+    big_r = trace.levels[2].m // m1
+    for w in blocks:
+        assert _member(w, 2, trace) and is_ergodic_member(w, 2, trace)
+        non_anchor = (w.symbols.reshape(big_r, m1) != w1).any(axis=1).sum()
         assert non_anchor * 2 <= big_r
+        # one more sub-block other than w_1 past R/2 breaks the bound
+        sym = w.symbols.reshape(big_r, m1).copy()
+        sym[:big_r // 2 + 1] = 1 - w1
+        bad = SymbolWord(2, sym.ravel())
+        assert not _member(bad, 2, trace) and not is_ergodic_member(bad, 2, trace)
 
 
 def test_anchor_word_frequencies(two_level):
@@ -135,11 +157,8 @@ def test_array_check_matches_recursion(two_level):
     rng = random.Random(4)
     words = []
     for level in (1, 2):
-        m = trace.levels[level].m
         words += [(t, level) for t in trace.levels[level].t_sample]
-        fill = trace.fillings[level]
-        for b, *_ in K.ergodic_block_report(trace, level):
-            words.append((SymbolWord(2, tuple(fill[b * m:(b + 1) * m].tolist())), level))
+        words += [(w, level) for w in _filled_blocks(trace, level)]
     for w, level in list(words):
         for _ in range(3):
             sym = list(w.symbols)
@@ -160,8 +179,8 @@ def test_array_check_matches_recursion(two_level):
                                      for r, row in enumerate(rows)), ())), 2))
     verdicts = [is_ergodic_member(w, level, trace) for w, level in words]
     assert True in verdicts and False in verdicts
-    assert [K._frequency_member(w, level, trace) for w, level in words] == verdicts
-    assert not K._frequency_member(SymbolWord(2, (0,) * 3), 1, trace)
+    assert [_member(w, level, trace) for w, level in words] == verdicts
+    assert not _member(SymbolWord(2, (0,) * 3), 1, trace)
 
 
 def test_density_failure_is_structured():
@@ -181,32 +200,63 @@ def test_deterministic():
     assert all(np.array_equal(a, b) for a, b in zip(t1.fillings, t2.fillings))
 
 
-def _loop_block_report(trace, level):
-    # the per-block scan over Python tuples, kept as the reference
-    m, m_prev = trace.levels[level].m, trace.levels[level - 1].m
-    fill = trace.fillings[level].tolist()
-    anchors = {tuple(t.symbols.tolist()) for t in trace.levels[level - 1].t_sample}
-    w_prev = tuple(trace.levels[level - 1].w.symbols.tolist())
-    out = []
-    for b in range(trace.window // m):
-        seg = fill[b * m:(b + 1) * m]
-        if -1 in seg:
-            continue
-        blocks = [tuple(seg[c:c + m_prev]) for c in range(0, m, m_prev)]
-        non_anchor = sum(1 for bl in blocks if bl != w_prev)
-        out.append((b, non_anchor * level <= m // m_prev,
-                    anchors.issubset(blocks), non_anchor))
-    return out
-
-
 def test_block_report_matches_loop(two_level):
-    _, trace = two_level
+    problem, trace = two_level
     for level in (1, 2):
-        assert K.ergodic_block_report(trace, level) == _loop_block_report(trace, level)
-    # break the anchor cover and the frequency bound of the first block
-    bad = dataclasses.replace(trace, fillings=[f.copy() for f in trace.fillings])
-    m = trace.levels[2].m
-    bad.fillings[2][:m] = 1
-    report = K.ergodic_block_report(bad, 2)
-    assert report == _loop_block_report(bad, 2)
-    assert report[0][:3] == (0, False, False)
+        blocks = _filled_blocks(trace, level)
+        assert blocks
+        assert all(_member(w, level, trace) and is_ergodic_member(w, level, trace)
+                   for w in blocks)
+    # break the first block's anchor cover alone (every copy of T_1[1]
+    # becomes w_1, which only lowers the non-anchor count), then its
+    # anchor cover and frequency bound at once (all ones)
+    m, m1 = trace.levels[2].m, trace.levels[1].m
+    w1, var = (t.symbols for t in trace.levels[1].t_sample)
+    rows = trace.result.symbols[:m].reshape(-1, m1).copy()
+    rows[(rows == var).all(axis=1)] = w1
+    for first in (rows.ravel(), np.ones(m, np.uint8)):
+        w = SymbolWord(2, first)
+        assert not _member(w, 2, trace) and not is_ergodic_member(w, 2, trace)
+        sym = trace.result.symbols.copy()
+        sym[:m] = first
+        bad = dataclasses.replace(trace, result=SymbolWord(2, sym),
+                                  fillings=[f.copy() for f in trace.fillings])
+        bad.fillings[2][:m] = first
+        failing = {c.predicate for c in K.verify_trace(bad, problem) if not c.holds}
+        assert "block-frequencies" in failing
+
+
+def test_block_frequencies_checks_every_level():
+    # zero one level-1 sub-block that was free at level 1, in the top
+    # filling and the result alike: the filling stays monotone and x|_S = f
+    # still holds, and at the top level the block only gains one sub-block
+    # other than w_1, but that sub-block no longer holds the anchor 1 of T_0
+    cubes = S.IntegerSetModel.explicit_window([i ** 3 for i in range(1, 47)])
+    problem = K.random_problem(cubes, 2, 10 ** 5, seed=9)
+    trace = K.strictly_ergodic_construct(problem, levels=2)
+    m1 = trace.levels[1].m
+    free = [b for b in range(len(trace.result) // m1)
+            if (trace.fillings[1][b * m1:(b + 1) * m1] == K.UNFILLED).all()]
+    b = free[0]
+    sym = trace.result.symbols.copy()
+    sym[b * m1:(b + 1) * m1] = 0
+    bad = dataclasses.replace(trace, fillings=[f.copy() for f in trace.fillings],
+                              result=SymbolWord(2, sym))
+    bad.fillings[2][b * m1:(b + 1) * m1] = 0
+    checks = [(c.predicate, c.holds) for c in K.verify_trace(bad, problem)]
+    assert [name for name, ok in checks if not ok] == ["block-frequencies"]
+
+
+@pytest.mark.parametrize("level, scale, shift",
+                         [(1, 1, 1), (1, 2, 0), (2, 1, 1), (2, 1, -1)])
+def test_broken_level_chain_is_no_member(two_level, level, scale, shift):
+    # a level length that no longer divides the next one, or that the
+    # level's own anchors no longer have, answers False and never raises
+    problem, trace = two_level
+    lv = list(trace.levels)
+    lv[level] = dataclasses.replace(lv[level], m=lv[level].m * scale + shift)
+    assert not K._frequency_member(trace.result.symbols, 2, lv)
+    assert not K._frequency_member(trace.levels[2].w.symbols, 2, lv)
+    bad = dataclasses.replace(trace, levels=lv)
+    failing = {c.predicate for c in K.verify_trace(bad, problem) if not c.holds}
+    assert {"anchor-membership", "block-frequencies"} <= failing

@@ -42,6 +42,20 @@ def test_in_index_set_by_valuation():
     assert R.in_index_set(12, 3)
 
 
+def test_generators_are_the_powers_that_fit():
+    # every 10^k with k in I_n and 10^k <= top, by a search over the powers
+    tops = list(range(-3, 3001)) + [10 ** e + d for e in range(4, 13)
+                                    for d in (-2, -1, 0, 1)]
+    for n in range(1, 8):
+        for top in tops:
+            want, k = [], 1
+            while 10 ** k <= top:
+                if R.in_index_set(k, n):
+                    want.append(10 ** k)
+                k += 1
+            assert R._generators(n, top) == want, (n, top)
+
+
 def test_ip_closure_examples():
     assert R.ip_closure([10, 1000], 2, 10 ** 6) == [10, 1000, 1010]
     assert R.ip_closure([1, 2, 4], 3, 100) == [1, 2, 3, 4, 5, 6, 7]

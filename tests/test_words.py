@@ -410,7 +410,10 @@ def test_symbol_validation():
     with pytest.raises(ValueError):
         W.SymbolWord(256, (-1, 0))          # would wrap to 255 as uint8
     assert W.SymbolWord(256, (255, 0)).symbols.dtype == np.uint8
-    assert W.SymbolWord(257, (256, 0)).symbols.dtype == np.int64
+    assert W.SymbolWord(257, (256, 0)).symbols.dtype == np.uint16
+    assert W.SymbolWord(2 ** 16, (2 ** 16 - 1, 0)).symbols.dtype == np.uint16
+    assert W.SymbolWord(2 ** 16 + 1, (2 ** 16, 0)).symbols.dtype == np.uint32
+    assert W.SymbolWord(2 ** 70, np.array([2 ** 63, 0], np.uint64)).symbols.dtype == np.uint64
 
 
 def test_symbols_read_only_copy():
@@ -445,7 +448,7 @@ def test_word_file_array_roundtrip(tmp_path_factory, case):
     arr = np.array(sym, dtype=np.int64)
     w = W.SymbolWord(k, arr)
     assert w == W.SymbolWord(k, sym) and w.symbols.tolist() == sym
-    assert w.symbols.dtype == (np.uint8 if k <= 256 else np.int64)
+    assert w.symbols.dtype == (np.uint8 if k <= 256 else np.uint16)
     path = tmp_path_factory.mktemp("rt") / "w.word"
     W.write_word_file(path, w)
     back = W.read_word_file(path)
