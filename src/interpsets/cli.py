@@ -342,7 +342,7 @@ def cmd_verify_f(args):
             {"N": bound}, {"members": len(model.elements)}))
     outputs = []
     if args.out_set:
-        intsets.write_set_file(args.out_set, model.as_intset(), bound)
+        intsets.write_set_file(args.out_set, model.elements)
         outputs.append(args.out_set)
     if args.out:
         payload = {"schema": SCHEMA, "N": bound, "index_family":
@@ -425,7 +425,7 @@ def build_parser():
 
     p = sub.add_parser("verify-f", help="verify the sum-free recurrence set F")
     p.add_argument("--n", type=_positive_int, default=10 ** 6)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_positive_int, default=3)
     p.add_argument("--shifts", type=int, nargs=2, default=(1, 3),
                    metavar=("LO", "HI"))
     p.add_argument("--dual-oracle", action="store_true")

@@ -237,8 +237,8 @@ class LevelData:
 @dataclass(frozen=True, eq=False)
 class Parse:
     """How a level-j word splits into level-(j-1) pieces: int32 arrays of
-    each piece's offset and of its index into the distinct words of
-    T_{j-1} then T'_{j-1} (-1 for a piece that is not an anchor), and, by
+    each piece's offset and of its index into the words of T_{j-1} then
+    T'_{j-1} (-1 for a piece that is not an anchor), and, by
     piece number, the Parse of each non-anchor piece above level 0.  An
     anchor piece needs none: its anchor word carries its own."""
 
@@ -301,11 +301,12 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
     next_level(problem, j, cur, elems, levels) plans level j+1 from cur,
     the LevelData of level j, and elems, the window S intersect [1, N]; it
     returns the LevelData of level j+1 and a block filler, or raises a
-    _level_window refusal.  The filling of level j+1 starts as a copy of
-    level j; each aligned block of length m_{j+1} that meets S splits into
-    aligned sub-blocks of length m_j, every one fully free or full, and the
-    filler writes the free ones.  A filler that returns the block's parse
-    has it kept in `filled` of level j+1.
+    _level_window refusal.  A plan reads no filling, so every level is
+    planned before any cell is built.  The filling of level j+1 starts as a
+    copy of level j; each aligned block of length m_{j+1} that meets S
+    splits into aligned sub-blocks of length m_j, every one fully free or
+    full, and the filler writes the free ones.  A filler that returns the
+    block's parse has it kept in `filled` of level j+1.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -319,15 +320,16 @@ def _leveled(kind: str, problem: InterpolationProblem, levels: int,
         capped = k * k > ANCHOR_CAP
     t0 = tuple(SymbolWord(k, (s,)) for s in range(min(k, ANCHOR_CAP)))
     level_data = [LevelData(0, 1, t0, t_prime_sample=tp0, t_capped=capped)]
-    fillings = [problem.base_word(UNFILLED)]
     elems = window(problem.model, n)
-
+    fillers = []
     for j in range(levels):
-        m = level_data[j].m
         nxt, fill_block = next_level(problem, j, level_data[j], elems, levels)
         level_data.append(nxt)
-        m_next = nxt.m
-        fill = fillings[j].copy()
+        fillers.append(fill_block)
+    fillings = [problem.base_word(UNFILLED)]
+    for cur, nxt, fill_block in zip(level_data, level_data[1:], fillers):
+        m, m_next = cur.m, nxt.m
+        fill = fillings[-1].copy()
         for b in _blocks_meeting(elems, m_next, n // m_next):
             subs = fill[b * m_next:(b + 1) * m_next].reshape(-1, m)   # a view
             free = _free_rows(subs, "sub-block")
@@ -409,8 +411,7 @@ def _minimal_level(problem, j, cur, elems, levels):
     # the words of T_j + T'_j with their anchor indices; w_j = T_j[0] and
     # the primed anchor v_j = T'_j[0]
     n_t = len(cur.t_sample)
-    order = {a: i for i, (a, _) in enumerate(_anchors(cur)[0])}
-    pieces = [(w, order[w]) for w in cur.t_sample + cur.t_prime_sample]
+    pieces = [(w, i) for i, w in enumerate(cur.t_sample + cur.t_prime_sample)]
     t_enum = _pad_enum(pieces[:n_t], rho)
     tp_enum = _pad_enum(pieces[n_t:], rho)
     gap_needed = 4 * m * m * (len(t_enum) + len(tp_enum))
@@ -493,14 +494,15 @@ def _minimal_level(problem, j, cur, elems, levels):
 
 
 def _anchors(lvl: LevelData):
-    """The distinct words of T_i, then those of T'_i, in the order a Parse
-    indexes them, each with the Parse recorded for it (None at level 0),
-    and the number of the former."""
-    t, tp = {}, {}
+    """The words of T_i then T'_i, each with its recorded Parse (None at
+    level 0), and |T_i|.  They are distinct, so a Parse indexes them by
+    position: T_0 holds distinct symbols and T'_0 distinct pairs; the two
+    words of T_{j+1} open with the two distinct first anchors of T_j; the
+    two of T'_{j+1} differ in their second piece, as r >= 2, for
+    m_{j+1} >= G_j = 4 m_j^2 E >= m_j |U_j| + 2 m_j, since
+    |U_j| <= (E + 1)(m_j + 1) and E = |T_j enum| + |T'_j enum| >= 2."""
     words = lvl.t_sample + lvl.t_prime_sample
-    for pos, (w, p) in enumerate(zip(words, lvl.parses or (None,) * len(words))):
-        (t if pos < len(lvl.t_sample) else tp).setdefault(w, p)
-    return list(t.items()) + list(tp.items()), len(t)
+    return list(zip(words, lvl.parses or [None] * len(words))), len(lvl.t_sample)
 
 
 def _parse_holds(sym: np.ndarray, parse: Parse, levels, proven, level: int,

@@ -552,8 +552,11 @@ def _tokenize_spec(text: str) -> list:
 
 
 def _split_groups(value: str) -> list:
+    """The contents of the groups (...)(...) that make up all of value."""
     groups, cur, depth = [], [], 0
     for ch in value:
+        if not depth and ch != "(":
+            raise SpecGrammarError(f"stray {ch!r} outside the groups of {value!r}")
         if ch == "(":
             depth += 1
             if depth == 1:
@@ -564,9 +567,8 @@ def _split_groups(value: str) -> list:
                 groups.append("".join(cur))
                 cur = []
                 continue
-        if depth >= 1:
-            cur.append(ch)
-    if depth != 0 or cur:
+        cur.append(ch)
+    if depth:
         raise SpecGrammarError(f"malformed group list {value!r}")
     return groups
 
@@ -612,7 +614,10 @@ def parse_set_spec(text: str) -> IntegerSetModel:
             model = IntegerSetModel.finite_sums(gens)
         else:
             raise SpecGrammarError(f"unknown kind {kind!r}")
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:      # only a missing key raises it
+        raise SpecGrammarError(
+            f"bad spec {text!r}: kind={kind} needs {exc.args[0]}=") from exc
+    except ValueError as exc:
         if isinstance(exc, SpecGrammarError):
             raise
         raise SpecGrammarError(f"bad spec {text!r}: {exc}") from exc
@@ -621,15 +626,6 @@ def parse_set_spec(text: str) -> IntegerSetModel:
     return model
 
 
-def write_set_file(path, model: IntegerSetModel, n: int) -> None:
+def write_set_file(path, elements) -> None:
     """One ascending decimal per line, LF endings; atomic write."""
-    atomic_write_text(path, "".join(f"{x}\n" for x in model.elements(n)))
-
-
-def read_set_file(path) -> IntegerSetModel:
-    """Set files materialize a window, so knowledge stops at the last line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        elems = [int(line) for line in fh if line.strip()]
-    if elems != sorted(set(elems)):
-        raise ValueError(f"{path}: set file must be strictly ascending")
-    return IntegerSetModel.explicit_window(elems, elems[-1] if elems else 0)
+    atomic_write_text(path, "".join(f"{x}\n" for x in elements))

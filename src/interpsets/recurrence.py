@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intsets import IntegerSetModel
-
 
 def index_set(n: int, upto: int) -> list:
     """Elements of I_n = {2^(n-1) (2i-1) : i >= 1} that are <= upto."""
@@ -66,9 +64,6 @@ class FSetModel:
     elements: tuple                # ascending
     provenance: dict               # element -> (n, j) with j in J_n, element = j + n
 
-    def as_intset(self) -> IntegerSetModel:
-        return IntegerSetModel.explicit_window(self.elements, self.bound)
-
 
 def build_F(n_bound: int) -> FSetModel:
     """Materialize F = union(J_n + n) on [1, n_bound] by subset sums."""
@@ -77,10 +72,9 @@ def build_F(n_bound: int) -> FSetModel:
     elements = []
     provenance = {}
     n = 1
-    while 10 ** (1 << (n - 1)) + n <= n_bound:
+    while 10 ** (1 << (n - 1)) + n <= n_bound:   # so 10^(2^(n-1)) is in gens
         gens = _generators(n, n_bound - n)
-        for j in ip_closure(gens, depth=len(gens) if gens else 1,
-                            bound=n_bound - n):
+        for j in ip_closure(gens, depth=len(gens), bound=n_bound - n):
             x = j + n
             elements.append(x)
             provenance[x] = (n, j)

@@ -76,6 +76,11 @@ def test_malformed_spec_exit_2(capsys):
     ("kind=shift t=2 of=(kind=ap a=2 b=0)(kind=powers base=3)",
      "exactly one of= group, got 2"),
     ("kind=shift t=2 of=", "exactly one of= group, got 0"),
+    ("kind=union of=junk(kind=ap a=3 b=0)", "stray 'j'"),
+    ("kind=union of=(kind=ap a=3 b=0)xyz(kind=powers base=2)", "stray 'x'"),
+    ("kind=shift t=2 of=zz(kind=ap a=3 b=0)", "stray 'z'"),
+    ("kind=ap a=3", "kind=ap needs b="),
+    ("kind=explicit members=3,5", "kind=explicit needs elements="),
 ])
 def test_spec_repeated_key_or_extra_shift_group_exit_2(capsys, spec, named):
     code = main(["analyze", "--set", spec, "--n", "20", "--syndetic", "5"])
@@ -512,6 +517,15 @@ def test_verify_f(tmp_path, capsys):
     names = [v["name"] for v in rep["verdicts"]]
     assert "sum-free" in names and "shift-ip-3" in names
     assert out_set.read_text().splitlines()[0] == "11"
+
+
+@pytest.mark.parametrize("n", ["10", "1000"])
+def test_verify_f_depth_must_be_positive(capsys, n):
+    # at N = 10 F is empty and no closure runs, so only the type refuses
+    code = main(["verify-f", "--n", n, "--depth", "0", "--shifts", "1", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "not a positive integer" in err
 
 
 @pytest.mark.parametrize("shifts", [("3", "1"), ("0", "2"), ("-4", "-2")])

@@ -5,6 +5,7 @@ import itertools
 import math
 import pathlib
 import runpy
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -576,6 +577,27 @@ def test_leveled_refuses_a_partially_filled_sub_block():
         K._leveled("strictly-ergodic", problem, 2, stub_level)
     with pytest.raises(AssertionError, match="partially filled sub-block"):
         K._leveled("strictly-ergodic", problem, 3, stub_level)
+
+
+@pytest.mark.parametrize("kind, spec, n, levels", [
+    ("minimal", "kind=powers base=2", 2 ** 22, 3),     # refused at level 3
+    ("ergodic", "kind=ap a=2 b=0", 2 ** 14, 2),        # refused at level 1
+])
+def test_refusal_builds_no_filling(kind, spec, n, levels):
+    # every level is planned before any cell is built, so a refusal peaks
+    # below one int8 filling of N cells: 0.69 MB and 3.5 kB with NumPy 2.4,
+    # where filling the levels below first peaked at 13.4 MB and 94 kB
+    build = {"minimal": K.totally_minimal_construct,
+             "ergodic": K.strictly_ergodic_construct}[kind]
+    problem = K.random_problem(S.parse_set_spec(spec), 2, n, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(K.ConstructionRefused):
+            build(problem, levels=levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n, peak
 
 
 @pytest.mark.parametrize("kind, spec, k, n, levels", [

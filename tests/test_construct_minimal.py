@@ -190,6 +190,19 @@ def two_levels():
     return problem, K.totally_minimal_construct(problem, levels=2)
 
 
+@pytest.mark.parametrize("k, base, n", [(2, 2, 2 ** 18), (3, 3, 2 ** 20)])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_anchors_of_every_level_are_distinct(k, base, n, levels):
+    # a Parse names an anchor by its position in T_j then T'_j, which is
+    # one word only while no two anchors of the level are equal
+    problem = K.random_problem(POW(base), k, n, seed=levels)
+    trace = K.totally_minimal_construct(problem, levels=levels)
+    assert len(trace.levels) == levels + 1
+    for lvl in trace.levels:
+        anchors = lvl.t_sample + lvl.t_prime_sample
+        assert len(set(anchors)) == len(anchors) >= 4
+
+
 def test_parse_check_agrees_with_dp_at_two_levels(two_levels):
     problem, trace = two_levels
     words = list(_parsed_words(trace))

