@@ -65,7 +65,7 @@ def _emit_csv(lines, path) -> list:
     return []
 
 
-def _report(command, parameters, outputs, certs, seed=None, started=None,
+def _report(command, parameters, outputs, certs, started, seed=None,
             results=None):
     """Print the stdout report of one command; exit 0 iff every verdict holds."""
     rep = {
@@ -78,8 +78,7 @@ def _report(command, parameters, outputs, certs, seed=None, started=None,
     }
     if results:
         rep["results"] = results
-    if started is not None:
-        rep["timing_s"] = round(time.monotonic() - started, 3)
+    rep["timing_s"] = round(time.monotonic() - started, 3)
     print(_dump(rep), end="")
     return 0 if all(c.holds for c in certs) else 1
 
@@ -159,10 +158,10 @@ def _load_problem(path):
         seed = _json_int(fspec["seed"], "f.seed")
         if fspec.get("distribution", "uniform") != "uniform":
             raise UsageError("only distribution=uniform is supported")
+        return construct.random_problem(model, k, n, seed), data, seed
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # ValueError covers the DomainError of pairs that do not match S
+        # ValueError covers the DomainError of a bad k or of pairs off S
         raise UsageError(f"bad problem file {path}: {exc}") from exc
-    return construct.random_problem(model, k, n, seed), data, seed
 
 
 def _write_trace(out_dir, trace):
@@ -228,10 +227,10 @@ def cmd_construct(args):
         if args.kind == "zero":
             w, profile = construct.extend_zero(problem)
             emit_word(w)
-            n_max = max(profile.p)
+            n_max = max(profile.p, default=0)
             certs.append(Certificate.from_bool(
                 "entropy-estimate", True, {**scale, "n_max": n_max},
-                {"h_at_max": profile.h_est[n_max]}))
+                {"h_at_max": profile.h_est.get(n_max)}))
         elif args.kind == "sturmian":
             w = construct.sturmian_interpolate(problem)
             emit_word(w)

@@ -34,13 +34,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .certificate import Certificate
 from .intsets import (
     IntegerSetModel,
-    free_runs,
+    free_run_chunks,
     gap_syndeticity_table,
     max_window_count,
     syndetic_certificate,
     window,
 )
 from .words import (
+    ComplexityProfile,
     SymbolWord,
     complexity_profile,
     factor_counts,
@@ -52,7 +53,7 @@ ANCHOR_CAP = 64      # the level-0 anchor families keep at most this many words
 
 
 class DomainError(ValueError):
-    """N < 1, or f is not defined on exactly S intersect [1, N]."""
+    """N < 1, k outside [1, 2^63], or f not defined on exactly S intersect [1, N]."""
 
 
 class ConstructionRefused(Exception):
@@ -67,6 +68,11 @@ class ConstructionRefused(Exception):
 # -- problems ----------------------------------------------------------------
 
 
+def _check_alphabet(k: int) -> None:
+    if not 1 <= k <= 2 ** 63:      # base_word's signed cells hold -1..k-1
+        raise DomainError(f"k must lie in [1, 2^63], got k = {k}")
+
+
 @dataclass(frozen=True)
 class InterpolationProblem:
     """A function f on S intersect [1, N] with values in {0..k-1}, held as
@@ -78,6 +84,7 @@ class InterpolationProblem:
     f: SymbolWord
 
     def __post_init__(self):
+        _check_alphabet(self.k)
         if self.n < 1:
             raise DomainError(f"the window [1, N] needs N >= 1, got N = {self.n}")
         size = window(self.model, self.n).size
@@ -94,6 +101,7 @@ class InterpolationProblem:
                    pairs) -> InterpolationProblem:
         """The problem with f(s) = v for each (s, v) of `pairs`, which must
         name every member of S intersect [1, n] exactly once."""
+        _check_alphabet(k)
         given = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
         pos, vals = given[given[:, 0].argsort()].T
         twice = pos[1:][pos[1:] == pos[:-1]]
@@ -123,6 +131,7 @@ class InterpolationProblem:
 def random_problem(model: IntegerSetModel, k: int, n: int,
                    seed: int) -> InterpolationProblem:
     """Uniform seeded f over S intersect [1, n]; ascending fill order."""
+    _check_alphabet(k)
     rng = random.Random(seed)
     f = [rng.randrange(k) for _ in range(window(model, n).size)]
     return InterpolationProblem(model, n, SymbolWord(k, f))
@@ -133,8 +142,10 @@ def random_problem(model: IntegerSetModel, k: int, n: int,
 
 def extend_zero(problem: InterpolationProblem):
     """Extend f by zero off S.  Returns (word, complexity profile to
-    n_max = min(64, N/2))."""
+    n_max = min(64, N/2)); at N = 1 that depth is 0 and the profile empty."""
     w = SymbolWord(problem.k, problem.base_word(0))
+    if problem.n < 2:
+        return w, ComplexityProfile(problem.k, len(w), {}, {})
     return w, complexity_profile(w, min(64, problem.n // 2))
 
 
@@ -172,9 +183,14 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
     k, n = problem.k, problem.n
     if not 1 <= l_target <= n:
         raise ValueError(f"l_target must lie in [1, N = {n}], got {l_target}")
-    starts, ends = free_runs(window(problem.model, n), 1, n)
-    lengths = ends - starts + 1
-    max_run = int(lengths.max(initial=0))
+    # (start, length) of the empty run, then of each run longer than all
+    # before it: their lengths rise and sum to at most N, so <= sqrt(2N) of them
+    records = [(None, 0)]
+    for starts, ends in free_run_chunks(window(problem.model, n), 1, n):
+        lengths = ends - starts + 1
+        hit = lengths > np.maximum.accumulate(np.append(records[-1][1], lengths[:-1]))
+        records += zip(starts[hit].tolist(), lengths[hit].tolist())
+    max_run = records[-1][1]
     if max_run < l_target:
         # S meets the window, so g = max_run + 1 <= l_target <= N
         blocking = syndetic_certificate(problem.model, n, max_run + 1)
@@ -193,16 +209,11 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
         size += k ** order + min(order - 1, k ** order)
     y = universal_word(k, order)
     sym = problem.base_word(0)
-    placements = []
-    record = 0
-    for u, length in zip(starts.tolist(), lengths.tolist()):
-        if length > record:
-            record = length
-            take = min(length, len(y))
-            sym[u - 1:u - 1 + take] = y.symbols[:take]
-            placements.append((u, take))
-            if record >= len(y):
-                break
+    # a record run after the first one that holds all of y gets nothing
+    placements = [(u, min(length, len(y))) for (_, before), (u, length)
+                  in zip(records, records[1:]) if before < len(y)]
+    for u, take in placements:
+        sym[u - 1:u - 1 + take] = y.symbols[:take]
     w = SymbolWord(k, sym)
     del sym     # w holds its own copy: free the N cells before factor_counts
     full = [count == k ** m
@@ -265,22 +276,19 @@ class ConstructionTrace:
 
 
 def _pad_enum(items: list, mult: int) -> list:
-    out = list(items)
-    while len(out) % mult:
-        out.append(out[-1])
-    return out
+    return items + items[-1:] * (-len(items) % mult)
 
 
 def _first_free_run(arr, lo: int, hi: int, need: int):
     """First [u, v] inside positions [lo, hi] with v-u+1 >= need and no
     element of the ascending array arr."""
     inside = arr[arr.searchsorted(lo):arr.searchsorted(hi, "right")]
-    starts, ends = free_runs(inside, lo, hi)
-    fits = ends - starts + 1 >= need
-    if not fits.any():
-        return None
-    i = fits.argmax()
-    return int(starts[i]), int(ends[i])
+    for starts, ends in free_run_chunks(inside, lo, hi):
+        fits = ends - starts + 1 >= need
+        if fits.any():
+            i = fits.argmax()
+            return int(starts[i]), int(ends[i])
+    return None
 
 
 def _blocks_meeting(arr, size: int, count: int) -> list:

@@ -269,12 +269,6 @@ def free_run_chunks(arr: np.ndarray, lo: int, hi: int):
         yield starts, nxt[keep] - 1
 
 
-def free_runs(arr: np.ndarray, lo: int, hi: int):
-    """(starts, ends) of all the maximal S-free runs inside [lo, hi]."""
-    starts, ends = zip(*free_run_chunks(arr, lo, hi))
-    return np.concatenate(starts), np.concatenate(ends)
-
-
 def _stretches(arr: np.ndarray, n: int, m: int):
     """Yield (lo, length, longest) per slice of free_run_chunks(arr, 1, n):
     the maximal stretches [lo, lo+length) of the starts x <= n-m+1 whose

@@ -67,8 +67,6 @@ class FSetModel:
 
 def build_F(n_bound: int) -> FSetModel:
     """Materialize F = union(J_n + n) on [1, n_bound] by subset sums."""
-    if n_bound < 11:
-        return FSetModel(n_bound, (), {})
     elements = []
     provenance = {}
     n = 1
@@ -123,7 +121,7 @@ def verify_shift_ip(f_model: FSetModel, n: int, depth: int) -> ShiftIPReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     gens = _generators(n, f_model.bound - n)
-    required = ip_closure(gens, depth, f_model.bound - n) if gens else []
+    required = ip_closure(gens, depth, f_model.bound - n)
     member = set(f_model.elements)
     missing = tuple(j for j in required if j + n not in member)
     return ShiftIPReport(n, depth, not missing, tuple(required), missing)

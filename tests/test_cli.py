@@ -162,6 +162,23 @@ def test_construct_zero_entropy_estimate_at_fixed_depth(tmp_path, capsys, n):
     assert code == 2
 
 
+def test_construct_zero_answers_at_n_1(tmp_path, capsys):
+    # the profile depth min(64, N/2) is 0 at N = 1: an empty estimate
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=ap a=1 b=0", 2, 1, pairs=[[1, 1]])
+    out_dir = tmp_path / "out"
+    code, out = run(capsys, "construct", "--kind", "zero",
+                    "--problem", str(prob), "--out-dir", str(out_dir))
+    assert code == 0
+    from interpsets import words as W
+    assert W.read_word_file(out_dir / "x.word") == W.SymbolWord(2, [1])
+    restriction, estimate = (v["certificate"] for v in json.loads(out)["verdicts"])
+    assert restriction["predicate"] == "restriction-identity"
+    assert estimate["predicate"] == "entropy-estimate"
+    assert estimate["scale"] == {"N": 1, "n_max": 0}
+    assert estimate["witness"] == {"h_at_max": None}
+
+
 def test_construct_zero_with_explicit_pairs(tmp_path, capsys):
     prob = tmp_path / "p.json"
     _write_problem(prob, "kind=explicit elements=3,7,11", 2, 20,
@@ -299,6 +316,20 @@ def test_construct_non_integer_field_exit_2(tmp_path, capsys, fields, named):
     assert code == 2
     assert f": {named} must be a JSON integer" in capsys.readouterr().err
     assert not (tmp_path / "o" / "x.word").exists()
+
+
+@pytest.mark.parametrize("k", [0, 2 ** 63 + 1, 2 ** 70])
+@pytest.mark.parametrize("f", [{"seed": 3},
+                               {"pairs": [[2, 0], [4, 1], [8, 0], [16, 1]]}],
+                         ids=["seed", "pairs"])
+def test_construct_alphabet_outside_range_exit_2(tmp_path, capsys, k, f):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({"set_spec": "kind=powers base=2", "k": k,
+                                "N": 20, "f": f}))
+    code = main(["construct", "--kind", "zero", "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert f"k must lie in [1, 2^63], got k = {k}" in capsys.readouterr().err
 
 
 def test_construct_minimal_trace_files(tmp_path, capsys):

@@ -16,7 +16,7 @@ from interpsets import construct as K
 from interpsets import counting as C
 from interpsets import intsets as S
 from interpsets import words as W
-from oracles import constant_problem, continued_fraction
+from oracles import constant_problem, continued_fraction, free_runs
 
 AP = S.IntegerSetModel.arithmetic_progression
 POW = S.IntegerSetModel.lacunary_powers
@@ -182,7 +182,7 @@ def _mixing_with_the_full_word(problem, l_target):
     y = W.universal_word(problem.k, l_target)
     sym = problem.base_word(0)
     placements, record = [], 0
-    starts, ends = S.free_runs(S.window(problem.model, problem.n), 1, problem.n)
+    starts, ends = free_runs(S.window(problem.model, problem.n), 1, problem.n)
     for u, v in zip(starts.tolist(), ends.tolist()):
         if v - u + 1 > record:
             record = v - u + 1
@@ -209,6 +209,52 @@ def test_mixing_builds_only_the_universal_prefix_it_places():
     # the largest run of 2047 takes 8 423 of the 3 368 430 symbols of order 5
     ext = K.mixing_extend(K.random_problem(POW(2), 20, 4096, seed=1), 5)
     assert ext.placements[-1][1] == 2047 and len(ext.universal) == 8423
+
+
+# more than one slice of members: the evens below 2*10^5, then runs of
+# 101, 299 and 600 that lie past the first slice
+PAST_SLICE = EXPL(list(range(2, 2 * 10 ** 5, 2)) + [200100, 200400])
+
+
+def test_mixing_reads_record_runs_past_the_first_slice():
+    assert S.window(PAST_SLICE, 201000).size > S._CHUNK
+    for k, l_target in ((2, 3), (3, 5), (2, 9)):
+        problem = K.random_problem(PAST_SLICE, k, 201000, seed=k)
+        ext = K.mixing_extend(problem, l_target)
+        assert [u for u, _ in ext.placements] == \
+            [1, 199999, 200101, 200401][:len(ext.placements)]
+        assert (ext.word, ext.placements) \
+            == _mixing_with_the_full_word(problem, l_target)
+    with pytest.raises(K.ConstructionRefused) as refused:
+        K.mixing_extend(K.random_problem(PAST_SLICE, 2, 201000, seed=1), 601)
+    assert refused.value.certificate.witness["available_run"] == 600
+
+
+def test_first_free_run_reads_past_the_first_slice():
+    arr = S.window(PAST_SLICE, 201000)
+    for lo, hi, need in itertools.product((1, 3), (200250, 201000),
+                                          (1, 2, 101, 102, 300, 600, 601)):
+        inside = arr[(arr >= lo) & (arr <= hi)]
+        runs = zip(*(r.tolist() for r in free_runs(inside, lo, hi)))
+        want = next(((u, v) for u, v in runs if v - u + 1 >= need), None)
+        assert K._first_free_run(arr, lo, hi, need) == want, (lo, hi, need)
+
+
+@pytest.mark.parametrize("spec, bound_mib", [("kind=ap a=2 b=0", 6),
+                                             ("kind=ap a=3 b=1", 20)])
+def test_mixing_holds_one_slice_of_runs(spec, bound_mib):
+    # reading every run at once peaked at 15.3 and 23.8 MiB here
+    problem = K.random_problem(S.parse_set_spec(spec), 2, 10 ** 6, seed=1)
+    tracemalloc.start()
+    try:
+        try:
+            K.mixing_extend(problem, 2)
+        except K.ConstructionRefused:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2 ** 20, peak
 
 
 # -- witness generators --------------------------------------------------------
@@ -416,6 +462,24 @@ def test_from_pairs_matches_dict_oracle(members, k, n, data):
     assert a.k == k
     assert a.base_word(-1).tolist() == [expected.get(p, -1)
                                         for p in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("k", [0, 2 ** 63 + 1, 2 ** 70])
+def test_problem_alphabet_outside_range(k):
+    f = {2: 0, 4: 1, 8: 0, 16: 1}
+    with pytest.raises(K.DomainError, match=f"got k = {k}$"):
+        K.random_problem(POW(2), k, 20, seed=1)
+    with pytest.raises(K.DomainError, match=f"got k = {k}$"):
+        K.InterpolationProblem.from_pairs(POW(2), k, 20, f.items())
+    if k > 0:           # SymbolWord itself refuses an empty alphabet
+        with pytest.raises(K.DomainError, match=f"got k = {k}$"):
+            K.InterpolationProblem(POW(2), 20, W.SymbolWord(k, [0] * 4))
+
+
+def test_problem_alphabet_at_two_to_the_63():
+    problem = K.random_problem(POW(2), 2 ** 63, 20, seed=1)
+    assert problem.base_word(0).dtype == np.int64
+    assert problem.base_word(-1).min() == -1
 
 
 def test_problem_length_must_match_window():

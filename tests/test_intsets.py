@@ -544,7 +544,7 @@ def test_streamed_scan_matches_diff_oracles(chunk, case, g, extra):
         if run_len <= n:
             pairs.append((S.piecewise_syndetic_certificate(model, n, g, run_len),
                           oracles.piecewise_syndetic_certificate(model, n, g, run_len)))
-        runs = S.free_runs(arr, 1, n)
+        runs = [np.concatenate(part) for part in zip(*S.free_run_chunks(arr, 1, n))]
         histogram = S.gap_histogram(model, n)
     for got, want in pairs:
         assert got.to_json() == want.to_json(), got.predicate

@@ -80,6 +80,15 @@ def test_build_f_2000():
 
 def test_build_f_tiny_empty():
     assert R.build_F(10).elements == ()
+    for n in range(-1, 11):
+        assert R.build_F(n) == R.FSetModel(n, (), {})
+
+
+@pytest.mark.parametrize("bound", [10, 1000])
+def test_shift_ip_refuses_depth_0_at_every_bound(bound):
+    # at bound 10 no generator of J_1 fits, which once skipped the check
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        R.verify_shift_ip(R.build_F(bound), 1, 0)
 
 
 def test_build_f_divisibility():
