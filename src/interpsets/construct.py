@@ -23,6 +23,7 @@ first-fit and deterministic: identical inputs give bit-identical traces.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .certificate import Certificate
 from .intsets import (
     IntegerSetModel,
+    first_fit,
     free_run_chunks,
     gap_syndeticity_table,
     max_window_count,
@@ -45,7 +47,7 @@ from .words import (
     SymbolWord,
     complexity_profile,
     factor_counts,
-    universal_word,
+    universal_symbols,
 )
 
 UNFILLED = -1        # a cell of a partial filling that holds no symbol yet
@@ -168,7 +170,7 @@ class MixingExtension:
     l_target: int
     l_cover: int
     placements: tuple            # (start position, prefix length) per record run
-    universal: SymbolWord        # the prefixes placed are prefixes of this word
+    universal: SymbolWord        # the longest universal prefix placed
 
 
 def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtension:
@@ -186,8 +188,7 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
     # (start, length) of the empty run, then of each run longer than all
     # before it: their lengths rise and sum to at most N, so <= sqrt(2N) of them
     records = [(None, 0)]
-    for starts, ends in free_run_chunks(window(problem.model, n), 1, n):
-        lengths = ends - starts + 1
+    for starts, lengths in free_run_chunks(window(problem.model, n), 1, n):
         hit = lengths > np.maximum.accumulate(np.append(records[-1][1], lengths[:-1]))
         records += zip(starts[hit].tolist(), lengths[hit].tolist())
     max_run = records[-1][1]
@@ -201,13 +202,9 @@ def mixing_extend(problem: InterpolationProblem, l_target: int) -> MixingExtensi
                 "mixing-precondition", False, {"N": n, "l_target": l_target},
                 {"required_run": l_target, "available_run": max_run,
                  "certificate": blocking.to_json()}))
-    # no run takes more than max_run symbols: the universal word of the
-    # least order whose length reaches it is a prefix of the full one
-    order, size = 0, 0
-    while size < max_run and order < l_target:
-        order += 1
-        size += k ** order + min(order - 1, k ** order)
-    y = universal_word(k, order)
+    # no run takes more than max_run symbols of the order-l_target universal word
+    prefix = itertools.islice(universal_symbols(k, l_target), max_run)
+    y = SymbolWord(k, list(prefix))
     sym = problem.base_word(0)
     # a record run after the first one that holds all of y gets nothing
     placements = [(u, min(length, len(y))) for (_, before), (u, length)
@@ -277,18 +274,6 @@ class ConstructionTrace:
 
 def _pad_enum(items: list, mult: int) -> list:
     return items + items[-1:] * (-len(items) % mult)
-
-
-def _first_free_run(arr, lo: int, hi: int, need: int):
-    """First [u, v] inside positions [lo, hi] with v-u+1 >= need and no
-    element of the ascending array arr."""
-    inside = arr[arr.searchsorted(lo):arr.searchsorted(hi, "right")]
-    for starts, ends in free_run_chunks(inside, lo, hi):
-        fits = ends - starts + 1 >= need
-        if fits.any():
-            i = fits.argmax()
-            return int(starts[i]), int(ends[i])
-    return None
 
 
 def _blocks_meeting(arr, size: int, count: int) -> list:
@@ -465,13 +450,13 @@ def _minimal_level(problem, j, cur, elems, levels):
 
     def fill_block(lo, hi, subs, free):
         # the spacing bound puts a free run of G_j in every window of m_{j+1}
-        run = _first_free_run(elems, lo, hi, gap_needed)
-        if run is None:
+        inside = elems[elems.searchsorted(lo):elems.searchsorted(hi, "right")]
+        ru, run = first_fit(free_run_chunks(inside, lo, hi), gap_needed)
+        if run < gap_needed:
             raise AssertionError(
                 f"block [{lo}, {hi}] has no free run of {gap_needed}")
-        ru, rv = run
         a_idx = ((ru - 1 + m - 1) // m) * m
-        if a_idx + len(covering) > rv:
+        if a_idx + len(covering) >= ru + run:
             raise AssertionError("aligned coverage block does not fit the run")
         first = (a_idx - (lo - 1)) // m
         span = slice(first, first + len(cover))

@@ -102,8 +102,6 @@ def _split_count(m, d: Fraction, k) -> int:
         suffix[z] = suffix[z + 1] + h2[z]
     total = 0
     for z1, c1 in enumerate(h1):
-        if not c1:
-            continue
         z2 = max(0, need - z1)
         if z2 <= m2:
             total += c1 * suffix[z2]

@@ -252,8 +252,8 @@ def gap_histogram(model: IntegerSetModel, n: int) -> dict:
 
 
 def free_run_chunks(arr: np.ndarray, lo: int, hi: int):
-    """(starts, ends) of the maximal S-free runs inside [lo, hi], where arr
-    holds the members of S in [lo, hi], one pair per slice of at most
+    """(starts, lengths) of the maximal S-free runs inside [lo, hi], where
+    arr holds the members of S in [lo, hi], one pair per slice of at most
     _CHUNK members, in order.  A slice's runs end just before its members
     (the last slice's also run up to hi), and each slice carries the
     member before it, so no array beside arr is longer than a slice."""
@@ -266,39 +266,39 @@ def free_run_chunks(arr: np.ndarray, lo: int, hi: int):
         keep = starts < nxt
         prev = nxt[-1]
         starts = starts[keep]       # let go of the full slice before yielding
-        yield starts, nxt[keep] - 1
+        yield starts, nxt[keep] - starts
+
+
+def first_fit(runs, need: int):
+    """(start, length) of the first run at least need long, else of the
+    first longest one, in runs, a stream of (starts, lengths) slices;
+    (None, 0) when no run is longer than 0."""
+    best = None, 0
+    for starts, lengths in runs:
+        hit = lengths >= need
+        if hit.any():
+            i = int(hit.argmax())
+            return int(starts[i]), int(lengths[i])
+        if lengths.max(initial=0) > best[1]:
+            i = int(lengths.argmax())
+            best = int(starts[i]), int(lengths[i])
+    return best
 
 
 def _stretches(arr: np.ndarray, n: int, m: int):
-    """Yield (lo, length, longest) per slice of free_run_chunks(arr, 1, n):
-    the maximal stretches [lo, lo+length) of the starts x <= n-m+1 whose
-    window [x, x+m-1] meets S, in order (empty ones included), and the
-    length of the slice's longest S-free run.  The stretches lie between
-    the free runs of length >= m, so with m = 1 they are the runs of
-    members; the last one ends at n-m+2, after every slice."""
+    """Yield (lo, length) per slice of free_run_chunks(arr, 1, n): the
+    maximal stretches [lo, lo+length) of the starts x <= n-m+1 whose
+    window [x, x+m-1] meets S, in order (empty ones included).  The
+    stretches lie between the free runs of length >= m, so with m = 1
+    they are the runs of members; the last one ends at n-m+2, after
+    every slice."""
     cur = 1
-    for starts, ends in free_run_chunks(arr, 1, n):
-        longest = int((ends - starts).max(initial=-1)) + 1
-        keep = ends - starts + 1 >= m
-        lo = np.append(cur, ends[keep] - m + 2)
+    for starts, lengths in free_run_chunks(arr, 1, n):
+        keep = lengths >= m
+        lo = np.append(cur, starts[keep] + lengths[keep] - m + 1)
         cur = lo[-1]
-        yield lo[:-1], starts[keep] - lo[:-1], longest
-    yield np.array([cur]), np.array([n - m + 2 - cur]), 0
-
-
-def _first_stretch(arr: np.ndarray, n: int, m: int, need: int):
-    """(lo, length) of the first stretch of _stretches at least need long,
-    else of the first longest one; lo is None when every stretch is empty."""
-    best_lo, best = None, 0
-    for lo, length, _ in _stretches(arr, n, m):
-        hit = length >= need
-        if hit.any():
-            i = int(hit.argmax())
-            return int(lo[i]), int(length[i])
-        if length.max(initial=0) > best:
-            i = int(length.argmax())
-            best_lo, best = int(lo[i]), int(length[i])
-    return best_lo, best
+        yield lo[:-1], starts[keep] - lo[:-1]
+    yield np.array([cur]), np.array([n - m + 2 - cur])
 
 
 def syndetic_certificate(model: IntegerSetModel, n: int, g: int) -> Certificate:
@@ -315,17 +315,12 @@ def syndetic_certificate(model: IntegerSetModel, n: int, g: int) -> Certificate:
         raise ValueError("window must satisfy N >= g")
     arr = window(model, n)
     scale = {"N": n, "g": g}
-    # a gap [lo, hi] spans the free run [lo+1, hi-1]; with no completed run
-    # the largest gap is [0, 1] (1 is in S), or [0, 0] when S misses [1, n]
-    lo, hi, last = 0, min(arr.size, 1), n
-    for starts, ends in free_run_chunks(arr, 1, n):
-        if ends.size and ends[-1] == n:     # the pending tail [last+1, n]
-            last = int(starts[-1]) - 1
-            starts, ends = starts[:-1], ends[:-1]
-        if starts.size:
-            i = int((ends - starts).argmax())
-            if ends[i] - starts[i] + 2 > hi - lo:
-                lo, hi = int(starts[i]) - 1, int(ends[i]) + 1
+    # a gap [lo, hi] spans the free run [lo+1, hi-1] of [1, last], and no
+    # run is n + 1 long, so first_fit gives the first longest; with no such
+    # run the largest gap is [0, 1] (1 is in S), or [0, 0] when S misses [1, n]
+    last = int(arr[-1]) if arr.size else 0
+    start, length = first_fit(free_run_chunks(arr, 1, last), n + 1)
+    lo, hi = (start - 1, start + length) if length else (0, min(arr.size, 1))
     pending = n - last
     if hi - lo > g:
         witness = {"gap": [lo, hi], "length": hi - lo, "kind": "completed"}
@@ -343,7 +338,7 @@ def thick_certificate(model: IntegerSetModel, n: int, run_len: int) -> Certifica
     if run_len < 1:
         raise ValueError("run length must be >= 1")
     scale = {"N": n, "L": run_len}
-    start, longest = _first_stretch(window(model, n), n, 1, run_len)
+    start, longest = first_fit(_stretches(window(model, n), n, 1), run_len)
     if longest >= run_len:
         return Certificate("thick", scale, HOLDS,
                            {"run_start": start, "length": run_len})
@@ -362,20 +357,17 @@ def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certi
     if gap_len < 1:
         raise ValueError("gap length must be >= 1")
     scale = {"N": n, "n": gap_len}
-    # the starts of gap_len-runs are the positions of [1, n-gap_len+1] off
-    # the stretches, the first one where the first stretch ends; a stretch
-    # of length s needs D = s + gap_len
-    longest = widest = total = 0
-    first = None
-    for lo, length, runs in _stretches(window(model, n), n, gap_len):
-        if first is None and lo.size:
-            first = int(lo[0] + length[0])
-        longest = max(longest, runs)
-        widest = max(widest, int(length.max(initial=0)))
-        total += int(length.sum())
-    if first > n - gap_len + 1:     # no gap_len-run starts in the window
+    arr = window(model, n)
+    first, longest = first_fit(free_run_chunks(arr, 1, n), gap_len)
+    if longest < gap_len:       # no gap_len-run starts in the window
         witness = {"stretch": [1, n], "longest_free_run": longest}
         return Certificate("gap-syndetic", scale, FAILS, witness)
+    # the starts of gap_len-runs are the positions of [1, n-gap_len+1] off
+    # the stretches; a stretch of length s needs D = s + gap_len
+    widest = total = 0
+    for _, length in _stretches(arr, n, gap_len):
+        widest = max(widest, int(length.max(initial=0)))
+        total += int(length.sum())
     witness = {"spacing_bound": widest + gap_len, "first_gap_start": first,
                "gap_start_count": n - gap_len + 1 - total}
     return Certificate("gap-syndetic", scale, HOLDS, witness)
@@ -395,7 +387,7 @@ def piecewise_syndetic_certificate(model: IntegerSetModel, n: int, g: int,
         raise ValueError("window must satisfy N >= L")
     scale = {"N": n, "g": g, "L": run_len}
     need = run_len - g + 1
-    a, best = _first_stretch(window(model, n), n, g, need)
+    a, best = first_fit(_stretches(window(model, n), n, g), need)
     if best >= need:
         return Certificate("piecewise-syndetic", scale, HOLDS,
                            {"interval": [a, a + run_len - 1]})
@@ -425,26 +417,25 @@ def max_window_count(model: IntegerSetModel, n: int, length: int):
     first maximizing one is returned, (0, 1) when S misses [1, n].  A
     member at or below the clamp is its own left index, so one search per
     slice of _CHUNK such members counts their windows; every clamped
-    member shares one window.
+    member shares one window, counted last.  No count reaches |S|+1, so
+    first_fit returns the first largest.
     """
     arr = window(model, n)
     if not arr.size:
         return 0, 1
     top = max(n - length + 1, 1)
     own = int(arr.searchsorted(top, "right"))     # members at or below top
-    best, start = 0, top
-    for i in range(0, own, _CHUNK):
-        starts = arr[i:min(i + _CHUNK, own)]
-        counts = (arr.searchsorted(starts + (length - 1), "right")
-                  - np.arange(i, i + starts.size))
-        j = int(counts.argmax())
-        if counts[j] > best:
-            best, start = int(counts[j]), int(starts[j])
-    if own < arr.size:       # every member past top starts its window at top
-        count = arr.size - int(arr.searchsorted(top, "left"))
-        if count > best:
-            best, start = count, top
-    return best, start
+
+    def counts():       # (starts, counts) per slice, as first_fit reads them
+        for i in range(0, own, _CHUNK):
+            starts = arr[i:min(i + _CHUNK, own)]
+            yield starts, (arr.searchsorted(starts + (length - 1), "right")
+                           - np.arange(i, i + starts.size))
+        if own < arr.size:   # every member past top starts its window at top
+            yield [top], np.array([arr.size - int(arr.searchsorted(top, "left"))])
+
+    start, count = first_fit(counts(), arr.size + 1)
+    return count, start
 
 
 def banach_density_profile(model: IntegerSetModel, n: int,

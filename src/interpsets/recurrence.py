@@ -143,6 +143,9 @@ def _place_masks(count: int) -> np.ndarray:
     return mask
 
 
+DIGIT_ORACLE_LIMIT = 10 ** 9    # 3.6 s at the cap on a 2-vCPU machine
+
+
 def digit_enumerate(n_bound: int) -> list:
     """All members of F in [1, n_bound], found by applying the digit oracle
     to every integer; independent of build_F.
@@ -154,7 +157,8 @@ def digit_enumerate(n_bound: int) -> list:
     its 1s sit at places in I_n; x - n qualifies exactly when both halves
     are and it is positive, which the outer AND of the two admissible
     rows decides over the (high, low) grid, a bounded block of rows at a
-    time.
+    time.  The grid has about n_bound cells per shift, so callers refuse
+    an n_bound above DIGIT_ORACLE_LIMIT.
     """
     digits = len(str(n_bound))
     half = digits // 2

@@ -164,26 +164,35 @@ def complexity_profile(w: SymbolWord, n_max: int) -> ComplexityProfile:
     return ComplexityProfile(w.alphabet_size, len(w), p, h)
 
 
-def _de_bruijn(k: int, n: int) -> list:
-    """Cyclic de Bruijn sequence of order n over {0..k-1} (FKM algorithm)."""
-    if k == 1:
-        return [0]
-    a = [0] * (k * n)
-    seq = []
+def _de_bruijn(k: int, n: int):
+    """Yield the cyclic de Bruijn sequence of order n over {0..k-1} (FKM
+    algorithm), from n + 1 work cells whatever k is."""
+    a = [0] * (n + 1)
 
     def db(t, p):
         if t > n:
             if n % p == 0:
-                seq.extend(a[1:p + 1])
+                yield from a[1:p + 1]
         else:
             a[t] = a[t - p]
-            db(t + 1, p)
+            yield from db(t + 1, p)
             for j in range(a[t - p] + 1, k):
                 a[t] = j
-                db(t + 1, t)
+                yield from db(t + 1, t)
 
-    db(1, 1)
-    return seq
+    yield from db(1, 1)
+
+
+def universal_symbols(k: int, max_len: int):
+    """Yield the symbols of universal_word(k, max_len) in order, so a
+    prefix costs only its own length.  Each cyclic de Bruijn sequence is
+    linearized by repeating its first n - 1 symbols, which are 0s (it
+    opens with 0^n, or is the single symbol 0 when k = 1)."""
+    if k < 1 or max_len < 1:
+        raise ValueError("need k >= 1 and max_len >= 1")
+    for n in range(1, max_len + 1):
+        yield from _de_bruijn(k, n)
+        yield from [0] * min(n - 1, k ** n)
 
 
 def universal_word(k: int, max_len: int) -> SymbolWord:
@@ -193,14 +202,7 @@ def universal_word(k: int, max_len: int) -> SymbolWord:
     prefixes already cover all short orders; total length stays below the
     k^L * L + k budget.
     """
-    if k < 1 or max_len < 1:
-        raise ValueError("need k >= 1 and max_len >= 1")
-    sym = []
-    for n in range(1, max_len + 1):
-        cyc = _de_bruijn(k, n)
-        sym.extend(cyc)
-        sym.extend(cyc[:n - 1])
-    return SymbolWord(k, sym)
+    return SymbolWord(k, list(universal_symbols(k, max_len)))
 
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")

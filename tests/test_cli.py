@@ -1,8 +1,10 @@
 """CLI surface: exit codes, file outputs, reproducibility."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -205,6 +207,26 @@ def test_construct_mixing_refusal_exit_1(tmp_path, capsys):
         == "holds-at-scale"
 
 
+@pytest.mark.parametrize("k", [2 ** 62, 2 ** 30])
+def test_construct_mixing_builds_no_k_symbol_word(tmp_path, capsys, k):
+    # the universal word opens with all k symbols, but N = 4096 has room
+    # for 2047 of them; 2^62 is past factor_counts' alphabet bound
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", k, 4096, seed=1)
+    started = time.monotonic()
+    code = main(["construct", "--kind", "mixing", "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o")])
+    assert time.monotonic() - started < 2
+    out, err = capsys.readouterr()
+    if k == 2 ** 62:
+        assert (code, out) == (2, "")
+        assert "factor_counts needs alphabet_size <= 2^31 - 1" in err
+    else:
+        assert code == 1
+        assert [(v["name"], v["ok"]) for v in json.loads(out)["verdicts"]] \
+            == [("restriction-identity", True), ("factor-coverage", False)]
+
+
 def test_construct_word_off_f_exit_1(tmp_path, capsys, monkeypatch):
     from interpsets import words as W
     real = construct.extend_zero
@@ -330,6 +352,43 @@ def test_construct_alphabet_outside_range_exit_2(tmp_path, capsys, k, f):
                  "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert f"k must lie in [1, 2^63], got k = {k}" in capsys.readouterr().err
+
+
+BAD_SPECS = [
+    ("kind=ap a=0 b=0", "modulus a must be >= 1"),
+    ("kind=powers base=1", "base must be >= 2"),
+    ("kind=union of=", "union needs at least one part"),
+    ("kind=sums gens=0", "generators must be positive"),
+    ("kind=sturmian cf=0,0", "continued fraction needs a0 >= 0 and a_i >= 1"),
+    ("kind=sturmian cf=3", "sturmian parameter must lie in (0, 1]"),
+    ("kind=explicit elements=5 bound=3", "member beyond window_bound"),
+    ("kind=explicit elements=0,2", "explicit members must be >= 1"),
+    ("kind=ap a=x b=0", "invalid literal for int()"),
+]
+
+
+@pytest.mark.parametrize("argv, named", [
+    *[(["construct", "--kind", kind, "--problem", "k2.json", "--levels", "0"],
+       "levels must be >= 1") for kind in ("minimal", "ergodic")],
+    *[(["construct", "--kind", kind, "--problem", "k1.json"],
+       "leveled constructions need alphabet size >= 2")
+      for kind in ("minimal", "ergodic")],
+    (["count", "--delta", "1/3", "--k", "1", "--m", "4"], "k must be >= 2"),
+    (["count", "--delta", "1/3", "--k", "2", "--m", "0"], "m must be >= 1"),
+    (["word-stats", "--word", "one.word"], "word too short for a profile"),
+    *[(["analyze", "--set", spec, "--n", "20", "--syndetic", "3"],
+       f"bad spec {spec!r}: {why}") for spec, why in BAD_SPECS],
+])
+def test_input_refusals_exit_2(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    for k in (1, 2):
+        _write_problem(tmp_path / f"k{k}.json", "kind=powers base=2", k, 64, seed=1)
+    (tmp_path / "one.word").write_text("k=2\n0\n")
+    extra = ["--out-dir", "out"] if argv[0] == "construct" else []
+    code = main(argv + extra)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert named in err
 
 
 def test_construct_minimal_trace_files(tmp_path, capsys):
@@ -570,6 +629,34 @@ def test_verify_f_bad_shifts_exit_2_before_work(capsys, monkeypatch, shifts):
     code = main(["verify-f", "--n", "1000", "--shifts", *shifts])
     assert code == 2
     assert "--shifts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [10 ** 9 + 1, 10 ** 16])
+def test_verify_f_dual_oracle_refused_past_its_cap(capsys, monkeypatch, n):
+    from interpsets import recurrence
+
+    def no_work(bound):
+        raise AssertionError("work began before the cap was checked")
+
+    monkeypatch.setattr(recurrence, "build_F", no_work)
+    monkeypatch.setattr(recurrence, "digit_enumerate", no_work)
+    assert recurrence.DIGIT_ORACLE_LIMIT == 10 ** 9
+    started = time.monotonic()
+    code = main(["verify-f", "--n", str(n), "--dual-oracle"])
+    assert time.monotonic() - started < 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"--dual-oracle refused at N = {n}" in err
+    assert "above the digit oracle's 1000000000 cap" in err
+
+
+def test_verify_f_dual_oracle_below_its_cap(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    code, _ = run(capsys, "verify-f", "--n", "10000000", "--depth", "3",
+                  "--shifts", "1", "3", "--dual-oracle", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "0559a4e6a8f9542d87ed1485abb0b42590bca97d9a8e43a4de8a96702374312b"
 
 
 def test_word_stats(tmp_path, capsys):

@@ -206,9 +206,9 @@ def test_mixing_builds_only_the_universal_prefix_it_places():
                               full.symbols[:len(ext.universal)])
         assert (ext.word, ext.placements) \
             == _mixing_with_the_full_word(problem, l_target)
-    # the largest run of 2047 takes 8 423 of the 3 368 430 symbols of order 5
+    # the largest run of 2047 takes 2 047 of the 3 368 430 symbols of order 5
     ext = K.mixing_extend(K.random_problem(POW(2), 20, 4096, seed=1), 5)
-    assert ext.placements[-1][1] == 2047 and len(ext.universal) == 8423
+    assert ext.placements[-1][1] == 2047 and len(ext.universal) == 2047
 
 
 # more than one slice of members: the evens below 2*10^5, then runs of
@@ -235,9 +235,12 @@ def test_first_free_run_reads_past_the_first_slice():
     for lo, hi, need in itertools.product((1, 3), (200250, 201000),
                                           (1, 2, 101, 102, 300, 600, 601)):
         inside = arr[(arr >= lo) & (arr <= hi)]
-        runs = zip(*(r.tolist() for r in free_runs(inside, lo, hi)))
-        want = next(((u, v) for u, v in runs if v - u + 1 >= need), None)
-        assert K._first_free_run(arr, lo, hi, need) == want, (lo, hi, need)
+        runs = [(u, v - u + 1) for u, v in
+                zip(*(r.tolist() for r in free_runs(inside, lo, hi)))]
+        longest = max(length for _, length in runs)
+        want = next(run for run in runs if run[1] >= min(need, longest))
+        assert S.first_fit(S.free_run_chunks(inside, lo, hi), need) == want, \
+            (lo, hi, need)
 
 
 @pytest.mark.parametrize("spec, bound_mib", [("kind=ap a=2 b=0", 6),

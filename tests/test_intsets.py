@@ -544,7 +544,9 @@ def test_streamed_scan_matches_diff_oracles(chunk, case, g, extra):
         if run_len <= n:
             pairs.append((S.piecewise_syndetic_certificate(model, n, g, run_len),
                           oracles.piecewise_syndetic_certificate(model, n, g, run_len)))
-        runs = [np.concatenate(part) for part in zip(*S.free_run_chunks(arr, 1, n))]
+        starts, lengths = (np.concatenate(part)
+                           for part in zip(*S.free_run_chunks(arr, 1, n)))
+        runs = [starts, starts + lengths - 1]
         histogram = S.gap_histogram(model, n)
     for got, want in pairs:
         assert got.to_json() == want.to_json(), got.predicate

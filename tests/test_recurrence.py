@@ -104,6 +104,13 @@ def test_sum_free_exhaustive():
     assert report.ok and report.counterexample is None
 
 
+def test_sum_free_stops_at_the_bound():
+    # F = {11, 102, 1001, 1011}: 1001 + 1001 passes 2000, so the 7 pairs
+    # with sums below the bound are all that is checked
+    report = R.verify_sum_free(R.build_F(2000).elements, 2000)
+    assert report.ok and report.pairs_checked == 7
+
+
 def test_sum_free_detects_injected_fault():
     model = R.build_F(200)
     report = R.verify_sum_free(list(model.elements) + [113], 200)
