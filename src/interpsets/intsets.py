@@ -6,11 +6,14 @@ sums, shifts and unions of these) or by an explicit finite window.  The
 syndetic / thick / piecewise-syndetic predicates are evaluated on an
 explicit window [1, N] and return Certificates that can be replayed
 against the set.  Nothing here claims an infinitary verdict: every
-answer is tagged with the scale it was computed at.
+answer is tagged with the scale it was computed at.  A set that is
+finite or eventually periodic answers at any scale from one window of
+about two periods, as the `periodic` module proves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -128,6 +131,12 @@ class IntegerSetModel:
             return self.delta()
         return None
 
+    def descriptor(self) -> tuple:
+        """(kind, p0, P), read from the spec's ints by periodic.descriptor."""
+        from .periodic import descriptor
+
+        return descriptor(self)
+
     def spec_string(self) -> str:
         if self.kind == "explicit":
             elems = ",".join(str(x) for x in self.members)
@@ -153,13 +162,21 @@ class IntegerSetModel:
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
+WINDOW_LIMIT = 1 << 26    # members in one window: 512 MiB as int64
+
+
+class WindowTooLarge(ValueError):
+    """A window whose member count may pass WINDOW_LIMIT."""
+
 
 def window(model: IntegerSetModel, n: int) -> np.ndarray:
     """S intersect [1, n] as a sorted, read-only int64 array.
 
     Each model keeps the largest window it has built; a window at a
     smaller n is a prefix view of that array, so S intersect [1, N] is
-    materialized once per (model, N).
+    materialized once per (model, N).  Past n = WINDOW_LIMIT, a window
+    that periodic.size_bound cannot keep within WINDOW_LIMIT members is
+    refused before it is built (at or below it, |S intersect [1, n]| <= n).
     """
     n = int(n)
     if n < 1:
@@ -169,6 +186,13 @@ def window(model: IntegerSetModel, n: int) -> np.ndarray:
         raise ValueError(
             f"window {n} exceeds explicit window_bound {model.window_bound}")
     if not model._window or model._window[0] < n:
+        if n > WINDOW_LIMIT:
+            from .periodic import size_bound
+
+            if (bound := size_bound(model, n)) > WINDOW_LIMIT:
+                raise WindowTooLarge(
+                    f"window [1, {n}] of {model.spec_string()!r} may hold "
+                    f"{bound} members, above the window limit of {WINDOW_LIMIT}")
         arr = np.asarray(_materialize(model, n), dtype=np.int64)
         arr.flags.writeable = False
         model._window[:] = [n, arr]
@@ -239,6 +263,18 @@ def _materialize(model: IntegerSetModel, n: int):
 _CHUNK = 1 << 16   # members per slice of a streamed scan
 
 
+def _from_one_period(query):
+    """query(model, n, *lengths) through periodic.answer, which reads a set
+    with a periodic or finite descriptor from about two periods."""
+    @functools.wraps(query)
+    def reduced(model: IntegerSetModel, n: int, *lengths):
+        from .periodic import answer
+
+        return answer(query, model, n, lengths)
+    return reduced
+
+
+@_from_one_period
 def gap_histogram(model: IntegerSetModel, n: int) -> dict:
     """{gap: count} over the differences of consecutive members of S in
     [1, n], ascending in gap, read one slice of _CHUNK gaps at a time."""
@@ -301,6 +337,7 @@ def _stretches(arr: np.ndarray, n: int, m: int):
     yield np.array([cur]), np.array([n - m + 2 - cur])
 
 
+@_from_one_period
 def syndetic_certificate(model: IntegerSetModel, n: int, g: int) -> Certificate:
     """Does every length-g subwindow of [1, n] meet S?
 
@@ -333,6 +370,7 @@ def syndetic_certificate(model: IntegerSetModel, n: int, g: int) -> Certificate:
     return Certificate("syndetic", scale, HOLDS, witness)
 
 
+@_from_one_period
 def thick_certificate(model: IntegerSetModel, n: int, run_len: int) -> Certificate:
     """Does [1, n] contain run_len consecutive members of S?"""
     if run_len < 1:
@@ -346,6 +384,7 @@ def thick_certificate(model: IntegerSetModel, n: int, run_len: int) -> Certifica
                        {"longest_run_start": start, "longest_run": longest})
 
 
+@_from_one_period
 def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certificate:
     """Do S-free runs of length gap_len recur across the whole window?
 
@@ -373,6 +412,7 @@ def gap_syndeticity_table(model: IntegerSetModel, n: int, gap_len: int) -> Certi
     return Certificate("gap-syndetic", scale, HOLDS, witness)
 
 
+@_from_one_period
 def piecewise_syndetic_certificate(model: IntegerSetModel, n: int, g: int,
                                    run_len: int) -> Certificate:
     """Does some length-run_len subinterval of [1, n] have all S-gaps <= g?
@@ -410,6 +450,7 @@ class DensityProfile:
     exact: Fraction | None
 
 
+@_from_one_period
 def max_window_count(model: IntegerSetModel, n: int, length: int):
     """(count, start) maximizing |S intersect [m, m+length)| over [1, n].
 
@@ -455,7 +496,8 @@ def banach_density_profile(model: IntegerSetModel, n: int,
 
 
 def replay_certificate(model: IntegerSetModel, cert: Certificate) -> bool:
-    """Recompute the certificate and check the witness against the set."""
+    """Recompute the certificate, then check its witness against the set
+    with witness.witness_consistent, loaded here: no command replays."""
     s = cert.scale
     if cert.predicate == "syndetic":
         again = syndetic_certificate(model, s["N"], s["g"])
@@ -469,44 +511,9 @@ def replay_certificate(model: IntegerSetModel, cert: Certificate) -> bool:
         raise ValueError(f"unknown predicate {cert.predicate!r}")
     if again != cert:
         return False
-    return _witness_consistent(model, cert)
+    from .witness import witness_consistent
 
-
-def _members_in(model: IntegerSetModel, n: int, lo: int, hi: int) -> np.ndarray:
-    """Members of S in [lo, hi], read from the window at max(n, hi)."""
-    arr = window(model, max(n, hi))
-    return arr[arr.searchsorted(lo):arr.searchsorted(hi, "right")]
-
-
-def _witness_consistent(model: IntegerSetModel, cert: Certificate) -> bool:
-    s, w = cert.scale, cert.witness
-    n = s["N"]
-
-    def member(x):
-        return _members_in(model, n, x, x).size == 1
-
-    if cert.predicate == "syndetic" and cert.verdict == FAILS:
-        lo, hi = w["gap"]
-        if w["kind"] == "completed":
-            if hi - lo <= s["g"]:
-                return False
-            return ((lo == 0 or member(lo)) and member(hi)
-                    and not _members_in(model, n, lo + 1, hi - 1).size)
-        return ((lo == 0 or member(lo))
-                and not _members_in(model, n, lo + 1, n).size)
-    if cert.predicate == "thick" and cert.verdict == HOLDS:
-        a, length = w["run_start"], w["length"]
-        return _members_in(model, n, a, a + length - 1).size == max(length, 0)
-    if cert.predicate == "piecewise-syndetic" and cert.verdict == HOLDS:
-        # every g-window of [a, b] meets S iff no two consecutive members
-        # (with a - 1 and b + 1 as ends) are more than g apart
-        a, b = w["interval"]
-        ends = np.concatenate(([a - 1], _members_in(model, n, a, b), [b + 1]))
-        return int(np.diff(ends).max()) <= s["g"]
-    if cert.predicate == "gap-syndetic" and cert.verdict == HOLDS:
-        u = w["first_gap_start"]
-        return not _members_in(model, n, u, u + s["n"] - 1).size
-    return True
+    return witness_consistent(model, cert)
 
 
 # -- spec grammar and files ------------------------------------------------

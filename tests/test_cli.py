@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -389,6 +390,30 @@ def test_input_refusals_exit_2(tmp_path, capsys, monkeypatch, argv, named):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert named in err
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("kind=union of=(kind=ap a=1 b=0)(kind=powers base=2)", 10 ** 10),
+    ("kind=union of=(kind=ap a=3 b=0)(kind=powers base=2)", 3 * 2 ** 26 + 3),
+    ("kind=shift t=-7 of=(kind=sums gens=1,100000000000)", 10 ** 12),
+])
+def test_analyze_refuses_a_window_past_its_limit(capsys, monkeypatch, spec, n):
+    from interpsets import intsets
+
+    def no_work(model, n):
+        raise AssertionError("a window was built before its size was bounded")
+
+    monkeypatch.setattr(intsets, "_materialize", no_work)
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "--set", spec, "--n", str(n), "--syndetic", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"above the window limit of {intsets.WINDOW_LIMIT}" in err
+    assert peak < 2 ** 20
 
 
 def test_construct_minimal_trace_files(tmp_path, capsys):

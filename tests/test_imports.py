@@ -55,7 +55,7 @@ def inputs(tmp_path):
 
 COMMANDS = {
     "analyze": (["analyze", "--set", "kind=ap a=3 b=0", "--n", "30",
-                 "--syndetic", "3"], {"intsets"}),
+                 "--syndetic", "3"], {"intsets", "periodic"}),
     "construct": (["construct", "--kind", "zero", "--problem", "p.json",
                    "--out-dir", "out"], {"construct", "intsets", "words"}),
     "word-stats": (["word-stats", "--word", "w.word"], {"words"}),

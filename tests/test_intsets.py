@@ -14,6 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from interpsets import intsets as S
+from interpsets.witness import witness_consistent
 
 import oracles
 from oracles import contains
@@ -503,11 +504,11 @@ def test_witness_replay_matches_loop(members, n, g, extra, shifts):
              S.piecewise_syndetic_certificate(model, n, g, g + extra)
              if g + extra <= n else None]
     for cert in filter(None, certs):
-        assert S._witness_consistent(model, cert)
+        assert witness_consistent(model, cert)
         assert loop_witness_consistent(model, cert)
         bent = S.Certificate(cert.predicate, cert.scale, cert.verdict,
                              _shifted_witness(cert.witness, shifts))
-        assert (S._witness_consistent(model, bent)
+        assert (witness_consistent(model, bent)
                 == loop_witness_consistent(model, bent))
 
 
@@ -556,11 +557,8 @@ def test_streamed_scan_matches_diff_oracles(chunk, case, g, extra):
         [(gap, gaps.count(gap)) for gap in sorted(set(gaps))]
 
 
-@pytest.mark.parametrize("a", [1, 2])
-def test_streamed_queries_hold_the_window_and_one_chunk(a):
-    # the whole-window scans these replaced peak at 15 to 48 MiB on these windows
-    n = 2 * 10 ** 6
-    model = AP(a, 0)
+def streamed_peaks(model, n):
+    """The tracemalloc peak of each analyze query once the window is built."""
     S.window(model, n)
     queries = {
         "syndetic": lambda: S.syndetic_certificate(model, n, 3),
@@ -578,6 +576,23 @@ def test_streamed_queries_hold_the_window_and_one_chunk(a):
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_streamed_queries_hold_the_window_and_one_chunk(a):
+    # the whole-window scans these replaced peak at 15 to 48 MiB on these windows
+    peaks = streamed_peaks(AP(a, 0), 2 * 10 ** 6)
+    assert max(peaks.values()) < 4 * 2 ** 20, peaks
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_streamed_queries_on_the_window_path(a):
+    # ap alone is answered from one period; a powers part leaves the union
+    # no descriptor, so there the same queries scan all of [1, n]
+    model = S.IntegerSetModel.union_of([AP(a, 0), POW(2)])
+    assert model.descriptor()[1] is None
+    peaks = streamed_peaks(model, 2 * 10 ** 6)
     assert max(peaks.values()) < 4 * 2 ** 20, peaks
 
 
@@ -595,7 +610,7 @@ def test_witness_edges_are_checked():
     ]
     for model, predicate, scale, verdict, witness in cases:
         cert = S.Certificate(predicate, scale, verdict, witness)
-        assert not S._witness_consistent(model, cert), predicate
+        assert not witness_consistent(model, cert), predicate
         assert not loop_witness_consistent(model, cert), predicate
 
 

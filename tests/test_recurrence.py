@@ -154,6 +154,13 @@ def test_digit_oracle_agrees_to_1e6():
     assert R.digit_enumerate(10 ** 6) == list(model.elements)
 
 
+@pytest.mark.parametrize("n_bound", [10 ** 9] + [
+    10 ** j + d for j in range(1, 9) for d in (-1, 0, 1)])
+def test_digit_oracle_agrees_with_build_f_at_the_cap(n_bound):
+    # the digit product enumerates only admissible halves, so the cap costs ms
+    assert R.digit_enumerate(n_bound) == list(R.build_F(n_bound).elements)
+
+
 @pytest.fixture(scope="module")
 def scalar_members():
     """Members of F up to 10^6 + 3 by the scalar digit oracle, one per x;
