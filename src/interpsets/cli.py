@@ -316,7 +316,7 @@ def cmd_count(args):
 
 
 def cmd_verify_f(args):
-    from . import intsets, recurrence
+    from . import recurrence
 
     started = time.monotonic()
     lo, hi = args.shifts
@@ -343,8 +343,8 @@ def cmd_verify_f(args):
             "dual-oracle-agreement", from_digits == list(model.elements),
             {"N": bound}, {"members": len(model.elements)}))
     outputs = []
-    if args.out_set:
-        intsets.write_set_file(args.out_set, model.elements)
+    if args.out_set:     # a set file: one ascending decimal per line
+        _atomic_write(args.out_set, "".join(f"{x}\n" for x in model.elements))
         outputs.append(args.out_set)
     if args.out:
         payload = {"schema": SCHEMA, "N": bound, "index_family":

@@ -34,6 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .certificate import Certificate
 from .intsets import (
+    WINDOW_LIMIT,
     IntegerSetModel,
     first_fit,
     free_run_chunks,
@@ -124,7 +125,10 @@ class InterpolationProblem:
         """Length-N word holding f on S intersect [1, N] and `fill` (0 or
         UNFILLED) everywhere else; index = position-1.  Its dtype is the
         narrowest signed one that holds -1..k-1: int8 for k <= 128, int16
-        for k <= 2^15."""
+        for k <= 2^15.  An N past intsets.WINDOW_LIMIT cells is refused."""
+        if self.n > WINDOW_LIMIT:
+            raise DomainError(f"a word of N = {self.n} cells exceeds the window "
+                              f"limit of {WINDOW_LIMIT}")
         out = np.full(self.n, fill, dtype=np.min_scalar_type(-self.k))
         out[window(self.model, self.n) - 1] = self.f.symbols
         return out
@@ -233,7 +237,8 @@ class LevelData:
     spacing_bound: int | None = None
     density_bound: Fraction | None = None
     # totally minimal, from level 1: the Parse of each word of
-    # t_sample + t_prime_sample, and of each block this level filled, by index
+    # t_sample + t_prime_sample, and `filled`, the level's one record of its
+    # block parses: the Parse of each block it filled, by block index
     parses: tuple | None = None
     filled: dict = field(default_factory=dict)
 
@@ -264,8 +269,7 @@ class ConstructionTrace:
     levels: list
     fillings: list               # per level: base_word's dtype, -1 = unfilled, index = position-1
     result: SymbolWord
-    closing_blocks: tuple
-    parse: Parse | None = None   # totally minimal: the result as level-J blocks
+    closing_blocks: tuple        # the result's blocks closed with w_J, by index
 
     @property
     def final_m(self) -> int:
@@ -357,8 +361,8 @@ def _free_rows(rows, what: str) -> np.ndarray:
 def _finish_trace(kind, problem, level_data, fillings) -> ConstructionTrace:
     """Close the unfilled top blocks with w_J; all N // m_J are the result.
     A cell filled at any level lies in a block meeting S, so in a top block
-    meeting S, which the top filler fills whole.  In the result's parse a
-    closing block is the anchor w_J, and a filled block carries its own."""
+    meeting S, which the top filler fills whole.  A closing block is w_J,
+    and a filled block's Parse, if any, is in `filled` of the top level."""
     top = level_data[-1]
     m_k = top.m
     count = problem.n // m_k
@@ -366,15 +370,10 @@ def _finish_trace(kind, problem, level_data, fillings) -> ConstructionTrace:
     blocks = cells.reshape(count, m_k)
     empty = _free_rows(blocks, "top block")
     blocks[empty] = top.w.symbols
-    parse = None
-    if top.parses is not None:
-        index = np.where(empty, 0, -1).astype(np.int32)
-        parse = Parse(np.arange(0, count * m_k, m_k, dtype=np.int32), index,
-                      {b: top.filled[b] for b in np.flatnonzero(index).tolist()})
     return ConstructionTrace(kind, problem.k, problem.n,
                              problem.model.spec_string(), level_data, fillings,
                              SymbolWord(problem.k, cells),
-                             tuple(np.flatnonzero(empty).tolist()), parse)
+                             tuple(np.flatnonzero(empty).tolist()))
 
 
 # .. totally minimal ..........................................................
@@ -498,16 +497,15 @@ def _anchors(lvl: LevelData):
     return list(zip(words, lvl.parses or [None] * len(words))), len(lvl.t_sample)
 
 
-def _parse_holds(sym: np.ndarray, parse: Parse, levels, proven, level: int,
-                 full: bool = True) -> bool:
+def _parse_holds(sym: np.ndarray, parse: Parse, levels, proven,
+                 level: int) -> bool:
     """Does the Parse prove that sym is a level-`level` member?  It checks
     the family's definition on the split given: the pieces tile sym with
     lengths m_{level-1} or m_{level-1} + 1; a piece with index a >= 0
     equals anchor a, which proven[level-1][a] says its own Parse
     proves a member; every other piece above level 0 is proved by its own
-    Parse; and, when `full`, the (anchor, offset mod (level-1)!) pairs of
-    the pieces cover all of them.  A wrong parse can only make a member
-    fail."""
+    Parse; and the (anchor, offset mod (level-1)!) pairs of the pieces
+    cover all of them.  A wrong parse can only make a member fail."""
     starts, index = parse.starts, parse.index
     m = levels[level - 1].m
     if not starts.size or starts[0] != 0:
@@ -540,12 +538,10 @@ def _parse_holds(sym: np.ndarray, parse: Parse, levels, proven, level: int,
                     sym[starts[p]:starts[p] + lens[p]], sub, levels, proven,
                     level - 1):
                 return False
-    if full:
-        rho = math.factorial(level - 1)
-        seen = np.zeros(len(anchors) * rho, dtype=bool)
-        seen[index[is_anchor] * rho + starts[is_anchor] % rho] = True
-        return bool(seen.all())
-    return True
+    rho = math.factorial(level - 1)
+    seen = np.zeros(len(anchors) * rho, dtype=bool)
+    seen[index[is_anchor] * rho + starts[is_anchor] % rho] = True
+    return bool(seen.all())
 
 
 def _proven(levels, top: int) -> list:
@@ -787,8 +783,13 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem) -> lis
         ok = all(proven[j][0] for j in range(1, len(lv)))
         out.append(check("anchor-membership", ok,
                          "w_j's parse proves it a level member at every level"))
-        ok = _parse_holds(res.symbols, trace.parse, lv, proven, len(lv),
-                          full=False)
+        # a closing block is w_J; any other has the Parse its filler recorded
+        top, m, closing = lv[-1], trace.final_m, set(trace.closing_blocks)
+        ok = len(res) >= m and not len(res) % m and all(
+            (np.array_equal(block, top.w.symbols) and proven[-1][0])
+            if b in closing else (b in top.filled and _parse_holds(
+                block, top.filled[b], lv, proven, top.level))
+            for b, block in enumerate(res.symbols.reshape(-1, m)))
         out.append(check("block-membership", ok,
                          "every aligned result block is a level member"))
     if trace.kind == "strictly-ergodic":

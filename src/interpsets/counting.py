@@ -65,12 +65,16 @@ def analytic_limit(delta, k) -> float:
 def count_low_weight(m: int, delta, k: int) -> CountResult:
     """Exact |{w in {0..k-1}^m : #zeros(w) >= (1-delta)m}|.
 
-    Equals sum over i <= floor(delta*m) of (k-1)^i C(m, i): choose the
-    non-zero positions, then the non-zero letters.
+    Equals sum over i <= floor(delta*m) of T_i = (k-1)^i C(m, i): choose
+    the non-zero positions, then the non-zero letters.  The terms come from
+    T_0 = 1 and T_{i+1} = T_i (m-i)(k-1) / (i+1), an exact division.
     """
     d = _check_args(m, delta, k)
     t = (d * m).numerator // (d * m).denominator
-    count = sum((k - 1) ** i * math.comb(m, i) for i in range(t + 1))
+    count = term = 1
+    for i in range(t):
+        term = term * (m - i) * (k - 1) // (i + 1)
+        count += term
     return CountResult(m, k, d, count, math.log(count) / m, analytic_limit(d, k))
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificate import FAILS, HOLDS, Certificate, atomic_write_text
+from .certificate import FAILS, HOLDS, Certificate
 
 
 class SpecGrammarError(ValueError):
@@ -497,7 +497,7 @@ def banach_density_profile(model: IntegerSetModel, n: int,
 
 def replay_certificate(model: IntegerSetModel, cert: Certificate) -> bool:
     """Recompute the certificate, then check its witness against the set
-    with witness.witness_consistent, loaded here: no command replays."""
+    with periodic.witness_consistent, loaded here: no command replays."""
     s = cert.scale
     if cert.predicate == "syndetic":
         again = syndetic_certificate(model, s["N"], s["g"])
@@ -511,64 +511,42 @@ def replay_certificate(model: IntegerSetModel, cert: Certificate) -> bool:
         raise ValueError(f"unknown predicate {cert.predicate!r}")
     if again != cert:
         return False
-    from .witness import witness_consistent
+    from .periodic import witness_consistent
 
     return witness_consistent(model, cert)
 
 
-# -- spec grammar and files ------------------------------------------------
+# -- spec grammar ---------------------------------------------------------
 
 
-def _tokenize_spec(text: str) -> list:
-    tokens, cur, depth = [], [], 0
+def _scan(text: str, groups: bool = False) -> list:
+    """The whitespace-split tokens of text at parenthesis depth 0 or, with
+    groups, the contents of the groups (...)(...) that make up all of text."""
+    parts, cur, depth = [], [], 0
     for ch in text:
-        if ch == "(":
-            depth += 1
-            cur.append(ch)
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SpecGrammarError("unbalanced parentheses")
-            cur.append(ch)
-        elif ch.isspace() and depth == 0:
-            if cur:
-                tokens.append("".join(cur))
+        if groups and not depth and ch != "(":
+            raise SpecGrammarError(f"stray {ch!r} outside the groups of {text!r}")
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            raise SpecGrammarError("unbalanced parentheses")
+        if groups and depth == (ch == "("):     # a group's own ( or )
+            if not depth:
+                parts.append("".join(cur))
                 cur = []
-        else:
+        elif depth or not ch.isspace():
             cur.append(ch)
-    if depth != 0:
-        raise SpecGrammarError("unbalanced parentheses")
-    if cur:
-        tokens.append("".join(cur))
-    return tokens
-
-
-def _split_groups(value: str) -> list:
-    """The contents of the groups (...)(...) that make up all of value."""
-    groups, cur, depth = [], [], 0
-    for ch in value:
-        if not depth and ch != "(":
-            raise SpecGrammarError(f"stray {ch!r} outside the groups of {value!r}")
-        if ch == "(":
-            depth += 1
-            if depth == 1:
-                continue
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                groups.append("".join(cur))
-                cur = []
-                continue
-        cur.append(ch)
+        elif cur:
+            parts.append("".join(cur))
+            cur = []
     if depth:
-        raise SpecGrammarError(f"malformed group list {value!r}")
-    return groups
+        raise SpecGrammarError("unbalanced parentheses")
+    return parts + ["".join(cur)] * bool(cur)
 
 
 def parse_set_spec(text: str) -> IntegerSetModel:
     """Parse the key=value generator grammar, e.g. 'kind=ap a=3 b=0'."""
     fields = {}
-    for tok in _tokenize_spec(text):
+    for tok in _scan(text):
         if "=" not in tok:
             raise SpecGrammarError(f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
@@ -592,10 +570,10 @@ def parse_set_spec(text: str) -> IntegerSetModel:
             cf = [int(x) for x in fields.pop("cf").split(",")]
             model = IntegerSetModel.sturmian_floor(cf)
         elif kind == "union":
-            parts = [parse_set_spec(g) for g in _split_groups(fields.pop("of"))]
-            model = IntegerSetModel.union_of(parts)
+            groups = _scan(fields.pop("of"), groups=True)
+            model = IntegerSetModel.union_of(map(parse_set_spec, groups))
         elif kind == "shift":
-            groups = _split_groups(fields.pop("of"))
+            groups = _scan(fields.pop("of"), groups=True)
             if len(groups) != 1:
                 raise SpecGrammarError(
                     f"shift needs exactly one of= group, got {len(groups)}")
@@ -616,8 +594,3 @@ def parse_set_spec(text: str) -> IntegerSetModel:
     if fields:
         raise SpecGrammarError(f"unused keys {sorted(fields)} in {text!r}")
     return model
-
-
-def write_set_file(path, elements) -> None:
-    """One ascending decimal per line, LF endings; atomic write."""
-    atomic_write_text(path, "".join(f"{x}\n" for x in elements))

@@ -416,6 +416,34 @@ def test_analyze_refuses_a_window_past_its_limit(capsys, monkeypatch, spec, n):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("n", [2 ** 26 + 1, 2 ** 40])
+@pytest.mark.parametrize("argv", [["--kind", "zero"],
+                                  ["--kind", "minimal", "--levels", "2"]])
+def test_construct_refuses_a_word_past_the_window_limit(tmp_path, capsys,
+                                                        monkeypatch, argv, n):
+    # the window of powers holds about 40 members, so only the N cells of
+    # the word itself can be too many; they are refused before numpy is asked
+    from interpsets import intsets
+    np = construct.np
+    full = np.full
+
+    def small_full(shape, *args, **kwargs):
+        assert math.prod(np.atleast_1d(shape)) <= 2 ** 27, shape
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", small_full)
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, n, seed=5)
+    started = time.monotonic()
+    code = main(["construct", *argv, "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert time.monotonic() - started < 1
+    assert (code, out) == (2, "")
+    assert f"N = {n} cells exceeds the window limit of {intsets.WINDOW_LIMIT}" \
+        in err
+
+
 def test_construct_minimal_trace_files(tmp_path, capsys):
     prob = tmp_path / "p.json"
     _write_problem(prob, "kind=powers base=2", 2, 4096, seed=5)

@@ -163,10 +163,10 @@ def _parsed_words(trace):
             yield w, j, p
     top = len(trace.levels) - 1
     m = trace.final_m
-    for b, index in enumerate(trace.parse.index.tolist()):
+    for b in range(len(trace.result) // m):
         block = SymbolWord(trace.alphabet_size, trace.result.symbols[b * m:(b + 1) * m])
-        yield block, top, (trace.parse.subs[b] if index < 0
-                           else trace.levels[top].parses[index])
+        yield block, top, (trace.levels[top].parses[0] if b in trace.closing_blocks
+                           else trace.levels[top].filled[b])
 
 
 SPARSE_SETS = ["kind=powers base=2", "kind=powers base=3", "kind=ap a=97 b=5",
@@ -267,20 +267,46 @@ def test_mutated_parse_fails_exactly_the_parse_check(one_level):
         assert failing == {"anchor-membership", "block-membership"}, name
 
 
+def _with_filled(trace, filled):
+    """A copy of trace whose top level recorded the block parses `filled`."""
+    top = dataclasses.replace(trace.levels[-1], filled=filled)
+    return dataclasses.replace(trace, levels=trace.levels[:-1] + [top])
+
+
 def test_mutated_block_parse_fails_only_block_membership(one_level):
     problem, trace = one_level
-    b = min(trace.parse.subs)
-    sub = trace.parse.subs[b]
+    filled = trace.levels[-1].filled
+    b = min(filled)
+    sub = filled[b]
     p = int(np.flatnonzero(sub.index >= 0)[1])
     block_parse = _with(sub, p, start=sub.starts[p] + 1)
-    bad = dataclasses.replace(trace, parse=K.Parse(
-        trace.parse.starts, trace.parse.index, {**trace.parse.subs, b: block_parse}))
+    bad = _with_filled(trace, {**filled, b: block_parse})
     failing = {c.predicate for c in K.verify_trace(bad, problem) if not c.holds}
     assert failing == {"block-membership"}
     # a filled block is no anchor, so without its own Parse nothing proves it
-    subs = {q: sub for q, sub in trace.parse.subs.items() if q != b}
-    bad = dataclasses.replace(trace, parse=K.Parse(
-        trace.parse.starts, trace.parse.index, subs))
+    subs = {q: sub for q, sub in filled.items() if q != b}
+    bad = _with_filled(trace, subs)
+    failing = {c.predicate for c in K.verify_trace(bad, problem) if not c.holds}
+    assert failing == {"block-membership"}
+
+
+def test_block_membership_reads_closing_blocks_then_filled(one_level):
+    problem, trace = one_level
+    m = trace.final_m
+    # a result that is not a positive multiple of m_J fails, never raises
+    for cut in (0, m - 1, len(trace.result) - 1):
+        short = dataclasses.replace(
+            trace, result=SymbolWord(2, trace.result.symbols[:cut]))
+        checks = {c.predicate: c.holds for c in K.verify_trace(short, problem)}
+        assert checks["block-membership"] is False
+    # a closing block not named as one has no recorded Parse to prove it
+    closing = trace.closing_blocks[1:]
+    bad = dataclasses.replace(trace, closing_blocks=closing)
+    failing = {c.predicate for c in K.verify_trace(bad, problem) if not c.holds}
+    assert failing == {"block-membership"}
+    # a filled block named as closing is not w_J
+    filled = min(trace.levels[-1].filled)
+    bad = dataclasses.replace(trace, closing_blocks=(filled, *closing))
     failing = {c.predicate for c in K.verify_trace(bad, problem) if not c.holds}
     assert failing == {"block-membership"}
 
@@ -370,10 +396,9 @@ def test_deep_verify_does_not_search(one_level, two_levels, monkeypatch):
     # a search would still find the split of a block whose parse is gone;
     # deep verify has only the record, so block-membership fails
     problem, trace = two_levels
-    subs = dict(trace.parse.subs)
+    subs = dict(trace.levels[-1].filled)
     del subs[min(subs)]
-    cut = dataclasses.replace(
-        trace, parse=dataclasses.replace(trace.parse, subs=subs))
+    cut = _with_filled(trace, subs)
     checks = {c.predicate: c.holds for c in K.verify_trace(cut, problem)}
     assert checks.pop("block-membership") is False
     assert all(checks.values()), checks

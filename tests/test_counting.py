@@ -42,6 +42,22 @@ def test_count_examples():
     assert C.count_low_weight(1, Fraction(0), 2).count == 1
 
 
+@st.composite
+def _deltas(draw):
+    """delta = a/b <= 1/2 with b <= 20."""
+    b = draw(st.integers(1, 20))
+    return Fraction(draw(st.integers(0, b // 2)), b)
+
+
+@given(st.integers(1, 300), _deltas(), st.integers(2, 10))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_count_equals_the_binomial_sum(m, d, k):
+    # the term recurrence against one math.comb per term
+    t = math.floor(d * m)
+    expected = sum((k - 1) ** i * math.comb(m, i) for i in range(t + 1))
+    assert C.count_low_weight(m, d, k).count == expected
+
+
 def test_brute_examples():
     assert C.brute_force_count(3, Fraction(1, 3), 2) == 4
     assert C.brute_force_count(2, HALF, 4) == 7

@@ -60,7 +60,7 @@ COMMANDS = {
                    "--out-dir", "out"], {"construct", "intsets", "words"}),
     "word-stats": (["word-stats", "--word", "w.word"], {"words"}),
     "verify-f": (["verify-f", "--n", "1000", "--depth", "2", "--shifts", "1",
-                  "1"], {"recurrence", "intsets"}),
+                  "1"], {"recurrence"}),
     "count": (["count", "--delta", "1/3", "--k", "2", "--m", "6"],
               {"counting"}),
 }

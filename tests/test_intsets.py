@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from interpsets import intsets as S
-from interpsets.witness import witness_consistent
+from interpsets.periodic import witness_consistent
 
 import oracles
 from oracles import contains
@@ -287,6 +287,24 @@ def test_pw_matches_brute(members, g, extra):
         return
     cert = S.piecewise_syndetic_certificate(model, n, g, run_len)
     assert cert.holds == brute_pw(members, n, g, run_len)
+
+
+@pytest.mark.parametrize("n", [50, 10 ** 12])
+@pytest.mark.parametrize("query, lengths, message", [
+    (S.syndetic_certificate, lambda n: (0,), "gap bound g must be >= 1"),
+    (S.syndetic_certificate, lambda n: (n + 1,), "window must satisfy N >= g"),
+    (S.thick_certificate, lambda n: (0,), "run length must be >= 1"),
+    (S.gap_syndeticity_table, lambda n: (0,), "gap length must be >= 1"),
+    (S.piecewise_syndetic_certificate, lambda n: (5, 3),
+     "need run length L >= g >= 1"),
+    (S.piecewise_syndetic_certificate, lambda n: (2, n + 1),
+     "window must satisfy N >= L"),
+])
+def test_certificate_argument_refusals(query, lengths, message, n):
+    # at N = 10^12 the query is asked through the one-period reduction
+    with pytest.raises(ValueError) as err:
+        query(AP(3, 0), n, *lengths(n))
+    assert str(err.value) == message
 
 
 @given(small_sets, st.integers(1, 8))
@@ -788,10 +806,46 @@ def test_spec_errors():
             S.parse_set_spec(bad)
 
 
-def test_set_file_roundtrip(tmp_path):
-    path = tmp_path / "s.txt"
-    S.write_set_file(path, S.window(POW(2), 100))
-    assert path.read_bytes() == b"2\n4\n8\n16\n32\n64\n"
+MODEL = S.IntegerSetModel
+_LEAVES = st.one_of(
+    st.builds(lambda ms, extra: EXPL(ms, None if extra is None
+                                     else max(ms, default=1) + extra),
+              st.lists(st.integers(1, 500), max_size=6),
+              st.none() | st.integers(0, 50)),
+    st.builds(AP, st.integers(1, 40), st.integers(-60, 60)),
+    st.builds(POW, st.integers(2, 9)),
+    st.builds(lambda tail: MODEL.sturmian_floor([0, *tail]),
+              st.lists(st.integers(1, 9), min_size=1, max_size=5)),
+    st.builds(MODEL.finite_sums, st.lists(st.integers(1, 300), min_size=1,
+                                          max_size=5)),
+)
+
+
+def _nested(inner):
+    return st.one_of(inner,
+                     st.builds(MODEL.union_of, st.lists(inner, min_size=1,
+                                                        max_size=3)),
+                     st.builds(MODEL.shifted, inner, st.integers(-50, 50)))
+
+
+@given(_nested(_nested(_LEAVES)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_spec_string_parses_back(model):
+    # every kind, with union and shift nested up to two deep
+    assert S.parse_set_spec(model.spec_string()) == model
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("kind=ap a=3) b=(0", "unbalanced parentheses"),
+    ("kind=union of=(kind=ap a=2 b=0)) (", "unbalanced parentheses"),
+    ("kind=ap a=3 b=0 sturmian", "expected key=value, got 'sturmian'"),
+    ("kind=union of=(kind=ap a=3 b=0)(powers)",
+     "expected key=value, got 'powers'"),
+])
+def test_spec_scanner_refusals(spec, message):
+    with pytest.raises(S.SpecGrammarError) as err:
+        S.parse_set_spec(spec)
+    assert str(err.value) == message
 
 
 def test_explicit_window_bound_enforced():
