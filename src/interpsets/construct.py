@@ -349,6 +349,15 @@ def _level_window(n: int, levels: int, level: int, reason: str,
          "certificate": blocking and blocking.to_json()}))
 
 
+def _check_anchor_length(level: int, m_next: int) -> None:
+    """Refuse a level whose anchor words, m_next symbols each, pass
+    WINDOW_LIMIT; the plan calls it after its own level-window checks and
+    before it builds any anchor word."""
+    if m_next > WINDOW_LIMIT:
+        raise DomainError(f"level {level}: anchor words of m_{level} = {m_next} "
+                          f"symbols exceed the window limit of {WINDOW_LIMIT}")
+
+
 def _free_rows(rows, what: str) -> np.ndarray:
     """Which rows of a 2-D view of a filling are unfilled; none is part filled."""
     unfilled = rows == UNFILLED
@@ -417,6 +426,7 @@ def _minimal_level(problem, j, cur, elems, levels):
     if m_next > n:
         raise _level_window(n, levels, j + 1, f"m_{j + 1} = {m_next} exceeds "
                             f"the window {n}", gap_needed, cert)
+    _check_anchor_length(j + 1, m_next)
     u_pieces = t_enum + tp_enum + [pieces[n_t]]
     u_len = sum(len(w) for w, _ in u_pieces)
     if u_len % rho != 1 % rho:
@@ -613,6 +623,7 @@ def _ergodic_level(problem, j, cur, elems, levels):
                 density = Fraction(count, cand)
                 break
         t_mult += 1
+    _check_anchor_length(j + 1, m_next)
     big_r = m_next // m
     fill_reps = big_r - 1 - len(t_list)
     w_sub = cur.w.symbols

@@ -237,7 +237,13 @@ def _materialize(model: IntegerSetModel, n: int):
                 out[m0:m0 - 1 + length] = x + a * i + (r0 + i * r) // p
         return out
     if model.kind == "union":
-        return np.unique(np.concatenate([window(part, n) for part in model.parts]))
+        # A stable sort (timsort) merges the parts' sorted runs and a mask
+        # keeps the first of each repeat: far faster than np.unique here.
+        out = np.sort(np.concatenate([window(part, n) for part in model.parts]),
+                      kind="stable")
+        first = np.ones(out.size, bool)     # the first of each run of equal members
+        np.not_equal(out[1:], out[:-1], out=first[1:])
+        return out[first]
     if model.kind == "shift":
         sub = window(model.inner, n - model.t) + model.t
         return sub[sub >= 1]

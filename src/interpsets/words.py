@@ -57,67 +57,150 @@ class SymbolWord:
         return int(self.symbols[position - 1])
 
 
+_SLICE = 1 << 12      # positions per step of every |w|-long pass in factor_counts
+
+
+def _dense_ranks(keys, span: int, size: int):
+    """(D, pairs) for the keys keys(lo, hi) of positions 0..size-1, each in
+    [0, span): D distinct keys, and pairs yields, one slice at a time,
+    positions (a slice of them, or an index array) with their keys' dense
+    ranks 1..D in key order.
+
+    A span of at most size is ranked through a table of the keys present,
+    with no sort.  A wider key is sorted with the position in its low bits,
+    so the sort carries the positions and builds no permutation; the sorted
+    array then numbers its runs of equal keys.  A key too wide to share 64
+    bits with a position, which a pair key can be only past 2^21 symbols,
+    is sorted in two such passes, least significant digit first, where the
+    second pass carries each position's place in the first instead of the
+    position.
+    """
+    slices = [(lo, min(lo + _SLICE, size)) for lo in range(0, size, _SLICE)]
+    if span <= size:
+        table = np.zeros(span, np.min_scalar_type(span))
+        for lo, hi in slices:
+            table[keys(lo, hi)] = 1
+        np.cumsum(table, out=table)         # table[key] = dense rank of key
+        return int(table[-1]), ((slice(lo, hi), table[keys(lo, hi)])
+                                for lo, hi in slices)
+    bits = (size - 1).bit_length()
+    width, digit = (span - 1).bit_length(), 64 - bits
+    dtype = np.uint32 if width + bits <= 32 else np.uint64
+    passes, place = [], None                # place[pos]: pos's index in the last pass
+
+    def entries(lo, hi):
+        """Key digits from the last pass back, and the positions, of the
+        sorted slice lo..hi."""
+        parts, at = [], slice(lo, hi)
+        for sorted_ in reversed(passes):
+            entry = sorted_[at]
+            parts.append(entry >> bits)
+            at = entry & (2 ** bits - 1)
+        return parts, at
+
+    for shift in range(0, width, digit):
+        sorted_ = np.empty(size, dtype)
+        for lo, hi in slices:
+            part = sorted_[lo:hi]
+            part[:] = keys(lo, hi) >> shift
+            if shift + digit < width:
+                part &= 2 ** digit - 1
+            part <<= bits
+            part |= np.arange(lo, hi, dtype=dtype) if place is None else place[lo:hi]
+        sorted_.sort()
+        passes.append(sorted_)
+        if shift + digit < width:
+            place = np.empty(size, np.min_scalar_type(size))
+            for lo, hi in slices:
+                place[entries(lo, hi)[1]] = np.arange(lo, hi)
+    del place
+
+    def runs():     # per slice: positions, and where a key differs from the one before
+        last = None
+        for lo, hi in slices:
+            parts, pos = entries(lo, hi)
+            new = np.zeros(hi - lo, bool)
+            for part in parts:
+                new[1:] |= part[1:] != part[:-1]
+            new[0] = last != [int(part[0]) for part in parts]
+            last = [int(part[-1]) for part in parts]
+            yield pos, new
+
+    def pairs():
+        done = 0
+        for pos, new in runs():
+            rank = np.cumsum(new)
+            rank += done
+            done = int(rank[-1])
+            yield pos, rank
+
+    return sum(int(np.count_nonzero(new)) for _, new in runs()), pairs()
+
+
+def _pair_keys(rank, h: int, top: int):
+    """keys(lo, hi) of level 2h: rank_h[i] (top + 1) + rank_h[i + h] for
+    i in lo..hi-1, as intp, which numpy indexes with no conversion."""
+    def keys(lo, hi):
+        key = rank[lo:hi].astype(np.intp)
+        key *= top + 1
+        tail = rank[lo + h:hi + h]          # shorter at the end: those pairs end in the pad
+        key[:tail.size] += tail
+        return key
+    return keys
+
+
 def factor_counts(w: SymbolWord, n_max: int) -> list:
     """[p(1), ..., p(n_max)]: the number of distinct length-n factors of w.
 
     Prefix doubling (Manber & Myers 1993) over dense ranks: the word is
-    padded past its end with a 0 that sorts below every symbol (symbol s
-    has rank s + 1), and the rank of the length-2h factor at i is the
-    dense id of the pair (rank_h[i], rank_h[i + h]), numbered by one
-    argsort of the key rank_h[i] (top + 1) + rank_h[i + h], where top is
-    the largest rank_h.  Each rank array and each key is held in the
-    narrowest unsigned dtype its largest value fits, and a key of at most
-    16 bits is sorted by radix ("stable"), a wider one by the default
-    sort, which is the faster of the two at each width.  Doubling stops at
-    the first power of two 2^T >= max(n_max, 2), whose sort puts equal
-    length-n factors next to each other for every n <= n_max.  The common
-    prefix of each adjacent pair, capped at n_max, comes from a binary
-    descent over the T stored rank arrays, and p(n) = (|w| - n + 1) -
-    #{adjacent pairs sharing n symbols}.  That is T = ceil(log2 n_max)
-    sorts of |w| keys (one when n_max = 1).
+    padded past its end with a 0 that sorts below every symbol, rank_1 is
+    the dense rank of each symbol among those present, and rank_2h[i] is
+    the dense rank of the pair key rank_h[i] (D_h + 1) + rank_h[i + h],
+    where D_h counts the distinct (padded) length-h factors.  No level
+    sorts a permutation of the word: `_dense_ranks` numbers each level's
+    distinct keys, one slice of positions at a time, and each rank array is
+    held in the narrowest unsigned dtype D_h fits.  Doubling stops at the
+    first level H >= n_max, or earlier at the first level whose D_H = |w|
+    factors are all distinct.  That level keeps one position per distinct
+    factor, in factor order; the common prefix of each adjacent pair comes
+    from a binary descent over the stored rank arrays, and since two of
+    the D_H sorted factors share their first n symbols exactly when they
+    give one length-n factor (or one of the n - 1 padded ones),
+    p(n) = D_H - n + 1 - #{adjacent pairs sharing n symbols}.
     """
-    if w.alphabet_size > 2 ** 31 - 1:     # keeps the level-0 key below 2^62
+    if w.alphabet_size > 2 ** 31 - 1:     # keeps the level-1 key below 2^31
         raise ValueError("factor_counts needs alphabet_size <= 2^31 - 1")
     sym = w.symbols
     size = sym.size
     if not 1 <= n_max <= size:
         raise ValueError(f"factor length {n_max} out of range for |w| = {size}")
-    top = w.alphabet_size                   # the rank of symbol k - 1
-    rank = np.zeros(size + 1, np.min_scalar_type(top))
-    rank[:size] = sym
-    rank[:size] += 1
     ranks, h = [], 1
+    keys, span = lambda lo, hi: sym[lo:hi].astype(np.intp), w.alphabet_size
     while True:
-        ranks.append(rank)
-        key = rank[:size].astype(np.min_scalar_type((top + 1) ** 2 - 1))
-        key *= top + 1
-        key[:size - h] += rank[h:size]
-        order = np.argsort(key, kind="stable" if key.itemsize <= 2 else None)
-        order = order.astype(np.int32)
-        key = key[order]
-        new = np.empty(size, bool)          # where a sorted key differs from the one before
-        new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        del key
-        h *= 2
-        if h >= n_max:
+        count, pairs = _dense_ranks(keys, span, size)
+        if h >= n_max or count == size:
             break
-        top = int(np.count_nonzero(new))
-        rank = np.zeros(size + 1, np.min_scalar_type(top))
-        rank[order] = np.cumsum(new, dtype=rank.dtype)
-        del order, new                      # before the next level allocates its own
-    # A common prefix never runs past the shorter suffix, so a + lcp <= |w|.
-    a, b = order[:-1], order[1:]
-    lcp = np.where(new[1:], np.int32(0), np.int32(h))
-    del new
-    while ranks:
-        rank = ranks.pop()
-        h //= 2
-        np.add(lcp, h, out=lcp, where=rank[a + lcp] == rank[b + lcp])
-    del a, b, order, rank                   # before bincount's intp copy of lcp
-    hist = np.bincount(np.minimum(lcp, n_max, out=lcp), minlength=n_max + 1)
+        rank = np.zeros(size + 1, np.min_scalar_type(count))
+        for pos, r in pairs:
+            rank[pos] = r
+        ranks.append(rank)
+        keys, span, h = _pair_keys(rank, h, count), (count + 1) ** 2, 2 * h
+    first = np.empty(count, np.min_scalar_type(size))   # a position of each factor, in order
+    for pos, r in pairs:
+        first[r - 1] = np.r_[pos]           # a table level gives its positions as a slice
+    # A common prefix never runs past the shorter factor, so a + lcp <= |w|.
+    hist = np.zeros(n_max + 1, np.int64)
+    for lo in range(0, count - 1, _SLICE):
+        hi = min(lo + _SLICE, count - 1)
+        a, b = first[lo:hi].astype(np.intp), first[lo + 1:hi + 1].astype(np.intp)
+        lcp = np.zeros(a.size, np.intp)
+        step = h
+        for rank in reversed(ranks):
+            step //= 2
+            np.add(lcp, step, out=lcp, where=rank[a + lcp] == rank[b + lcp])
+        hist += np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)
     shared = hist[::-1].cumsum()[::-1]      # shared[n] = #{adjacent pairs with lcp >= n}
-    return (np.arange(size, size - n_max, -1) - shared[1:]).tolist()
+    return (np.arange(count, count - n_max, -1) - shared[1:]).tolist()
 
 
 @dataclass(frozen=True)
@@ -151,8 +234,10 @@ def complexity_profile(w: SymbolWord, n_max: int) -> ComplexityProfile:
 
     Beyond half the length the profile measures the prefix artifact, not
     the sequence it approximates; factor_counts gives the deeper counts.
-    One factor_counts call fills the profile, so its cost grows with
-    log n_max: the whole profile to |w|/2 takes O(|w| log^2 |w|).
+    One factor_counts call fills the profile: one level of |w|-long passes
+    per power of two up to n_max, and none past the first level whose
+    factors are all distinct, each level a table lookup or one sort, so
+    the whole profile to |w|/2 takes O(|w| log^2 |w|).
     """
     if len(w) < 2:
         raise ValueError("word too short for a profile")

@@ -17,7 +17,9 @@ The second deciders answer a question the package answers once:
 recurrence.digit_enumerate; `sturmian_window` lists a Sturmian window as
 Python ints, beside the chunked int64 one of intsets.window;
 `mechanical_word` is the indicator word of a Sturmian window;
-`constant_problem` is a constant f on S.  The profile
+`constant_problem` is a constant f on S.  The factor-count oracles,
+`slice_factors` (a set of slices) and `refinement_counts` (one np.unique
+refinement per length), stand beside words.factor_counts.  The profile
 oracle is the double loop over the theorems every factor count obeys
 (p(n) <= k^n, a nondecreasing head, p(n+m) <= p(n) p(m)), which
 ComplexityProfile.violations() no longer runs.
@@ -134,6 +136,31 @@ def constant_problem(model: IntegerSetModel, k: int, n: int,
                      value: int) -> InterpolationProblem:
     return InterpolationProblem(
         model, n, SymbolWord(k, np.full(window(model, n).size, value)))
+
+
+# -- factor counts -------------------------------------------------------------
+
+
+def slice_factors(w, n):
+    """The distinct length-n factors of w, one slice per position."""
+    data = w.symbols.tolist()
+    if not 1 <= n <= len(data):
+        raise ValueError(f"factor length {n} out of range for |w| = {len(data)}")
+    return {tuple(data[i:i + n]) for i in range(len(data) - n + 1)}
+
+
+def refinement_counts(w, n_max):
+    """One np.unique refinement per n.  Each position holds the id of the
+    length-n factor starting there, and the ids at n + 1 renumber the pairs
+    (id at n, next symbol)."""
+    sym = w.symbols.astype(np.int64)
+    counts, ids = [], sym
+    for n in range(1, n_max + 1):
+        uniq, ids = np.unique(ids, return_inverse=True)
+        counts.append(len(uniq))
+        if n < n_max:
+            ids = ids[:-1] * w.alphabet_size + sym[n:]
+    return counts
 
 
 # -- complexity profiles: the theorem checks -----------------------------------

@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +23,9 @@ from interpsets.intsets import (
     window,
 )
 from oracles import mechanical_word
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run(capsys, *argv):
@@ -442,6 +448,41 @@ def test_construct_refuses_a_word_past_the_window_limit(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert f"N = {n} cells exceeds the window limit of {intsets.WINDOW_LIMIT}" \
         in err
+
+
+@pytest.mark.parametrize("kind, levels", [("minimal", 3), ("ergodic", 5)])
+def test_construct_refuses_anchor_words_past_the_window_limit(tmp_path, capsys,
+                                                              kind, levels):
+    # At N = 2^40 the last level's plan passes its level-window checks on the
+    # powers of 2, but each of its anchor words would hold m_j > WINDOW_LIMIT
+    # symbols (numpy was once asked for 62.5 GiB); the plan refuses them
+    # before any is built, and the refusal is a usage error, not a verdict.
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, 2 ** 40, seed=5)
+    out_dir = tmp_path / "out"
+    code = main(["construct", "--kind", kind, "--levels", str(levels),
+                 "--problem", str(prob), "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"level {levels}: anchor words of m_{levels} = " in err
+    assert "window limit of 67108864" in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_union_window_at_scale_in_a_subprocess():
+    # 2 * 10^6 members from two sorted parts, merged by a stable sort and a
+    # first-occurrence mask; np.unique made this query take 4.1 s
+    argv = ["analyze", "--set", "kind=union of=(kind=ap a=5 b=0)(kind=powers base=2)",
+            "--n", "20000000", "--syndetic", "3"]
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "interpsets.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    elapsed = time.monotonic() - started
+    assert proc.returncode == 1, proc.stderr        # the gap [10, 15] fails g = 3
+    cert = json.loads(proc.stdout)["verdicts"][0]["certificate"]
+    assert cert["witness"]["gap"] == [10, 15]
+    assert elapsed < 1.5, elapsed
 
 
 def test_construct_minimal_trace_files(tmp_path, capsys):

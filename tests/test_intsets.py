@@ -686,6 +686,16 @@ models_of_every_kind = st.one_of(
 )
 
 
+@given(st.lists(models_of_every_kind, min_size=2, max_size=3), st.integers(1, 400))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_union_window_is_the_sorted_set_of_its_parts(models, n):
+    # the union's window merges its parts' windows, shifts included
+    union = S.IntegerSetModel.union_of(models)
+    want = sorted(set().union(*(S.window(m, n).tolist() for m in models)))
+    got = S.window(union, n)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 @given(st.lists(models_of_every_kind, min_size=1, max_size=3), st.integers(1, 150))
 @settings(max_examples=120, deadline=None)
 def test_contains_matches_elements_every_kind(models, n):

@@ -12,35 +12,19 @@ from hypothesis import given, settings, strategies as st
 from interpsets import construct as K
 from interpsets import words as W
 from interpsets.intsets import IntegerSetModel, continued_fraction_value
-from oracles import continued_fraction, mechanical_word, profile_violations
+from oracles import (
+    continued_fraction,
+    mechanical_word,
+    profile_violations,
+    refinement_counts,
+    slice_factors,
+)
 
 CF_SQRT2M1 = [0] + [2] * 9          # convergent 985/2378 of sqrt(2) - 1
 
 
 def wd(symbols, k=2):
     return W.SymbolWord(k, tuple(symbols))
-
-
-def slice_factors(w, n):
-    """Oracle: the distinct length-n factors of w, one slice per position."""
-    data = w.symbols.tolist()
-    if not 1 <= n <= len(data):
-        raise ValueError(f"factor length {n} out of range for |w| = {len(data)}")
-    return {tuple(data[i:i + n]) for i in range(len(data) - n + 1)}
-
-
-def refinement_counts(w, n_max):
-    """Oracle: one np.unique refinement per n.  Each position holds the id
-    of the length-n factor starting there, and the ids at n + 1 renumber
-    the pairs (id at n, next symbol)."""
-    sym = w.symbols.astype(np.int64)
-    counts, ids = [], sym
-    for n in range(1, n_max + 1):
-        uniq, ids = np.unique(ids, return_inverse=True)
-        counts.append(len(uniq))
-        if n < n_max:
-            ids = ids[:-1] * w.alphabet_size + sym[n:]
-    return counts
 
 
 # -- factors -------------------------------------------------------------------
@@ -71,9 +55,9 @@ def test_factors_out_of_range():
     with pytest.raises(ValueError):
         W.factor_counts(wd([0, 1]), 0)
     assert W.factor_counts(W.SymbolWord(256, (255, 0, 255, 0)), 4) == [2, 2, 2, 1]
-    # symbol s ranks as s + 1 in the narrowest unsigned dtype holding k, and
-    # the level-0 key (k + 1)^2 - 1 stays below 2^62, so any alphabet up to
-    # 2^31 - 1 counts exactly, and one past it is refused
+    # the symbols are ranked among those present, and the level-1 key, the
+    # symbol itself, stays below 2^31, so any alphabet up to 2^31 - 1 counts
+    # exactly, and one past it is refused
     rng = np.random.default_rng(3)
     for k in (257, 1000, 70000):
         sym = rng.integers(0, 3, 120) * (k // 2 - 1) + rng.integers(0, 2, 120)
@@ -89,13 +73,14 @@ def test_factors_out_of_range():
 
 def _symbols(k):
     # Repeats of 0 and k - 1 give long shared factors at every k, and the
-    # alphabets sit on each side of a dtype edge: the rank k of symbol k - 1
-    # needs uint16 from k = 256 and uint32 from k = 65 536, and the level-0
-    # key (k + 1)^2 - 1 needs uint32 from k = 256 and uint64 from k = 65 536.
+    # alphabets sit on each side of a dtype edge of the symbols (uint8 below
+    # k = 257, uint16 below 65 537) and reach 2^31 - 1.  A word longer than k
+    # ranks its symbols through a table, a shorter one by the packed sort.
     return st.one_of(st.sampled_from(sorted({0, k - 1})), st.integers(0, k - 1))
 
 
-@given(st.sampled_from([1, 2, 3, 5, 255, 256, 257, 65535, 65536, 65537]).flatmap(
+@given(st.sampled_from([1, 2, 3, 5, 255, 256, 257, 65535, 65536, 65537,
+                        2 ** 31 - 1]).flatmap(
     lambda k: st.tuples(st.just(k), st.lists(_symbols(k), min_size=1,
                                              max_size=80))), st.data())
 @settings(max_examples=200, deadline=None)
@@ -138,10 +123,97 @@ def test_factor_counts_rank_widths():
     assert counts == refinement_counts(w, 40)
 
 
+def test_dense_ranks_every_path():
+    # a span up to |w| goes through the table, a wider one through the sort
+    # of keys packed with their positions in uint32 or uint64, and one too
+    # wide to share 64 bits with a position (span * |w| > 2^64) through two
+    # such sorts, low digit first
+    rng = np.random.default_rng(11)
+    for size, span in ((1, 1), (5000, 300), (5000, 5000), (5000, 2 ** 19),
+                       (5000, 2 ** 40), (5000, 2 ** 52), (5000, 2 ** 62)):
+        key = rng.integers(0, span, size, dtype=np.uint64)
+        key[rng.integers(0, size, size // 3)] = span - 1
+        uniq, inverse = np.unique(key, return_inverse=True)
+        count, pairs = W._dense_ranks(lambda lo, hi: key[lo:hi], span, size)
+        got = np.zeros(size, np.int64)
+        for pos, r in pairs:
+            got[pos] = r
+        assert count == uniq.size, (size, span)
+        assert (got == inverse + 1).all(), (size, span)
+
+
+def test_factor_counts_longer_than_a_slice():
+    # over 2^16 symbols, so every pass runs many slices and the last one is
+    # short; random symbols, a long constant stretch and a periodic tail
+    rng = np.random.default_rng(23)
+    size = 2 ** 16 + 1234
+    for k in (2, 5, 300):
+        sym = rng.integers(0, k, size)
+        sym[1000:9000] = 0
+        sym[-5000:] = np.arange(5000) % 7 % k
+        w = W.SymbolWord(k, sym)
+        assert W.factor_counts(w, 12) == refinement_counts(w, 12), k
+    w = W.SymbolWord(2, rng.integers(0, 2, 2 ** 17))
+    assert W.factor_counts(w, 5) == [2, 4, 8, 16, 32]
+
+
+def test_factor_counts_all_distinct_before_n_max():
+    # every factor of these words is distinct from some length on, where
+    # doubling stops, so p(n) = |w| - n + 1 from there up to n_max = |w|
+    rng = np.random.default_rng(29)
+    de_bruijn = list(W._de_bruijn(2, 9))
+    cases = [W.SymbolWord(2, de_bruijn + de_bruijn[:8]),      # each 9-factor once
+             W.SymbolWord(3, list(W._de_bruijn(3, 5)) + [0] * 4),
+             W.SymbolWord(2, rng.integers(0, 2, 300)),
+             W.SymbolWord(4, rng.integers(0, 4, 257)),
+             W.SymbolWord(2 ** 31 - 1, rng.integers(0, 2 ** 31 - 1, 200))]
+    for w in cases:
+        size = len(w)
+        full = [len(slice_factors(w, n)) for n in range(1, size + 1)]
+        assert full[-1] == 1 and full[size // 2] == size - size // 2
+        assert W.factor_counts(w, size) == full == refinement_counts(w, size)
+        for n_max in (1, 9, 17, 33, size // 2):
+            assert W.factor_counts(w, n_max) == full[:n_max], (size, n_max)
+
+
+def _mixing_word():
+    problem = K.random_problem(IntegerSetModel.lacunary_powers(2), 2, 2 ** 18,
+                               seed=3)
+    return K.mixing_extend(problem, 6).word, 6
+
+
+def _minimal_word():
+    problem = K.random_problem(IntegerSetModel.lacunary_powers(2), 2, 2 ** 18,
+                               seed=5)
+    return K.totally_minimal_construct(problem, levels=2).result, 64
+
+
+def _random_word():
+    return W.SymbolWord(2, np.random.default_rng(41).integers(0, 2, 2 ** 18)), 64
+
+
+@pytest.mark.parametrize("make, bound", [(_mixing_word, 10), (_minimal_word, 15),
+                                         (_random_word, 31.3)])
+def test_factor_counts_working_set(make, bound):
+    # tracemalloc peak per symbol, which is deterministic for numpy buffers.
+    # With a sort permutation per level (an intp argsort and its int32 copy)
+    # these words peaked at 17.3, 23.3 and 31.3 B/symbol; the slice-wise
+    # ranking holds them to 3.4, 9.5 and 19.8 (NumPy 2.4).
+    w, n_max = make()
+    tracemalloc.start()
+    try:
+        W.factor_counts(w, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(w) <= bound, peak / len(w)
+
+
 def test_factor_counts_memory_budget():
-    # tracemalloc peak 4.53 MB with NumPy 2.4, with narrow ranks and keys;
-    # int32 ranks and an int64 key peaked at 8.46 MB, and the refinement
-    # pass at 9.70 MB, on the same word.
+    # tracemalloc peak 0.90 MB with NumPy 2.4, with narrow ranks and no sort
+    # permutation; a permutation per level peaked at 4.53 MB, int32 ranks
+    # and an int64 key at 8.46 MB, and the refinement pass at 9.70 MB, on
+    # the same word.
     w = W.SymbolWord(2, np.random.default_rng(2018).integers(0, 2, 2 ** 18))
     tracemalloc.start()
     try:
