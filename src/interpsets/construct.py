@@ -44,6 +44,7 @@ from .intsets import (
     window,
 )
 from .words import (
+    _SLICE,
     ComplexityProfile,
     SymbolWord,
     complexity_profile,
@@ -359,10 +360,12 @@ def _check_anchor_length(level: int, m_next: int) -> None:
 
 
 def _free_rows(rows, what: str) -> np.ndarray:
-    """Which rows of a 2-D view of a filling are unfilled; none is part filled."""
-    unfilled = rows == UNFILLED
-    free = unfilled.all(axis=1)
-    if (unfilled.any(axis=1) != free).any():
+    """Which rows of a 2-D view of a filling are unfilled; none is part
+    filled.  UNFILLED is below every symbol, so a row is free when its
+    maximum is UNFILLED and holds an unfilled cell when its minimum is,
+    which reads the cells with no mask as large as the view."""
+    free = rows.max(axis=1) == UNFILLED
+    if ((rows.min(axis=1) == UNFILLED) != free).any():
         raise AssertionError(f"partially filled {what}")
     return free
 
@@ -760,6 +763,14 @@ def restriction_identity(problem: InterpolationProblem, cells, covered: int,
                                  {"mismatches": bad})
 
 
+def _every_slice(test, a, b) -> bool:
+    """Does test(a[lo:hi], b[lo:hi]) hold on every slice of _SLICE cells?
+    The checks over whole fillings run this way, so no temporary they make
+    is longer than a slice."""
+    return all(test(a[lo:lo + _SLICE], b[lo:lo + _SLICE])
+               for lo in range(0, max(a.size, b.size), _SLICE))
+
+
 def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem) -> list:
     """Structural checks shared by both leveled constructions, plus the
     membership checks specific to each kind: one Certificate per check, at
@@ -779,13 +790,17 @@ def verify_trace(trace: ConstructionTrace, problem: InterpolationProblem) -> lis
         ok = all(lvl.m % math.factorial(lvl.level) == 0 for lvl in lv)
         out.append(check("factorial-divisibility", ok, "j! divides m_j"))
     fl = trace.fillings
-    ok = not any(((a != UNFILLED) & (a != b)).any() for a, b in zip(fl, fl[1:]))
+
+    def kept(a, b):
+        return not ((a != UNFILLED) & (a != b)).any()
+
+    ok = all(_every_slice(kept, a, b) for a, b in zip(fl, fl[1:]))
     out.append(check("monotone-filling", ok, "filled positions never change"))
     final = fl[-1]
     res = trace.result
     # result symbols lie in the alphabet, so equality also rules out -1
     ok = (len(res) % trace.final_m == 0 and len(res) >= trace.final_m
-          and np.array_equal(final[:len(res)], res.symbols))
+          and _every_slice(np.array_equal, final[:len(res)], res.symbols))
     out.append(check("result-complete", ok,
                      f"result covers [1, {len(res)}] with no unfilled cell"))
     out.append(restriction_identity(problem, final, len(res), scale))

@@ -290,22 +290,32 @@ def universal_word(k: int, max_len: int) -> SymbolWord:
     return SymbolWord(k, list(universal_symbols(k, max_len)))
 
 
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
 def write_word_file(path, w: SymbolWord) -> None:
-    """Header 'k=<alphabet>', then symbols; ASCII digits for k <= 10.
+    """Header 'k=<alphabet>', then symbols; for k <= 10, rows of 120 ASCII
+    digits, and for a larger k, rows of 40 comma-separated decimals.
 
-    Written atomically (temp file + rename)."""
-    lines = [f"k={w.alphabet_size}"]
-    if w.alphabet_size <= 10:
-        text = w.symbols.tobytes().translate(_DIGITS).decode("ascii")
-        lines.extend(text[i:i + 120] for i in range(0, len(text), 120))
-    else:
+    A k <= 10 file is laid out in one uint8 buffer, digits and newlines,
+    about one byte per symbol, which is written as it stands.  Written
+    atomically (temp file + rename)."""
+    if w.alphabet_size > 10:
+        lines = [f"k={w.alphabet_size}"]
         sym = w.symbols.tolist()
         lines.extend(",".join(map(str, sym[i:i + 40]))
                      for i in range(0, len(sym), 40))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")
+        return
+    head, row = f"k={w.alphabet_size}\n".encode("ascii"), 120
+    size = len(w)
+    full, tail = divmod(size, row)
+    buf = np.empty(len(head) + size + full + (tail > 0), np.uint8)
+    buf[:len(head)] = np.frombuffer(head, np.uint8)
+    rows = buf[len(head):len(head) + full * (row + 1)].reshape(full, row + 1)
+    np.add(w.symbols[:full * row].reshape(full, row), ord("0"), out=rows[:, :row])
+    rows[:, row] = ord("\n")
+    if tail:
+        np.add(w.symbols[full * row:], ord("0"), out=buf[-tail - 1:-1])
+        buf[-1] = ord("\n")
+    atomic_write_text(path, buf)
 
 
 def read_word_file(path) -> SymbolWord:

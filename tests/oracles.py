@@ -22,7 +22,9 @@ Python ints, beside the chunked int64 one of intsets.window;
 refinement per length), stand beside words.factor_counts.  The profile
 oracle is the double loop over the theorems every factor count obeys
 (p(n) <= k^n, a nondecreasing head, p(n+m) <= p(n) p(m)), which
-ComplexityProfile.violations() no longer runs.
+ComplexityProfile.violations() no longer runs.  The word-file oracle,
+`line_joined_word_file`, is the writer words.write_word_file replaced: it
+builds the file as a list of lines joined into one str.
 """
 
 import math
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from interpsets.certificate import FAILS, HOLDS, Certificate
+from interpsets.certificate import FAILS, HOLDS, Certificate, atomic_write_text
 from interpsets.construct import ConstructionTrace, InterpolationProblem
 from interpsets.intsets import IntegerSetModel, window
 from interpsets.recurrence import in_index_set
@@ -161,6 +163,27 @@ def refinement_counts(w, n_max):
         if n < n_max:
             ids = ids[:-1] * w.alphabet_size + sym[n:]
     return counts
+
+
+# -- word files ----------------------------------------------------------------
+
+
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def line_joined_word_file(path, w: SymbolWord) -> None:
+    """Header 'k=<alphabet>', then symbols; ASCII digits for k <= 10.
+
+    Written atomically (temp file + rename)."""
+    lines = [f"k={w.alphabet_size}"]
+    if w.alphabet_size <= 10:
+        text = w.symbols.tobytes().translate(_DIGITS).decode("ascii")
+        lines.extend(text[i:i + 120] for i in range(0, len(text), 120))
+    else:
+        sym = w.symbols.tolist()
+        lines.extend(",".join(map(str, sym[i:i + 40]))
+                     for i in range(0, len(sym), 40))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # -- complexity profiles: the theorem checks -----------------------------------

@@ -692,6 +692,83 @@ def test_construct_internal_fault_exit_3(tmp_path, capsys, monkeypatch):
     assert fault["message"] == "partially filled sub-block"
 
 
+@pytest.mark.parametrize("cell", [0, 15])
+def test_construct_part_filled_top_block_exit_3(tmp_path, capsys, monkeypatch,
+                                                cell):
+    # one top block of m_1 = 16 cells holds only its first or its last
+    # cell; the finish must refuse it, not close it with w_1
+    def one_cell(problem, levels):
+        filling = construct.np.full(problem.n, construct.UNFILLED,
+                                    construct.np.int8)
+        filling[16 * 5 + cell] = 1
+        level_data = [construct.LevelData(0, 1, ()),
+                      construct.LevelData(1, 16, (construct.SymbolWord(2, [0] * 16),))]
+        return construct._finish_trace("totally-minimal", problem, level_data,
+                                       [problem.base_word(construct.UNFILLED), filling])
+
+    monkeypatch.setattr(construct, "totally_minimal_construct", one_cell)
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, 4096, seed=5)
+    code = main(["construct", "--kind", "minimal", "--problem", str(prob),
+                 "--out-dir", str(tmp_path / "o"), "--levels", "1"])
+    assert code == 3
+    fault = json.loads(capsys.readouterr().err)
+    assert (fault["type"], fault["message"]) \
+        == ("AssertionError", "partially filled top block")
+
+
+def test_construct_minimal_working_set(tmp_path, capsys):
+    # tracemalloc peak of the whole command at N = 2^18, int8 cells: with
+    # whole-filling masks in the checks and a five-copy word writer it
+    # peaked at 2.71 MB; checking slice by slice and writing one buffer
+    # of digit rows, at 2.06 MB (NumPy 2.4)
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, 2 ** 18, seed=1)
+    tracemalloc.start()
+    try:
+        code = main(["construct", "--kind", "minimal", "--problem", str(prob),
+                     "--out-dir", str(tmp_path / "o"), "--levels", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 2.5e6, peak
+
+
+def test_outputs_get_the_mode_open_gives(tmp_path, capsys):
+    # a temp file renamed into place is 0600 whatever the umask; an output
+    # must instead get what a plain open() gives: 0666 less the umask for
+    # a new file, and its own mode for one it overwrites
+    prob = tmp_path / "p.json"
+    _write_problem(prob, "kind=powers base=2", 2, 4096, seed=5)
+    runs = [
+        ["analyze", "--set", "kind=ap a=3 b=0", "--n", "300", "--syndetic", "3",
+         "--out", str(tmp_path / "report.json")],
+        ["count", "--delta", "1/3", "--k", "2", "--m", "4",
+         "--csv", str(tmp_path / "count.csv")],
+        ["construct", "--kind", "minimal", "--problem", str(prob),
+         "--out-dir", str(tmp_path / "out"), "--levels", "1"],
+        ["construct", "--kind", "zero", "--problem", str(prob),
+         "--out-dir", str(tmp_path / "out")],
+    ]
+    old = os.umask(0o022)
+    try:
+        for argv in runs:
+            assert main(argv) == 0, argv
+        outputs = [tmp_path / "report.json", tmp_path / "count.csv",
+                   *sorted((tmp_path / "out").iterdir())]
+        assert len(outputs) == 2 + 5     # trace.json, w0, w1, xu and x.word
+        modes = {p.name: oct(p.stat().st_mode & 0o777) for p in outputs}
+        assert set(modes.values()) == {"0o644"}, modes
+        os.chmod(tmp_path / "report.json", 0o640)
+        assert main(runs[0]) == 0
+        assert oct((tmp_path / "report.json").stat().st_mode & 0o777) == "0o640"
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+
+
 def test_verify_f(tmp_path, capsys):
     out_set = tmp_path / "f.txt"
     code, out = run(capsys, "verify-f", "--n", "1000000", "--depth", "3",

@@ -590,6 +590,36 @@ def test_changed_filled_cell_fails_monotone_filling(leveled):
     assert _failing_checks(bad, problem) == {"monotone-filling"}
 
 
+@pytest.fixture(scope="module")
+def sliced():
+    # N = 3 * 4096 + 1000 cells: three whole slices of the checks, then a
+    # part slice; cell 4095 is 2^12, a member of S
+    problem = K.random_problem(POW(2), 2, 3 * 4096 + 1000, seed=5)
+    return problem, K.totally_minimal_construct(problem, levels=1)
+
+
+@pytest.mark.parametrize("cell", [4095, 4096, 3 * 4096 + 999])
+def test_changed_filled_cell_at_a_slice_edge_fails_monotone_filling(sliced, cell):
+    problem, trace = sliced
+    assert _failing_checks(trace, problem) == set()
+    bad = _copy(trace)
+    a, b = bad.fillings
+    if a[cell] == K.UNFILLED:
+        a[cell] = 1 - max(b[cell], 0)       # filled, and not what level 1 holds
+    else:
+        b[cell] = 1 - a[cell]
+    assert "monotone-filling" in _failing_checks(bad, problem)
+
+
+@pytest.mark.parametrize("edge", ["first", "slice", "last"])
+def test_changed_result_cell_at_a_slice_edge_fails_result_complete(sliced, edge):
+    problem, trace = sliced
+    cell = {"first": 4095, "slice": 4096, "last": len(trace.result) - 1}[edge]
+    bad = _copy(trace)
+    bad.fillings[-1][cell] = 1 - trace.result.symbols[cell]
+    assert "result-complete" in _failing_checks(bad, problem)
+
+
 def test_changed_result_on_s_fails_restriction_identity(leveled):
     problem, trace = leveled
     bad = _copy(trace)

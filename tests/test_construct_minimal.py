@@ -143,6 +143,22 @@ def test_construct_memory_budget():
     assert peak <= 3.0e6, peak
 
 
+def test_verify_trace_working_set():
+    # tracemalloc peak per cell of N: whole-filling masks (three per pair
+    # of levels, and one more for the result) peaked at 2.01; slice by
+    # slice, the peak is level 1's parse check, at 1.41 (NumPy 2.4).
+    problem = K.random_problem(POW(2), 2, 2 ** 18, seed=1)
+    trace = K.totally_minimal_construct(problem, levels=2)
+    tracemalloc.start()
+    try:
+        certs = K.verify_trace(trace, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.holds for c in certs)
+    assert peak / problem.n <= 1.6, peak / problem.n
+
+
 def test_closing_blocks_are_anchor_copies():
     problem = K.random_problem(POW(2), 2, 4096, seed=5)
     trace = K.totally_minimal_construct(problem, levels=1)

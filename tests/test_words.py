@@ -14,6 +14,7 @@ from interpsets import words as W
 from interpsets.intsets import IntegerSetModel, continued_fraction_value
 from oracles import (
     continued_fraction,
+    line_joined_word_file,
     mechanical_word,
     profile_violations,
     refinement_counts,
@@ -453,6 +454,38 @@ def test_word_file_large_alphabet(tmp_path):
     assert W.read_word_file(path) == w
     path.write_bytes(b"k=40\n10,3,7\n39,0\n")
     assert W.read_word_file(path) == W.SymbolWord(40, (10, 3, 7, 39, 0))
+
+
+@pytest.mark.parametrize("k, lengths", [
+    (1, [0, 1, 119, 120, 121, 240, 2 ** 16 + 7]),
+    (2, [0, 1, 119, 120, 121, 240, 2 ** 16 + 7]),
+    (10, [0, 1, 119, 120, 121, 240, 2 ** 16 + 7]),
+    (11, [0, 1, 39, 40, 41, 1000]),             # comma rows of 40
+    (300, [0, 1, 39, 40, 41, 1000]),
+])
+def test_word_file_bytes_match_line_joined_writer(tmp_path, k, lengths):
+    rng = np.random.default_rng(k)
+    for length in lengths:
+        w = W.SymbolWord(k, rng.integers(0, k, length))
+        W.write_word_file(tmp_path / "w.word", w)
+        line_joined_word_file(tmp_path / "oracle.word", w)
+        assert (tmp_path / "w.word").read_bytes() \
+            == (tmp_path / "oracle.word").read_bytes(), length
+        assert W.read_word_file(tmp_path / "w.word") == w, length
+
+
+def test_write_word_file_working_set(tmp_path):
+    # tracemalloc peak per symbol: the line-joined writer held about five
+    # copies of the word (bytes, digits, str, lines, joined text) and
+    # peaked at 4.5; one buffer of digit rows peaks at 1.05 (NumPy 2.4).
+    w = W.SymbolWord(2, np.random.default_rng(3).integers(0, 2, 2 ** 18))
+    tracemalloc.start()
+    try:
+        W.write_word_file(tmp_path / "w.word", w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(w) <= 1.5, peak / len(w)
 
 
 @pytest.mark.parametrize("text", [
