@@ -17,14 +17,11 @@ _PUBLIC = {
         "DomainError",
         "InterpolationProblem",
         "MixingExtension",
-        "density_coloring_witness",
         "extend_zero",
-        "parse_member",
         "mixing_extend",
         "random_problem",
         "strictly_ergodic_construct",
         "sturmian_interpolate",
-        "syndetic_partition_witness",
         "totally_minimal_construct",
         "verify_trace",
     ),
@@ -35,7 +32,6 @@ _PUBLIC = {
         "count_low_weight",
         "entropy_H",
         "growth_rate_profile",
-        "sandwich_bounds",
     ),
     "intsets": (
         "IntegerSetModel",
@@ -63,7 +59,6 @@ _PUBLIC = {
         "SymbolWord",
         "complexity_profile",
         "factor_counts",
-        "universal_word",
     ),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -269,12 +269,18 @@ def _parse_m_values(args):
     if args.m is not None:
         return [args.m]
     if args.m_list:
-        return [int(x) for x in args.m_list.split(",")]
+        try:
+            return [int(x) for x in args.m_list.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"--m-list must be integers separated by commas, "
+                             f"got {args.m_list!r}") from exc
     if args.m_range:
         try:
             lo, hi, step = (int(x) for x in args.m_range.split(":"))
         except ValueError as exc:
             raise UsageError("m-range must be LO:HI:STEP") from exc
+        if step < 1:
+            raise UsageError(f"--m-range step must be >= 1, got {step}")
         ms = list(range(lo, hi + 1, step))
         if not ms:
             raise UsageError(f"m-range {args.m_range} yields no m")

@@ -1,4 +1,4 @@
-"""The interpolation constructions and adversarial witness generators.
+"""The interpolation constructions and the checks of their traces.
 
 Five constructors produce sequence prefixes from a function f defined on
 a set S inside a window [1, N]:
@@ -541,9 +541,14 @@ def _parse_holds(sym: np.ndarray, parse: Parse, levels, proven,
         for row, (a, _) in enumerate(anchors[lo:hi]):
             if len(a) == length:     # any other anchor is unproven, unused
                 table[row] = a.symbols
-        got = sliding_window_view(sym, length)[starts[sel]]
-        if (got != table[index[sel] - lo]).any():
-            return False
+        # a slice of cells in whole pieces at a time, so no gathered copy
+        # of the pieces is as long as sym
+        view = sliding_window_view(sym, length)
+        at, rows = starts[sel], index[sel] - lo
+        step = max(1, _SLICE // length)
+        for i in range(0, sel.size, step):
+            if (view[at[i:i + step]] != table[rows[i:i + step]]).any():
+                return False
     if level > 1:
         for p in np.flatnonzero(~is_anchor).tolist():
             sub = parse.subs.get(p)
@@ -569,22 +574,6 @@ def _proven(levels, top: int) -> list:
             and (i == 0 or _parse_holds(a.symbols, p, levels, proven, i))
             for pos, (a, p) in enumerate(anchors)], dtype=bool))
     return proven
-
-
-def parse_member(w: SymbolWord, level: int, parse: Parse,
-                 trace: ConstructionTrace) -> bool:
-    """Does `parse` prove that w belongs to the level-`level` family X
-    (length m) or X' (m+1)?  The check is linear in the pieces of w and of
-    the anchor words below it, whose recorded parses it checks first."""
-    if trace.kind != "totally-minimal":
-        raise ValueError("parses are recorded for totally-minimal traces")
-    if not 1 <= level < len(trace.levels):
-        raise ValueError(f"no parse at level {level} in this trace")
-    m = trace.levels[level].m
-    if len(w) not in (m, m + 1):
-        raise ValueError(f"|w| = {len(w)} but level {level} needs {m} or {m + 1}")
-    return _parse_holds(w.symbols, parse, trace.levels,
-                        _proven(trace.levels, level), level)
 
 
 # .. strictly ergodic .........................................................
@@ -675,75 +664,6 @@ def _frequency_member(sym: np.ndarray, level: int, levels) -> bool:
             if not (blocks == t.symbols).all(axis=2).any(axis=1).all():
                 return False
     return True
-
-
-# -- witness generators -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SyndeticPartition:
-    g: int
-    h: int
-    window: int
-    pieces: tuple                # tuple of tuples of positions
-    coloring: SymbolWord         # piece index per window member, 0 off all pieces
-    covering_ok: bool
-    covering_checked: int
-    failures: tuple
-
-
-def syndetic_partition_witness(model: IntegerSetModel, g: int, h: int,
-                               n: int) -> SyndeticPartition:
-    """Split S into h residue-window pieces S_i and check that each piece,
-    smeared g-1 steps left, covers h^2 N + ih inside the window; each
-    target it misses is a failure.  A syndetic S at gap g < h misses none.
-
-    The coloring f = i on S_i is the witness function used against
-    totally transitive interpolation.
-    """
-    if g < 1 or h <= g or n < g:
-        raise ValueError(f"need 1 <= g < h and N >= g, got g={g}, h={h}, N={n}")
-    hh = h * h
-    elems = window(model, n)
-    colors = np.where(elems < hh, 0, elems % hh // h)
-    pieces, failures, checked = [], [], 0
-    for i in range(h):
-        piece = elems[(elems >= hh) & (colors == i)]
-        pieces.append(tuple(piece.tolist()))
-        targets = np.arange(hh + i * h, n - hh + 1, hh)
-        checked += targets.size
-        # the first member of S_i at or after a target (n + g when none is)
-        # must lie within g of it
-        first = np.append(piece, n + g)[piece.searchsorted(targets)]
-        failures.extend((i, t) for t in targets[first >= targets + g].tolist())
-    return SyndeticPartition(g, h, n, tuple(pieces), SymbolWord(h, colors),
-                             not failures, checked, tuple(failures))
-
-
-@dataclass(frozen=True)
-class DensityColoring:
-    k: int
-    intervals: tuple
-    coloring: SymbolWord         # color per member of the window
-
-
-def density_coloring_witness(model: IntegerSetModel, intervals, k: int,
-                             n: int) -> DensityColoring:
-    """Color S by interval index mod k over a disjoint ascending family of
-    half-open intervals [lo, hi); 0 off all intervals."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ivs = [(int(lo), int(hi)) for lo, hi in intervals]
-    prev_hi = 0
-    for lo, hi in ivs:
-        if lo < 1 or hi <= lo or lo < prev_hi:
-            raise ValueError("intervals must be disjoint, ascending, nonempty")
-        prev_hi = hi
-    arr = window(model, n)
-    colors = np.zeros(arr.size, dtype=np.int64)
-    for idx, (lo, hi) in enumerate(ivs, start=1):
-        colors[arr.searchsorted(lo):arr.searchsorted(hi)] = idx % k
-    return DensityColoring(k, tuple(ivs), SymbolWord(k, colors))
 
 
 # -- verification -------------------------------------------------------------

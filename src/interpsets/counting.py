@@ -135,18 +135,6 @@ def brute_force_count(m: int, delta, k: int) -> int:
     return _split_count(m, d, k)
 
 
-def sandwich_bounds(m: int, delta, k: int):
-    """(lower, upper) with lower <= count <= upper, both exact.
-
-    lower = (k-1)^t C(m,t), upper = (t+1) * lower for t = floor(delta*m);
-    valid because the binomials increase up to t when delta <= 1/2.
-    """
-    d = _check_args(m, delta, k)
-    t = (d * m).numerator // (d * m).denominator
-    lead = (k - 1) ** t * math.comb(m, t)
-    return lead, (t + 1) * lead
-
-
 @dataclass(frozen=True)
 class GrowthProfile:
     delta: Fraction

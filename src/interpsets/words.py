@@ -50,12 +50,6 @@ class SymbolWord:
     def __len__(self):
         return self.symbols.size
 
-    def at(self, position: int) -> int:
-        """Symbol at 1-based sequence position."""
-        if not 1 <= position <= self.symbols.size:
-            raise IndexError(position)
-        return int(self.symbols[position - 1])
-
 
 _SLICE = 1 << 12      # positions per step of every |w|-long pass in factor_counts
 
@@ -269,25 +263,19 @@ def _de_bruijn(k: int, n: int):
 
 
 def universal_symbols(k: int, max_len: int):
-    """Yield the symbols of universal_word(k, max_len) in order, so a
-    prefix costs only its own length.  Each cyclic de Bruijn sequence is
-    linearized by repeating its first n - 1 symbols, which are 0s (it
-    opens with 0^n, or is the single symbol 0 when k = 1)."""
+    """Yield, in order, the symbols of a word that contains every word of
+    length <= max_len over {0..k-1}, so a prefix costs only its own length.
+
+    The word concatenates linearized de Bruijn sequences of orders
+    1..max_len, so its prefixes already cover the short orders, and its
+    length stays below the k^L * L + k budget.  Each cyclic de Bruijn
+    sequence is linearized by repeating its first n - 1 symbols, which are
+    0s (it opens with 0^n, or is the single symbol 0 when k = 1)."""
     if k < 1 or max_len < 1:
         raise ValueError("need k >= 1 and max_len >= 1")
     for n in range(1, max_len + 1):
         yield from _de_bruijn(k, n)
         yield from [0] * min(n - 1, k ** n)
-
-
-def universal_word(k: int, max_len: int) -> SymbolWord:
-    """A word containing every word of length <= max_len over {0..k-1}.
-
-    Concatenates linearized de Bruijn sequences of orders 1..max_len, so
-    prefixes already cover all short orders; total length stays below the
-    k^L * L + k budget.
-    """
-    return SymbolWord(k, list(universal_symbols(k, max_len)))
 
 
 def write_word_file(path, w: SymbolWord) -> None:

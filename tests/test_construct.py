@@ -16,7 +16,15 @@ from interpsets import construct as K
 from interpsets import counting as C
 from interpsets import intsets as S
 from interpsets import words as W
-from oracles import constant_problem, continued_fraction, free_runs
+from oracles import (
+    at,
+    constant_problem,
+    continued_fraction,
+    density_coloring_witness,
+    free_runs,
+    syndetic_partition_witness,
+    universal_word,
+)
 
 AP = S.IntegerSetModel.arithmetic_progression
 POW = S.IntegerSetModel.lacunary_powers
@@ -42,7 +50,7 @@ def test_extend_zero_powers_ones():
     problem = constant_problem(model, 2, 2 ** 14, 1)
     w, _ = K.extend_zero(problem)
     powers = set(model.elements(2 ** 14))
-    assert all((w.at(p) == 1) == (p in powers) for p in range(1, 2 ** 14 + 1))
+    assert all((at(w, p) == 1) == (p in powers) for p in range(1, 2 ** 14 + 1))
 
 
 def test_extend_zero_empty_set():
@@ -57,14 +65,14 @@ def test_extend_zero_wide_alphabet_width():
     problem = K.random_problem(POW(2), 300, 2 ** 18, seed=1)
     w, _ = K.extend_zero(problem)
     assert w.symbols.dtype == np.uint16 and w.symbols.nbytes == 524_288
-    assert all(w.at(s) == v for s, v in f_dict(problem).items())
+    assert all(at(w, s) == v for s, v in f_dict(problem).items())
 
 
 def test_extend_zero_squares_entropy():
     model = EXPL([n * n for n in range(1, 101)])
     problem = K.random_problem(model, 3, 10 ** 4, seed=7)
     w, profile = K.extend_zero(problem)
-    assert all(w.at(s) == v for s, v in f_dict(problem).items())
+    assert all(at(w, s) == v for s, v in f_dict(problem).items())
     assert profile.h_est[64] < 0.15
 
 
@@ -93,9 +101,9 @@ def test_sturmian_restriction_identity():
     model = S.IntegerSetModel.sturmian_floor([0, 2, 2])  # delta = 2/5
     problem = K.random_problem(model, 4, 500, seed=3)
     w = K.sturmian_interpolate(problem)
-    assert all(w.at(s) == v for s, v in f_dict(problem).items())
+    assert all(at(w, s) == v for s, v in f_dict(problem).items())
     off = set(f_dict(problem))
-    assert all(w.at(p) == 0 for p in range(1, 501) if p not in off)
+    assert all(at(w, p) == 0 for p in range(1, 501) if p not in off)
 
 
 def test_sturmian_factor_bound():
@@ -144,7 +152,7 @@ def test_mixing_powers_cover_all_4_words():
     ext = K.mixing_extend(problem, 4)
     assert ext.l_cover == 4
     assert W.factor_counts(ext.word, 4) == [2, 4, 8, 16]
-    assert all(ext.word.at(s) == v for s, v in f_dict(problem).items())
+    assert all(at(ext.word, s) == v for s, v in f_dict(problem).items())
 
 
 def test_mixing_l_cover_counts_full_lengths():
@@ -162,7 +170,7 @@ def test_mixing_restriction_alternating():
     f = {2 ** i: i % 2 for i in range(1, 13)}
     problem = K.InterpolationProblem.from_pairs(model, 2, 2 ** 12, f.items())
     ext = K.mixing_extend(problem, 3)
-    assert all(ext.word.at(2 ** i) == i % 2 for i in range(1, 13))
+    assert all(at(ext.word, 2 ** i) == i % 2 for i in range(1, 13))
 
 
 def test_mixing_placements_are_record_runs():
@@ -179,7 +187,7 @@ def test_mixing_placements_are_record_runs():
 def _mixing_with_the_full_word(problem, l_target):
     """Word and placements of the mixing extension with the universal word
     of order l_target built whole."""
-    y = W.universal_word(problem.k, l_target)
+    y = universal_word(problem.k, l_target)
     sym = problem.base_word(0)
     placements, record = [], 0
     starts, ends = free_runs(S.window(problem.model, problem.n), 1, problem.n)
@@ -201,7 +209,7 @@ def test_mixing_builds_only_the_universal_prefix_it_places():
             models, (1, 2, 3, 5), (50, 300, 4096), (1, 2, 3, 4, 6)):
         problem = K.random_problem(model, k, n, seed=k + n)
         ext = K.mixing_extend(problem, l_target)
-        full = W.universal_word(k, l_target)
+        full = universal_word(k, l_target)
         assert np.array_equal(ext.universal.symbols,
                               full.symbols[:len(ext.universal)])
         assert (ext.word, ext.placements) \
@@ -264,7 +272,7 @@ def test_mixing_holds_one_slice_of_runs(spec, bound_mib):
 
 
 def test_partition_full_set():
-    part = K.syndetic_partition_witness(AP(1, 0), 1, 2, 10 ** 4)
+    part = syndetic_partition_witness(AP(1, 0), 1, 2, 10 ** 4)
     assert part.covering_ok
     assert part.pieces[0][:4] == (4, 5, 8, 9)       # {4j, 4j+1}
     assert part.pieces[1][:4] == (6, 7, 10, 11)     # {4j+2, 4j+3}
@@ -272,7 +280,7 @@ def test_partition_full_set():
 
 
 def test_partition_even_numbers():
-    part = K.syndetic_partition_witness(AP(2, 0), 2, 3, 10 ** 4)
+    part = syndetic_partition_witness(AP(2, 0), 2, 3, 10 ** 4)
     assert part.covering_ok and len(part.pieces) == 3
     assert all(part.pieces)
     # the coloring is the interpolation counterexample function
@@ -282,7 +290,7 @@ def test_partition_even_numbers():
 
 
 def test_partition_covering_replay():
-    part = K.syndetic_partition_witness(AP(2, 0), 2, 3, 2000)
+    part = syndetic_partition_witness(AP(2, 0), 2, 3, 2000)
     member = [set(p) for p in part.pieces]
     for i in range(3):
         q = 1
@@ -293,7 +301,7 @@ def test_partition_covering_replay():
 
 def test_partition_coloring_is_a_problem():
     # the coloring is window-aligned, so it is the counterexample f as is
-    part = K.syndetic_partition_witness(AP(2, 0), 2, 3, 2000)
+    part = syndetic_partition_witness(AP(2, 0), 2, 3, 2000)
     problem = K.InterpolationProblem(AP(2, 0), 2000, part.coloring)
     assert problem.k == 3
     word = problem.base_word(-1)
@@ -335,7 +343,7 @@ def test_partition_matches_loop(g, dh, n, extra, syndetic):
     n = max(n, g)
     multiples = set(range(g, 301, g)) if syndetic else set()
     model = EXPL(sorted(multiples | extra))
-    part = K.syndetic_partition_witness(model, g, h, n)
+    part = syndetic_partition_witness(model, g, h, n)
     pieces, coloring, checked, failures = loop_partition(
         model.elements(n), g, h, n)
     assert part.pieces == pieces
@@ -347,12 +355,12 @@ def test_partition_matches_loop(g, dh, n, extra, syndetic):
 
 def test_partition_rejects_bad_h():
     with pytest.raises(ValueError):
-        K.syndetic_partition_witness(AP(1, 0), 3, 2, 100)
+        syndetic_partition_witness(AP(1, 0), 3, 2, 100)
 
 
 def test_partition_rejects_non_syndetic():
     # the covering check, not a precondition, refuses the powers of 2
-    part = K.syndetic_partition_witness(POW(2), 3, 5, 1000)
+    part = syndetic_partition_witness(POW(2), 3, 5, 1000)
     *_, checked, failures = loop_partition(POW(2).elements(1000), 3, 5, 1000)
     assert not part.covering_ok
     assert part.failures == failures and part.covering_checked == checked
@@ -360,7 +368,7 @@ def test_partition_rejects_non_syndetic():
 
 
 def test_coloring_by_interval_index():
-    col = K.density_coloring_witness(AP(1, 0), [(10, 20), (30, 40)], 2, 50)
+    col = density_coloring_witness(AP(1, 0), [(10, 20), (30, 40)], 2, 50)
     coloring = as_dict(AP(1, 0), 50, col.coloring)
     assert {coloring[s] for s in range(10, 20)} == {1}
     assert {coloring[s] for s in range(30, 40)} == {0}
@@ -368,13 +376,13 @@ def test_coloring_by_interval_index():
 
 
 def test_coloring_order_one():
-    col = K.density_coloring_witness(AP(3, 0), [(10, 20)], 1, 60)
+    col = density_coloring_witness(AP(3, 0), [(10, 20)], 1, 60)
     assert set(as_dict(AP(3, 0), 60, col.coloring).values()) == {0}
 
 
 def test_coloring_three_blocks():
     intervals = [(n * 100, n * 100 + 50) for n in range(1, 10)]
-    col = K.density_coloring_witness(AP(3, 0), intervals, 3, 1000)
+    col = density_coloring_witness(AP(3, 0), intervals, 3, 1000)
     coloring = as_dict(AP(3, 0), 1000, col.coloring)
     for idx, (lo, hi) in enumerate(intervals, start=1):
         vals = {coloring[s] for s in range(lo, hi) if s % 3 == 0}
@@ -400,14 +408,14 @@ def test_coloring_matches_loop(members, cuts, k, n):
     ends = list(itertools.accumulate(cuts))
     intervals = [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
     model = EXPL(sorted(members))
-    col = K.density_coloring_witness(model, intervals, k, n)
+    col = density_coloring_witness(model, intervals, k, n)
     assert as_dict(model, n, col.coloring) == loop_coloring(
         model.elements(n), intervals, k)
 
 
 def test_coloring_rejects_overlap():
     with pytest.raises(ValueError):
-        K.density_coloring_witness(AP(1, 0), [(10, 30), (20, 40)], 2, 50)
+        density_coloring_witness(AP(1, 0), [(10, 30), (20, 40)], 2, 50)
 
 
 # -- problems ------------------------------------------------------------------

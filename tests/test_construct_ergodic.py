@@ -12,7 +12,7 @@ from interpsets import intsets as S
 from interpsets.words import SymbolWord
 
 import oracles
-from oracles import is_ergodic_member
+from oracles import at, is_ergodic_member
 
 CUBES = S.IntegerSetModel.explicit_window([n ** 3 for n in range(1, 13)])
 
@@ -137,7 +137,7 @@ def test_restriction_alternating():
     trace = K.strictly_ergodic_construct(problem, levels=2)
     for s, v in f.items():
         if s <= len(trace.result):
-            assert trace.result.at(s) == v
+            assert at(trace.result, s) == v
 
 
 def test_member_checker(two_level):

@@ -16,7 +16,7 @@ from interpsets import construct as K
 from interpsets import intsets as S
 from interpsets.words import SymbolWord
 
-from oracles import is_member_level
+from oracles import at, is_member_level, parse_member
 
 POW = S.IntegerSetModel.lacunary_powers
 
@@ -60,7 +60,7 @@ def test_restriction(one_level):
     for s, v in zip(S.window(problem.model, problem.n).tolist(),
                     problem.f.symbols.tolist()):
         if s <= len(trace.result):
-            assert trace.result.at(s) == v
+            assert at(trace.result, s) == v
 
 
 def test_membership_positive(one_level):
@@ -146,7 +146,8 @@ def test_construct_memory_budget():
 def test_verify_trace_working_set():
     # tracemalloc peak per cell of N: whole-filling masks (three per pair
     # of levels, and one more for the result) peaked at 2.01; slice by
-    # slice, the peak is level 1's parse check, at 1.41 (NumPy 2.4).
+    # slice, 1.41, most of it the top blocks' parse check, which now also
+    # runs a slice of pieces at a time: 0.29 (NumPy 2.4).
     problem = K.random_problem(POW(2), 2, 2 ** 18, seed=1)
     trace = K.totally_minimal_construct(problem, levels=2)
     tracemalloc.start()
@@ -157,6 +158,25 @@ def test_verify_trace_working_set():
         tracemalloc.stop()
     assert all(c.holds for c in certs)
     assert peak / problem.n <= 1.6, peak / problem.n
+
+
+def test_parse_check_working_set():
+    # tracemalloc peak per cell of a top block (m_2 = 115 808), checked
+    # against its recorded parse: gathering every piece, the anchor rows it
+    # names and their mismatch mask peaked at 3.04; a slice of pieces at a
+    # time, the peak is 0.55, arrays of one entry per piece (NumPy 2.4).
+    problem = K.random_problem(POW(2), 2, 2 ** 18, seed=1)
+    trace = K.totally_minimal_construct(problem, levels=2)
+    m, b = trace.final_m, min(trace.levels[-1].filled)
+    block = SymbolWord(2, trace.result.symbols[b * m:(b + 1) * m])
+    tracemalloc.start()
+    try:
+        ok = parse_member(block, 2, trace.levels[-1].filled[b], trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak / m <= 1.0, peak / m
 
 
 def test_closing_blocks_are_anchor_copies():
@@ -196,7 +216,7 @@ def test_parse_check_agrees_with_dp(spec, k, seed):
     problem = K.random_problem(S.parse_set_spec(spec), k, 3000, seed)
     trace = K.totally_minimal_construct(problem, levels=1)
     for word, level, parse in _parsed_words(trace):
-        assert K.parse_member(word, level, parse, trace)
+        assert parse_member(word, level, parse, trace)
         assert is_member_level(word, level, trace)
 
 
@@ -224,7 +244,7 @@ def test_parse_check_agrees_with_dp_at_two_levels(two_levels):
     words = list(_parsed_words(trace))
     assert len(words) == 4 + 4 + len(trace.result) // trace.final_m
     for word, level, parse in words:
-        assert K.parse_member(word, level, parse, trace)
+        assert parse_member(word, level, parse, trace)
         assert is_member_level(word, level, trace)
     assert all(c.holds for c in K.verify_trace(trace, problem))
 
@@ -272,7 +292,7 @@ def test_mutated_parse_fails_exactly_the_parse_check(one_level):
     w1 = trace.levels[1].w
     assert is_member_level(w1, 1, trace)
     for name, bad in _mutated_parses(trace).items():
-        assert not K.parse_member(w1, 1, bad, trace), name
+        assert not parse_member(w1, 1, bad, trace), name
         levels = list(trace.levels)
         levels[1] = dataclasses.replace(
             levels[1], parses=(bad,) + levels[1].parses[1:])
@@ -327,6 +347,28 @@ def test_block_membership_reads_closing_blocks_then_filled(one_level):
     assert failing == {"block-membership"}
 
 
+def test_changed_cell_at_a_piece_slice_edge_fails_its_parse(two_levels):
+    # the anchor pieces of each length are compared a slice of pieces at a
+    # time; a changed first or last cell of the pieces on either side of a
+    # slice edge, or of the last piece, must still fail the parse
+    _, trace = two_levels
+    w, parse = trace.levels[2].w, trace.levels[2].parses[0]
+    m = trace.levels[1].m
+    lens = np.diff(parse.starts, append=len(w))
+    cells = []
+    for length in (m, m + 1):
+        sel = np.flatnonzero((parse.index >= 0) & (lens == length))
+        step = max(1, K._SLICE // length)
+        assert sel.size > step
+        for p in (sel[step - 1], sel[step], sel[-1]):
+            cells += [parse.starts[p], parse.starts[p] + length - 1]
+    assert parse_member(w, 2, parse, trace)
+    for cell in cells:
+        sym = w.symbols.copy()
+        sym[cell] ^= 1
+        assert not parse_member(SymbolWord(2, sym), 2, parse, trace), cell
+
+
 def test_mutated_word_fails_under_its_parse(one_level, two_levels):
     rng = random.Random(3)
     for _, trace in (one_level, two_levels):
@@ -335,8 +377,8 @@ def test_mutated_word_fails_under_its_parse(one_level, two_levels):
             for at in rng.sample(range(len(w)), 5):
                 sym = list(w.symbols)
                 sym[at] = 1 - sym[at]
-                assert not K.parse_member(SymbolWord(2, tuple(sym)), level,
-                                          parse, trace)
+                assert not parse_member(SymbolWord(2, tuple(sym)), level,
+                                        parse, trace)
 
 
 def _toy_family():
@@ -370,31 +412,30 @@ def test_residues_count_at_level_three():
     trace, word, parse, a, b = _toy_family()
     # a b a b puts a at offsets 0, 27 and b at 13, 40: both residues of each
     good = word(a + b + a + b)
-    assert K.parse_member(good, 3, parse([0, 13, 27, 40], [0, 1, 0, 1]), trace)
+    assert parse_member(good, 3, parse([0, 13, 27, 40], [0, 1, 0, 1]), trace)
     assert is_member_level(good, 3, trace)
     # a a b b tiles with the same anchors, but b only at even offsets
     bad = word(a + a + b + b)
-    assert not K.parse_member(bad, 3, parse([0, 13, 26, 40], [0, 0, 1, 1]), trace)
+    assert not parse_member(bad, 3, parse([0, 13, 26, 40], [0, 0, 1, 1]), trace)
     assert not is_member_level(bad, 3, trace)
     # dropping the b at offset 13 to a non-anchor (proved by its own parse)
     # leaves the pair (b, 1) uncovered
     dropped = K.Parse(np.array([0, 13, 27, 40], np.int32),
                       np.array([0, -1, 0, 1], np.int32),
                       {1: trace.levels[2].parses[1]})
-    assert not K.parse_member(good, 3, dropped, trace)
+    assert not parse_member(good, 3, dropped, trace)
     # an anchor whose own parse is wrong proves nothing above it
     levels = list(trace.levels)
     levels[2] = dataclasses.replace(
         levels[2], parses=(levels[2].parses[0], parse([0, 5, 9], [1, 0, 1])))
     broken = dataclasses.replace(trace, levels=levels)
-    assert not K.parse_member(good, 3, parse([0, 13, 27, 40], [0, 1, 0, 1]), broken)
+    assert not parse_member(good, 3, parse([0, 13, 27, 40], [0, 1, 0, 1]), broken)
 
 
 def test_deep_verify_does_not_search(one_level, two_levels, monkeypatch):
     # deep verify proves every anchor once and then reads the recorded
-    # parses; parse_member, which proves the anchors again on each call,
-    # is never its route
-    calls = {"parse_member": 0, "_proven": 0}
+    # parses
+    calls = {"_proven": 0}
     for name in calls:
         real = getattr(K, name)
 
@@ -408,7 +449,7 @@ def test_deep_verify_does_not_search(one_level, two_levels, monkeypatch):
         assert [c.predicate for c in checks][-2:] == ["anchor-membership",
                                                       "block-membership"]
         assert all(c.holds for c in checks)
-    assert calls == {"parse_member": 0, "_proven": 2}
+    assert calls == {"_proven": 2}
     # a search would still find the split of a block whose parse is gone;
     # deep verify has only the record, so block-membership fails
     problem, trace = two_levels
@@ -424,6 +465,6 @@ def test_parse_member_refuses_other_shapes(one_level):
     _, trace = one_level
     parse = trace.levels[1].parses[0]
     with pytest.raises(ValueError):
-        K.parse_member(SymbolWord(2, (0,) * 10), 1, parse, trace)
+        parse_member(SymbolWord(2, (0,) * 10), 1, parse, trace)
     with pytest.raises(ValueError):
-        K.parse_member(trace.levels[1].w, 0, parse, trace)
+        parse_member(trace.levels[1].w, 0, parse, trace)

