@@ -4,7 +4,7 @@ UTF-8, or any bytes-like object, such as the uint8 buffer of a word file,
 written as it stands.
 
 This module needs only the standard library, so a command that runs no
-numpy code (`count`) still never imports numpy.
+numpy code (`count`, `verify-f`) still never imports numpy.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ atomically and are byte-identical across reruns with the same parameters
 and seeds; timing appears only on stdout, never inside files.
 
 Each command imports only the library modules it runs, so every call, a
-fresh process, pays for no other module, and `count` never imports numpy.
+fresh process, pays for no other module, and neither `count` nor
+`verify-f` imports numpy.
 """
 
 from __future__ import annotations

@@ -24,7 +24,12 @@ loaded = sorted(m for m in sys.modules if m.startswith("interpsets."))
 print(json.dumps({"code": code, "loaded": loaded, "numpy": "numpy" in sys.modules}))
 """
 
-# The same, with every import of numpy refused.
+# Runs the CLI, and the same with every import of numpy refused.
+PLAIN = """
+import sys
+from interpsets.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 NO_NUMPY = """
 import sys
 sys.modules["numpy"] = None
@@ -62,7 +67,7 @@ COMMANDS = {
                    "--out-dir", "out"], {"construct", "intsets", "words"}),
     "word-stats": (["word-stats", "--word", "w.word"], {"words"}),
     "verify-f": (["verify-f", "--n", "1000", "--depth", "2", "--shifts", "1",
-                  "1"], {"recurrence"}),
+                  "1", "--dual-oracle"], {"recurrence"}),
     "count": (["count", "--delta", "1/3", "--k", "2", "--m", "6"],
               {"counting"}),
 }
@@ -76,18 +81,33 @@ def test_each_command_loads_only_what_it_runs(inputs, command):
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["code"] == 0
     assert set(probe["loaded"]) - ALWAYS == {f"interpsets.{m}" for m in modules}
-    assert probe["numpy"] == (command != "count")
+    assert probe["numpy"] == (command not in ("count", "verify-f"))
 
 
 def test_count_runs_without_numpy(tmp_path):
     argv = ["count", "--delta", "1/3", "--k", "3", "--m-list", "4,6",
             "--oracle", "--csv"]
-    normal = python("import sys\nfrom interpsets.cli import main\n"
-                    "sys.exit(main(sys.argv[1:]))", *argv, "a.csv", cwd=tmp_path)
+    normal = python(PLAIN, *argv, "a.csv", cwd=tmp_path)
     blocked = python(NO_NUMPY, *argv, "b.csv", cwd=tmp_path)
     assert normal.returncode == 0, normal.stderr
     assert blocked.returncode == 0, blocked.stderr
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    verdicts = [json.loads(p.stdout)["verdicts"] for p in (normal, blocked)]
+    assert verdicts[0] == verdicts[1] and all(v["ok"] for v in verdicts[0])
+
+
+def test_verify_f_runs_without_numpy(tmp_path):
+    argv = ["verify-f", "--n", "10000000", "--depth", "3", "--shifts", "1",
+            "3", "--dual-oracle"]
+    normal = python(PLAIN, *argv, "--out", "a.json", "--out-set", "a.set",
+                    cwd=tmp_path)
+    blocked = python(NO_NUMPY, *argv, "--out", "b.json", "--out-set", "b.set",
+                     cwd=tmp_path)
+    assert normal.returncode == 0, normal.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    for ext in ("json", "set"):
+        assert ((tmp_path / f"a.{ext}").read_bytes()
+                == (tmp_path / f"b.{ext}").read_bytes()), ext
     verdicts = [json.loads(p.stdout)["verdicts"] for p in (normal, blocked)]
     assert verdicts[0] == verdicts[1] and all(v["ok"] for v in verdicts[0])
 

@@ -70,8 +70,10 @@ def test_ip_closure_respects_depth_and_bound():
 def test_build_f_200():
     model = R.build_F(200)
     assert model.elements == (11, 102)
-    assert model.provenance[11] == (1, 10)
-    assert model.provenance[102] == (2, 100)
+    shifts = [digit_membership(x) for x in model.elements]
+    assert shifts == [(True, 1), (True, 2)]
+    assert all((x - n) % 10 ** n == 0
+               for x, (_, n) in zip(model.elements, shifts))
 
 
 def test_build_f_2000():
@@ -81,7 +83,8 @@ def test_build_f_2000():
 def test_build_f_tiny_empty():
     assert R.build_F(10).elements == ()
     for n in range(-1, 11):
-        assert R.build_F(n) == R.FSetModel(n, (), {})
+        assert R.build_F(n) == R.FSetModel(n, ())
+        assert digit_membership(n) == (False, None)
 
 
 @pytest.mark.parametrize("bound", [10, 1000])
@@ -92,10 +95,10 @@ def test_shift_ip_refuses_depth_0_at_every_bound(bound):
 
 
 def test_build_f_divisibility():
-    model = R.build_F(10 ** 7)
-    for x, (n, j) in model.provenance.items():
-        assert j % 10 ** n == 0
-        assert x == j + n
+    # x = j + n with j in J_n, and every generator 10^k of J_n has k >= n
+    for x in R.build_F(10 ** 7).elements:
+        member, n = digit_membership(x)
+        assert member and (x - n) % 10 ** n == 0, x
 
 
 def test_sum_free_exhaustive():
@@ -155,9 +158,11 @@ def test_digit_oracle_agrees_to_1e6():
 
 
 @pytest.mark.parametrize("n_bound", [10 ** 9] + [
-    10 ** j + d for j in range(1, 9) for d in (-1, 0, 1)])
+    10 ** j + d for j in range(1, 9) for d in (-1, 0, 1)] + [
+    10 ** (1 << (n - 1)) + n + d for n in (2, 3, 4) for d in (-1, 0)])
 def test_digit_oracle_agrees_with_build_f_at_the_cap(n_bound):
-    # the digit product enumerates only admissible halves, so the cap costs ms
+    # the last inputs are the bounds at which shift n first has a member;
+    # each shift tries 2^10 digit patterns at most, so the cap costs < 1 ms
     assert R.digit_enumerate(n_bound) == list(R.build_F(n_bound).elements)
 
 
@@ -171,7 +176,7 @@ def scalar_members():
 @pytest.mark.parametrize("n_bound", [
     1, 10, 11, 99, 100, 101, 9_999, 10_000, 10_001, 10 ** 5, 10 ** 6 + 3])
 def test_digit_enumerate_matches_scalar_oracle(scalar_members, n_bound):
-    # 10^k and 10^k + 1 move the split between the high and low digit tables
+    # 10^k adds a digit to n_bound, and with it the patterns of one more place
     assert R.digit_enumerate(n_bound) == [
         x for x in scalar_members if x <= n_bound]
 
