@@ -157,11 +157,12 @@ def test_digit_oracle_agrees_to_1e6():
     assert R.digit_enumerate(10 ** 6) == list(model.elements)
 
 
-@pytest.mark.parametrize("n_bound", [10 ** 9] + [
+@pytest.mark.parametrize("n_bound", list(dict.fromkeys([10 ** 9] + [
     10 ** j + d for j in range(1, 9) for d in (-1, 0, 1)] + [
-    10 ** (1 << (n - 1)) + n + d for n in (2, 3, 4) for d in (-1, 0)])
+    10 ** (1 << (n - 1)) + n + d for n in (2, 3, 4) for d in (-1, 0)])))
 def test_digit_oracle_agrees_with_build_f_at_the_cap(n_bound):
-    # the last inputs are the bounds at which shift n first has a member;
+    # the last inputs are the bounds at which shift n first has a member
+    # (101 for n = 2 is already a 10^j + 1 case, so duplicates are dropped);
     # each shift tries 2^10 digit patterns at most, so the cap costs < 1 ms
     assert R.digit_enumerate(n_bound) == list(R.build_F(n_bound).elements)
 
