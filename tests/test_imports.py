@@ -1,6 +1,6 @@
-"""What each CLI call loads: a lazy package namespace and per-command
-imports.  Every check runs in a fresh interpreter, since the test process
-has long since imported every module."""
+"""What each CLI call loads: a package namespace that loads nothing, and
+per-command imports.  Every check runs in a fresh interpreter, since the
+test process has long since imported every module."""
 
 import ast
 import json
@@ -44,12 +44,29 @@ def python(code, *args, cwd=None):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_import_cli_loads_no_library_module():
-    proc = python("import json, sys, interpsets.cli\n"
+LOADS = {"interpsets.cli": ALWAYS, "interpsets": set()}
+
+
+@pytest.mark.parametrize("module", sorted(LOADS))
+def test_import_cli_loads_no_library_module(module):
+    proc = python(f"import json, sys, {module}, interpsets\n"
                   "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy'"
-                  " or m.startswith('interpsets.'))))")
+                  " or m.startswith('interpsets.'))))\n"
+                  "print(json.dumps([n for n in dir(interpsets)"
+                  " if not n.startswith('_')]))")
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) == ALWAYS
+    modules, names = map(json.loads, proc.stdout.splitlines())
+    assert set(modules) == LOADS[module]
+    if module == "interpsets":
+        assert names == []
+
+
+def test_readme_library_example_runs():
+    readme = pathlib.Path(ROOT, "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = python(example)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture
@@ -112,25 +129,6 @@ def test_verify_f_runs_without_numpy(tmp_path):
     assert verdicts[0] == verdicts[1] and all(v["ok"] for v in verdicts[0])
 
 
-def test_public_names_are_their_modules_attributes():
-    proc = python("""
-import importlib, interpsets
-home = interpsets._HOME
-assert sorted(home) == interpsets.__all__
-for name in interpsets.__all__:
-    module = importlib.import_module(f"interpsets.{home[name]}")
-    assert getattr(interpsets, name) is getattr(module, name), name
-assert interpsets.words is importlib.import_module("interpsets.words")
-try:
-    interpsets.no_such_name
-except AttributeError as exc:
-    assert "no_such_name" in str(exc)
-else:
-    raise AssertionError("an unknown name resolved")
-""")
-    assert proc.returncode == 0, proc.stderr
-
-
 def _names(node):
     """Every name a syntax tree refers to: variables, attributes and the
     names it imports."""
@@ -149,9 +147,9 @@ def test_every_public_definition_is_run_by_the_package():
     # A module-level public function or class must be named by another
     # library module or by the benchmark scripts, or be reached in its own
     # module from module-level code or from a definition that is, as
-    # build_parser reaches the cmd_* functions.  The _PUBLIC table of
-    # __init__ is no use, so code that only tests call stays in
-    # tests/oracles.py.
+    # build_parser reaches the cmd_* functions.  The package exports no
+    # names, and __init__ counts for none, so code that only tests call
+    # stays in tests/oracles.py.
     trees = {p.stem: ast.parse(p.read_text())
              for p in pathlib.Path(SRC, "interpsets").glob("*.py")}
     bench = set().union(*(_names(ast.parse(p.read_text()))
