@@ -62,7 +62,7 @@ def test_import_cli_loads_no_library_module(module):
 
 
 def test_readme_library_example_runs():
-    readme = pathlib.Path(ROOT, "README.md").read_text()
+    readme = pathlib.Path(ROOT, "README.md").read_text(encoding="utf-8")
     library = readme[readme.index("\n## Library\n"):]
     example = library.split("```python\n", 1)[1].split("```", 1)[0]
     proc = python(example)
