@@ -330,9 +330,6 @@ def cmd_verify_f(args):
     if not 1 <= lo <= hi:
         raise UsageError(f"--shifts needs 1 <= LO <= HI, got {lo} {hi}")
     bound = args.n
-    if args.dual_oracle and bound > recurrence.DIGIT_ORACLE_LIMIT:
-        raise UsageError(f"--dual-oracle refused at N = {bound}: above the "
-                         f"digit oracle's {recurrence.DIGIT_ORACLE_LIMIT} cap")
     model = recurrence.build_F(bound)
     sf = recurrence.verify_sum_free(model.elements, bound)
     certs = [Certificate.from_bool(

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 def index_set(n: int, upto: int) -> list:
     """Elements of I_n = {2^(n-1) (2i-1) : i >= 1} that are <= upto."""
+    if upto >> (n - 1) < 1:      # min I_n = 2^(n-1) > upto, for any n
+        return []
     return list(range(1 << (n - 1), upto + 1, 1 << n))
 
 
@@ -122,27 +124,22 @@ def verify_shift_ip(f_model: FSetModel, n: int, depth: int) -> ShiftIPReport:
     return ShiftIPReport(n, depth, not missing, tuple(required), missing)
 
 
-DIGIT_ORACLE_LIMIT = 10 ** 9    # 2^10 patterns a shift, about 0.25 ms on 2 vCPUs
-
-
 def digit_enumerate(n_bound: int) -> list:
     """All members of F in [1, n_bound] by the digit oracle alone,
     independent of build_F: x is in F iff for some shift n the decimal
-    digits of x - n are all 0/1 with every 1 at a place in I_n.  With d the
-    digits of n_bound, each shift n with 10^(2^(n-1)) + n <= n_bound reads
-    every binary pattern below 2^d as a decimal 0/1 number and keeps those
-    whose 1s sit at places in I_n, so the work doubles with each digit of
-    n_bound; callers refuse an n_bound above DIGIT_ORACLE_LIMIT.
-    """
+    digits of x - n are all 0/1 with every 1 at a place in I_n.  Each shift
+    walks the nonzero submasks of its place mask, read as decimal 0/1
+    numbers, so the work is one step per candidate member."""
     digits = len(str(n_bound))
-    found = set()
+    found = []
     n = 1
     while 10 ** (1 << (n - 1)) + n <= n_bound:
         allowed = sum(1 << p for p in range(digits) if in_index_set(p, n))
-        for bits in range(1, 1 << digits):
-            if bits & ~allowed == 0:
-                x = int(format(bits, "b")) + n
-                if x <= n_bound:
-                    found.add(x)
+        sub = allowed
+        while sub:
+            x = int(format(sub, "b")) + n
+            if x <= n_bound:
+                found.append(x)
+            sub = (sub - 1) & allowed
         n += 1
     return sorted(found)

@@ -802,23 +802,26 @@ def test_verify_f_bad_shifts_exit_2_before_work(capsys, monkeypatch, shifts):
     assert "--shifts" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", [10 ** 9 + 1, 10 ** 16])
-def test_verify_f_dual_oracle_refused_past_its_cap(capsys, monkeypatch, n):
+@pytest.mark.parametrize("n, members", [(10 ** 16, 274), (10 ** 18, 531)])
+def test_verify_f_dual_oracle_past_ten_to_the_nine(capsys, n, members):
     from interpsets import recurrence
+    code, out = run(capsys, "verify-f", "--n", str(n), "--dual-oracle")
+    assert code == 0
+    agreement = json.loads(out)["verdicts"][-1]
+    assert agreement["name"] == "dual-oracle-agreement" and agreement["ok"]
+    witness = agreement["certificate"]["witness"]
+    assert witness["members"] == len(recurrence.build_F(n).elements) == members
 
-    def no_work(bound):
-        raise AssertionError("work began before the cap was checked")
 
-    monkeypatch.setattr(recurrence, "build_F", no_work)
-    monkeypatch.setattr(recurrence, "digit_enumerate", no_work)
-    assert recurrence.DIGIT_ORACLE_LIMIT == 10 ** 9
-    started = time.monotonic()
-    code = main(["verify-f", "--n", str(n), "--dual-oracle"])
-    assert time.monotonic() - started < 1
-    out, err = capsys.readouterr()
-    assert (code, out) == (2, "")
-    assert f"--dual-oracle refused at N = {n}" in err
-    assert "above the digit oracle's 1000000000 cap" in err
+def test_verify_f_huge_shift_is_vacuous(capsys):
+    # I_n starts at 2^(n-1), so a shift this large has no generator; the
+    # index set must say so without building 2^(n-1)
+    n = "99999999999999999999"
+    code, out = run(capsys, "verify-f", "--n", "1000", "--shifts", n, n)
+    assert code == 0
+    shift = json.loads(out)["verdicts"][-1]
+    assert shift["name"] == f"shift-ip-{n}" and shift["ok"]
+    assert shift["certificate"]["witness"]["required"] == 0
 
 
 def test_verify_f_dual_oracle_below_its_cap(tmp_path, capsys):

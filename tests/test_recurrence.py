@@ -12,6 +12,7 @@ def test_index_sets_dyadic():
     assert R.index_set(2, 10) == [2, 6, 10]
     assert R.index_set(3, 20) == [4, 12, 20]
     assert R.index_set(4, 8) == [8]
+    assert R.index_set(10 ** 20, 10 ** 6) == []    # 2^(10^20 - 1) is never built
 
 
 @given(st.integers(1, 8), st.integers(0, 10 ** 4))
@@ -159,11 +160,12 @@ def test_digit_oracle_agrees_to_1e6():
 
 @pytest.mark.parametrize("n_bound", list(dict.fromkeys([10 ** 9] + [
     10 ** j + d for j in range(1, 9) for d in (-1, 0, 1)] + [
-    10 ** (1 << (n - 1)) + n + d for n in (2, 3, 4) for d in (-1, 0)])))
+    10 ** (1 << (n - 1)) + n + d for n in (2, 3, 4, 5) for d in (-1, 0)] + [
+    10 ** 12, 10 ** 18, 10 ** 24])))
 def test_digit_oracle_agrees_with_build_f_at_the_cap(n_bound):
-    # the last inputs are the bounds at which shift n first has a member
+    # the threshold inputs are the bounds at which shift n first has a member
     # (101 for n = 2 is already a 10^j + 1 case, so duplicates are dropped);
-    # each shift tries 2^10 digit patterns at most, so the cap costs < 1 ms
+    # the walk takes one step per candidate member, 4 167 members at 10^24
     assert R.digit_enumerate(n_bound) == list(R.build_F(n_bound).elements)
 
 
