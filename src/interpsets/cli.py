@@ -1,15 +1,18 @@
 """Command-line surface: analyze, construct, count, verify-f, word-stats.
 
 Exit codes: 0 when every emitted verdict holds, 1 when a verification
-fails, 2 for usage and file errors, 3 for an internal fault (a broken
-invariant or any other unexpected exception), reported as one JSON line on
-stderr with its type, message and traceback.  All output files are written
-atomically and are byte-identical across reruns with the same parameters
-and seeds; timing appears only on stdout, never inside files.
+fails, 2 for usage and file errors (a report that cannot be written to
+stdout too), 3 for an internal fault (a broken invariant or any other
+unexpected exception), reported as one JSON line on stderr with its type,
+message and traceback.  All output files are written atomically and are
+byte-identical across reruns with the same parameters and seeds; timing
+appears only on stdout, never inside files.
 
 Each command imports only the library modules it runs, so every call, a
 fresh process, pays for no other module, and neither `count` nor
-`verify-f` imports numpy.
+`verify-f` imports numpy.  A shell call enters at `run`: with every output
+file complete and closed, and stdout and stderr flushed, it ends the
+process by `os._exit`, so no `atexit` handler runs; `main` runs in-process.
 """
 
 from __future__ import annotations
@@ -470,5 +473,20 @@ def main(argv=None):
         return 3
 
 
+def run(argv=None):
+    """main(argv), then a flush and a hard exit that skips the interpreter's
+    teardown; a report that cannot be written exits 2."""
+    code = main(argv)
+    try:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            code = 2
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
