@@ -8,6 +8,12 @@ message and traceback.  All output files are written atomically and are
 byte-identical across reruns with the same parameters and seeds; timing
 appears only on stdout, never inside files.
 
+On exit 0 or 1, stdout is exactly one JSON report, built only in `main`
+from the fields and certificates a `cmd_*` returns.  `count` and
+`word-stats` without `--csv` carry the text `--csv` would write as
+`results.csv`.  `timing_s` runs from the end of argument parsing to the
+report: the command's library imports, its work and its output files.
+
 Each command imports only the library modules it runs, so every call, a
 fresh process, pays for no other module, and neither `count` nor
 `verify-f` imports numpy.  A shell call enters at `run`: with every output
@@ -58,33 +64,14 @@ def _cert_verdict(cert):
     return {"name": cert.predicate, "ok": cert.holds, "certificate": cert.to_json()}
 
 
-def _emit_csv(lines, path) -> list:
-    """Write the CSV rows atomically to `path` and return [path] for the
-    report's outputs, or, with no path, print them and return []."""
+def _emit_csv(lines, path) -> dict:
+    """The report fields of CSV rows: written atomically to `path` and named
+    in `outputs`, or, with no path, carried as `results.csv`."""
     text = "\n".join(lines) + "\n"
     if path:
         _atomic_write(path, text)
-        return [path]
-    print(text, end="")
-    return []
-
-
-def _report(command, parameters, outputs, certs, started, seed=None,
-            results=None):
-    """Print the stdout report of one command; exit 0 iff every verdict holds."""
-    rep = {
-        "schema": SCHEMA,
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "outputs": outputs,
-        "verdicts": [_cert_verdict(c) for c in certs],
-    }
-    if results:
-        rep["results"] = results
-    rep["timing_s"] = round(time.monotonic() - started, 3)
-    print(_dump(rep), end="")
-    return 0 if all(c.holds for c in certs) else 1
+        return {"outputs": [path]}
+    return {"outputs": [], "results": {"csv": text}}
 
 
 # -- analyze -------------------------------------------------------------------
@@ -93,7 +80,6 @@ def _report(command, parameters, outputs, certs, started, seed=None,
 def cmd_analyze(args):
     from . import intsets
 
-    started = time.monotonic()
     model = intsets.parse_set_spec(args.set)
     n = args.n
     certs = []
@@ -127,8 +113,8 @@ def cmd_analyze(args):
                    "verdicts": [_cert_verdict(c) for c in certs], **extra}
         _atomic_write(args.out, _dump(payload))
         outputs.append(args.out)
-    return _report("analyze", {"set": args.set, "N": n}, outputs, certs,
-                   started=started, results=extra)
+    return {"parameters": {"set": args.set, "N": n}, "outputs": outputs,
+            "results": extra}, certs
 
 
 # -- construct -----------------------------------------------------------------
@@ -212,7 +198,6 @@ def _write_trace(out_dir, trace):
 def cmd_construct(args):
     from . import construct, words
 
-    started = time.monotonic()
     problem, data, seed = _load_problem(args.problem)
     os.makedirs(args.out_dir, exist_ok=True)
     scale = {"N": problem.n}
@@ -262,8 +247,7 @@ def cmd_construct(args):
         certs.append(exc.certificate)
     params = {"kind": args.kind, "problem": args.problem,
               "problem_spec": data.get("set_spec")}
-    return _report("construct", params, outputs, certs, seed=seed,
-                   started=started)
+    return {"parameters": params, "outputs": outputs, "seed": seed}, certs
 
 
 # -- count ---------------------------------------------------------------------
@@ -272,30 +256,27 @@ def cmd_construct(args):
 def _parse_m_values(args):
     if args.m is not None:
         return [args.m]
-    if args.m_list:
+    if args.m_list is not None:
         try:
             return [int(x) for x in args.m_list.split(",")]
         except ValueError as exc:
             raise UsageError(f"--m-list must be integers separated by commas, "
                              f"got {args.m_list!r}") from exc
-    if args.m_range:
-        try:
-            lo, hi, step = (int(x) for x in args.m_range.split(":"))
-        except ValueError as exc:
-            raise UsageError("m-range must be LO:HI:STEP") from exc
-        if step < 1:
-            raise UsageError(f"--m-range step must be >= 1, got {step}")
-        ms = list(range(lo, hi + 1, step))
-        if not ms:
-            raise UsageError(f"m-range {args.m_range} yields no m")
-        return ms
-    raise UsageError("pass --m, --m-list, or --m-range")
+    try:
+        lo, hi, step = (int(x) for x in args.m_range.split(":"))
+    except ValueError as exc:
+        raise UsageError("m-range must be LO:HI:STEP") from exc
+    if step < 1:
+        raise UsageError(f"--m-range step must be >= 1, got {step}")
+    ms = list(range(lo, hi + 1, step))
+    if not ms:
+        raise UsageError(f"m-range {args.m_range} yields no m")
+    return ms
 
 
 def cmd_count(args):
     from . import counting
 
-    started = time.monotonic()
     delta = _parse_fraction(args.delta)
     ms = _parse_m_values(args)
     if args.oracle:
@@ -316,10 +297,9 @@ def cmd_count(args):
             certs.append(Certificate.from_bool(
                 f"oracle-m{row.m}", oracle == row.count, {**params, "m": row.m},
                 {"count": row.count, "oracle": oracle}))
-    outputs = _emit_csv(lines, args.csv)
     if not certs:
         certs = [Certificate.from_bool("count", True, params, {})]
-    return _report("count", params, outputs, certs, started=started)
+    return {"parameters": params, **_emit_csv(lines, args.csv)}, certs
 
 
 # -- verify-f ------------------------------------------------------------------
@@ -328,7 +308,6 @@ def cmd_count(args):
 def cmd_verify_f(args):
     from . import recurrence
 
-    started = time.monotonic()
     lo, hi = args.shifts
     if not 1 <= lo <= hi:
         raise UsageError(f"--shifts needs 1 <= LO <= HI, got {lo} {hi}")
@@ -359,9 +338,8 @@ def cmd_verify_f(args):
                    "verdicts": [_cert_verdict(c) for c in certs]}
         _atomic_write(args.out, _dump(payload))
         outputs.append(args.out)
-    return _report("verify-f",
-                   {"N": bound, "depth": args.depth, "shifts": list(args.shifts)},
-                   outputs, certs, started=started)
+    params = {"N": bound, "depth": args.depth, "shifts": list(args.shifts)}
+    return {"parameters": params, "outputs": outputs}, certs
 
 
 # -- word-stats ----------------------------------------------------------------
@@ -370,21 +348,19 @@ def cmd_verify_f(args):
 def cmd_word_stats(args):
     from . import words
 
-    started = time.monotonic()
     w = words.read_word_file(args.word)
     n_max = args.n_max or min(64, len(w) // 2)   # the type rules out 0
     profile = words.complexity_profile(w, n_max)
     lines = ["n,p,h_est"]
     for n in sorted(profile.p):
         lines.append(f"{n},{profile.p[n]},{profile.h_est[n]:.12f}")
-    outputs = _emit_csv(lines, args.csv)
     violations = profile.violations()
     cert = Certificate.from_bool(
         "profile-invariants", not violations, {"length": len(w), "n_max": n_max},
         {"h_at_max": profile.h_est[n_max], "h_inf": min(profile.h_est.values()),
          "violations": violations})
-    return _report("word-stats", {"word": args.word, "n_max": n_max},
-                   outputs, [cert], started=started)
+    return {"parameters": {"word": args.word, "n_max": n_max},
+            **_emit_csv(lines, args.csv)}, [cert]
 
 
 # -- parser --------------------------------------------------------------------
@@ -423,13 +399,13 @@ def build_parser():
     p = sub.add_parser("count", help="exact low-weight word counts")
     p.add_argument("--delta", required=True, help="exact rational like 1/3")
     p.add_argument("--k", type=int, required=True)
-    m_opts = p.add_mutually_exclusive_group()
+    m_opts = p.add_mutually_exclusive_group(required=True)
     m_opts.add_argument("--m", type=int)
     m_opts.add_argument("--m-list")
     m_opts.add_argument("--m-range", metavar="LO:HI:STEP")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the enumeration oracle")
-    p.add_argument("--csv", help="write CSV here instead of stdout")
+    p.add_argument("--csv", help="write CSV here instead of results.csv")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify-f", help="verify the sum-free recurrence set F")
@@ -456,8 +432,16 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    started = time.monotonic()
     try:
-        return args.func(args)
+        fields, certs = args.func(args)
+        report = {"schema": SCHEMA, "command": args.command, "seed": None,
+                  **fields, "verdicts": [_cert_verdict(c) for c in certs]}
+        if not report.get("results"):   # analyze with neither table
+            report.pop("results", None)
+        report["timing_s"] = round(time.monotonic() - started, 3)
+        print(_dump(report), end="")
+        return 0 if all(c.holds for c in certs) else 1
     except (UsageError, OSError, ValueError) as exc:
         # ValueError covers spec, domain and JSON errors too
         print(f"error: {exc}", file=sys.stderr)

@@ -124,8 +124,7 @@ def test_count_oracle_runs_to_its_own_bound(capsys):
     code, out = run(capsys, "count", "--delta", "1/3", "--k", "2",
                     "--m-list", "27", "--oracle")
     assert code == 0
-    assert [v["name"] for v in json.loads(out[out.index("{"):])["verdicts"]] \
-        == ["oracle-m27"]
+    assert [v["name"] for v in json.loads(out)["verdicts"]] == ["oracle-m27"]
 
 
 def test_count_bad_delta(capsys):
@@ -848,7 +847,7 @@ def test_word_stats_csv_file(tmp_path, capsys):
     W.write_word_file(path, mechanical_word(Fraction(2, 5), 400))
     code, out = run(capsys, "word-stats", "--word", str(path), "--n-max", "3")
     assert code == 0
-    stdout_csv = out[:out.index("{")]
+    stdout_csv = json.loads(out)["results"]["csv"]
     csv = tmp_path / "p.csv"
     code, out = run(capsys, "word-stats", "--word", str(path), "--n-max", "3",
                     "--csv", str(csv))
@@ -878,8 +877,10 @@ def test_word_stats_overcount_fails_the_verdict(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(W, "factor_counts", overcount)
     code, out = run(capsys, "word-stats", "--word", str(path), "--n-max", "10")
     assert code == 1
-    assert out.startswith("n,p,h_est\n1,2,") and "\n3,9," in out
-    (verdict,) = json.loads(out[out.index("{"):])["verdicts"]
+    report = json.loads(out)
+    rows = report["results"]["csv"]
+    assert rows.startswith("n,p,h_est\n1,2,") and "\n3,9," in rows
+    (verdict,) = report["verdicts"]
     assert verdict["name"] == "profile-invariants" and verdict["ok"] is False
     assert verdict["certificate"]["witness"]["violations"] == [
         "p(3) = 9 exceeds k^n"]
@@ -899,8 +900,8 @@ def test_count_m_option_malformed_or_missing_exit_2(capsys, m_args):
     elif len(m_args) > 2:           # two m options conflict
         assert "not allowed with argument" in err
     else:
-        assert ("m-range must be LO:HI:STEP" if m_args
-                else "pass --m, --m-list, or --m-range") in err
+        assert ("m-range must be LO:HI:STEP" if m_args else
+                "one of the arguments --m --m-list --m-range is required") in err
 
 
 @pytest.mark.parametrize("m_args, message", [
@@ -908,6 +909,8 @@ def test_count_m_option_malformed_or_missing_exit_2(capsys, m_args):
     (["--m-range", "5:1:-1"], "--m-range step must be >= 1, got -1"),
     (["--m-list", "3,x"], "--m-list must be integers separated by commas, got '3,x'"),
     (["--m-list", "3,,4"], "--m-list must be integers separated by commas, got '3,,4'"),
+    (["--m-list="], "--m-list must be integers separated by commas, got ''"),
+    (["--m-range="], "m-range must be LO:HI:STEP"),
 ])
 def test_count_m_values_error_names_the_flag(capsys, m_args, message):
     code = main(["count", "--delta", "1/3", "--k", "2", *m_args])
@@ -999,7 +1002,7 @@ def test_every_verdict_is_a_certificate(tmp_path, capsys):
     for expected, argv in jobs:
         code, out = run(capsys, *argv)
         assert code == expected, argv
-        verdicts = json.loads(out[out.index("{"):])["verdicts"]
+        verdicts = json.loads(out)["verdicts"]
         assert verdicts, argv
         for v in verdicts:
             cert = v["certificate"]
@@ -1007,6 +1010,35 @@ def test_every_verdict_is_a_certificate(tmp_path, capsys):
             assert v["ok"] == (cert["verdict"] == "holds-at-scale"), argv
             assert Certificate.from_json(cert).to_json() == cert, argv
         assert code == (0 if all(v["ok"] for v in verdicts) else 1), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--set", "kind=powers base=2", "--n", "100", "--syndetic", "10",
+     "--gaps", "--out", "{tmp}/a.json"],
+    ["construct", "--kind", "zero", "--problem", "{tmp}/pow.json",
+     "--out-dir", "{tmp}/zero"],
+    ["count", "--delta", "1/3", "--k", "2", "--m-range", "3:9:3"],
+    ["count", "--delta", "1/3", "--k", "2", "--m-range", "3:9:3",
+     "--csv", "{tmp}/c.csv"],
+    ["verify-f", "--n", "100000", "--shifts", "1", "2", "--out", "{tmp}/f.json"],
+    ["word-stats", "--word", "{tmp}/w.word", "--n-max", "10"],
+    ["word-stats", "--word", "{tmp}/w.word", "--n-max", "10",
+     "--csv", "{tmp}/p.csv"],
+], ids=lambda argv: " ".join(a for a in argv if "{tmp}" not in a))
+def test_stdout_is_one_report(tmp_path, capsys, argv):
+    from interpsets import words as W
+    _write_problem(tmp_path / "pow.json", "kind=powers base=2", 2, 4096, seed=5)
+    W.write_word_file(tmp_path / "w.word", mechanical_word(Fraction(2, 5), 400))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out = run(capsys, *argv)
+    assert code in (0, 1)
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert code == (0 if all(v["ok"] for v in report["verdicts"]) else 1)
+    if argv[0] in ("count", "word-stats") and "--csv" not in argv:
+        csv = tmp_path / "rows.csv"
+        assert run(capsys, *argv, "--csv", str(csv))[0] == code
+        assert report["results"]["csv"].encode("utf-8") == csv.read_bytes()
 
 
 def test_word_file_non_ascii_digit_exit_2(tmp_path, capsys):
